@@ -1,4 +1,9 @@
-"""Separable reversible data hiding in encrypted 3D triangle meshes."""
+"""Separable reversible data hiding in encrypted 3D triangle meshes.
+
+The embedded/reference split is `rdh3d.partition.partition(n_vertices,
+faces)`; it is not re-exported here, so `rdh3d.partition` stays the
+submodule.
+"""
 
 from .cipher import (
     KeyMaterial,
@@ -27,7 +32,7 @@ from .errors import (
 )
 from .mesh_io import Mesh, parse_mesh, read_mesh_file, write_mesh, write_mesh_file
 from .metrics import FidelityReport, embedding_rate, hausdorff, snr
-from .partition import Partition, partition
+from .partition import Partition
 from .predictor import (
     PredictionReport,
     analyze,
@@ -77,7 +82,6 @@ __all__ = [
     "keystream",
     "max_prefix_len",
     "parse_mesh",
-    "partition",
     "predict_bit",
     "quantize",
     "read_container",

@@ -75,7 +75,7 @@ def run_pipeline(mesh: Mesh, mesh_id: str, m: int, n: int | None,
     t0 = time.perf_counter()
     q = quantize(mesh, m)
     t1 = time.perf_counter()
-    part = partition(mesh)
+    part = partition(mesh.n_vertices, mesh.faces)
     rep = analyze(q, part)
     n_eff = choose_n(rep, n)
     t2 = time.perf_counter()

@@ -19,8 +19,7 @@ import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 
 from .errors import ConfigError
-
-_WORD_DTYPES = {8: ">u1", 16: ">u2", 32: ">u4", 64: ">u8"}
+from .quantize import WORD_DTYPES
 
 
 class KeyRole(enum.Enum):
@@ -83,10 +82,10 @@ def stream_words(key: KeyMaterial, n_words: int, l: int) -> np.ndarray:
     the per-bit addressing order exactly because l is a whole number of
     bytes.
     """
-    if l not in _WORD_DTYPES:
+    if l not in WORD_DTYPES:
         raise ConfigError(f"unsupported word length l={l}")
     raw = key.keystream_bytes(n_words * (l // 8))
-    return np.frombuffer(raw, dtype=_WORD_DTYPES[l]).astype(np.uint64)
+    return np.frombuffer(raw, dtype=WORD_DTYPES[l]).astype(np.uint64)
 
 
 def _xor_magnitudes(q, key: KeyMaterial):

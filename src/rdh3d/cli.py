@@ -37,7 +37,7 @@ from .mesh_io import FORMATS, read_mesh_file, write_mesh, write_mesh_file
 from .metrics import FidelityReport, hausdorff, snr
 from .partition import partition
 from .predictor import PredictionReport, analyze, choose_n
-from .quantize import dequantize, quantize
+from .quantize import QuantizedMesh, dequantize, quantize
 
 KE_ENV = "RDH3D_KE_PASS"
 KW_ENV = "RDH3D_KW_PASS"
@@ -87,7 +87,7 @@ def _emit(text: str, out_path):
 def cmd_analyze(args) -> int:
     mesh = _load_mesh(args.mesh, args.format)
     q = quantize(mesh, args.m)
-    part = partition(mesh)
+    part = partition(mesh.n_vertices, mesh.faces)
     rep = analyze(q, part)
     doc = rep.to_json_dict()
     doc["chosen_n"] = choose_n(rep, args.n)
@@ -100,14 +100,14 @@ def cmd_analyze(args) -> int:
 def cmd_encrypt(args) -> int:
     mesh = _load_mesh(args.mesh, args.format)
     q = quantize(mesh, args.m)
-    part = partition(mesh)
+    part = partition(mesh.n_vertices, mesh.faces)
     enc = encrypt_mesh(q, _ke(args))
     # No payload yet: every embedded vertex is marked excluded, so
     # recovery of this container is plain decryption.
     c = MarkedContainer(
         m=q.m, l=q.l, n=1, payload_bits=0, signs=enc.signs,
         excluded=np.ones(part.n_embedded, dtype=np.uint8),
-        magnitudes=enc.magnitudes, faces=enc.faces,
+        magnitudes=enc.magnitudes, faces=enc.faces, partition=part,
     )
     write_container_file(args.out, c)
     if args.export_off:
@@ -124,12 +124,8 @@ def cmd_embed(args) -> int:
         raise ConfigError(
             f"report is for m={rep.m} but container was encrypted at m={c.m}"
         )
-    from .quantize import QuantizedMesh
-
     enc = QuantizedMesh(c.magnitudes, c.signs, c.m, c.l, c.faces)
-    from .mesh_io import Mesh
-
-    part = partition(Mesh(np.zeros((c.n_vertices, 3)), c.faces))
+    part = c.checked_partition()
     n = choose_n(rep, args.n)
     kw = _kw(args)
     if args.payload:

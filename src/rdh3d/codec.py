@@ -19,7 +19,7 @@ import numpy as np
 from .cipher import KeyMaterial, KeyRole, _require_role, decrypt_mesh
 from .container import MarkedContainer
 from .errors import CapacityError, ConfigError, ContainerError
-from .partition import Partition, _gather_ranges, partition as compute_partition
+from .partition import Partition, _gather_ranges
 from .predictor import PredictionReport, _segment_sums
 from .quantize import QuantizedMesh
 
@@ -39,24 +39,14 @@ def _words_to_groups(vals: np.ndarray, n: int) -> np.ndarray:
     return ((vals.astype(np.int64)[..., None] >> shifts) & 1).astype(np.uint8).ravel()
 
 
-def _container_partition(c: MarkedContainer) -> Partition:
-    from .mesh_io import Mesh
-
-    part = compute_partition(Mesh(np.zeros((c.n_vertices, 3)), c.faces))
-    if part.n_embedded != c.excluded.size:
-        raise ContainerError(
-            f"excluded bitmap covers {c.excluded.size} vertices but the face "
-            f"list implies {part.n_embedded} embedded vertices"
-        )
-    return part
-
-
 def embed(enc: QuantizedMesh, part: Partition, rep: PredictionReport, n: int,
           payload: np.ndarray, kw: KeyMaterial) -> MarkedContainer:
     """Write a Kw-encrypted payload into the n-MSB slots of an encrypted mesh.
 
     Payload shorter than capacity is padded with further Kw stream bits;
-    the true bit count travels in the container header.
+    the true bit count travels in the container header. `part` must be
+    the partition of enc.faces and `rep` must have been made for it; the
+    result carries `part` on for extraction and recovery.
     """
     _require_role(kw, KeyRole.HIDE, "payload embedding")
     if not 1 <= n <= enc.l:
@@ -67,6 +57,11 @@ def embed(enc: QuantizedMesh, part: Partition, rep: PredictionReport, n: int,
         )
     if rep.ts.size != part.n_embedded:
         raise ConfigError("prediction report does not match the partition")
+    if not np.array_equal(rep.embedded, part.embedded):
+        raise ConfigError(
+            "prediction report was made for another mesh: its embedded "
+            "vertices differ from the partition's"
+        )
 
     excluded = rep.excluded_mask(n)
     included0 = (part.embedded - 1)[~excluded]
@@ -94,19 +89,20 @@ def embed(enc: QuantizedMesh, part: Partition, rep: PredictionReport, n: int,
     return MarkedContainer(
         m=enc.m, l=enc.l, n=n, payload_bits=int(payload.size),
         signs=enc.signs.copy(), excluded=excluded.astype(np.uint8),
-        magnitudes=mags, faces=enc.faces.copy(),
+        magnitudes=mags, faces=enc.faces.copy(), partition=part,
     )
 
 
 def extract(c: MarkedContainer, kw: KeyMaterial) -> np.ndarray:
     """Read the payload back out of a marked container; needs Kw only.
 
-    The embedded set is recomputed from the face list, excluded vertices
-    are skipped via the header bitmap, and no mesh decryption happens
-    (this is what makes the scheme separable).
+    The embedded set comes from the face list (the partition handed on
+    by the reader or the embedder), excluded vertices are skipped via the
+    header bitmap, and no mesh decryption happens (this is what makes
+    the scheme separable).
     """
     _require_role(kw, KeyRole.HIDE, "payload extraction")
-    part = _container_partition(c)
+    part = c.checked_partition()
     payload_bits = c.payload_bits
     if payload_bits > c.capacity_bits():
         raise ContainerError(
@@ -129,7 +125,7 @@ def recover(c: MarkedContainer, ke: KeyMaterial) -> QuantizedMesh:
     axis by majority vote over its (fully recovered) reference ring.
     """
     _require_role(ke, KeyRole.ENCRYPT, "mesh recovery")
-    part = _container_partition(c)
+    part = c.checked_partition()
     marked = QuantizedMesh(c.magnitudes, c.signs, c.m, c.l, c.faces)
     dec = decrypt_mesh(marked, ke)
 

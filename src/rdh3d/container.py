@@ -16,8 +16,11 @@ Layout (all header integers little-endian):
     then       faces, M triples of u32 little-endian, 1-based
 
 |C| is not stored: it is a deterministic function of the face list, so
-the reader re-derives it and treats any size disagreement with the
-excluded bitmap as corruption. Bitmap padding bits must be zero.
+the reader derives the partition once, treats any size disagreement with
+the excluded bitmap as corruption, and hands the partition on with the
+container (`MarkedContainer.partition`, never serialized) so extraction,
+recovery and embedding do not derive it again. Bitmap padding bits must
+be zero.
 """
 
 from __future__ import annotations
@@ -28,14 +31,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContainerError
-from .partition import partition as compute_partition
-from .quantize import M_MAX, M_MIN, bit_length
+from .partition import Partition, partition as compute_partition
+from .quantize import M_MAX, M_MIN, WORD_DTYPES, bit_length
 
 MAGIC = b"RDH3"
 VERSION = 1
 
 _HEADER = struct.Struct("<4sBBBBIIQ")
-_WORD_DTYPES = {8: ">u1", 16: ">u2", 32: ">u4", 64: ">u8"}
 
 
 @dataclass
@@ -49,6 +51,9 @@ class MarkedContainer:
     magnitudes: np.ndarray  # (N, 3) uint64, encrypted (C vertices may carry payload)
     faces: np.ndarray       # (M, 3) int64, 1-based
     version: int = field(default=VERSION)
+    # Split of `faces` as derived by the reader or the embedder; not
+    # serialized and ignored by ==. Replace it if `faces` changes.
+    partition: Partition | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.signs = np.asarray(self.signs, dtype=np.uint8).reshape(-1, 3)
@@ -63,6 +68,20 @@ class MarkedContainer:
     @property
     def n_faces(self) -> int:
         return self.faces.shape[0]
+
+    def checked_partition(self) -> Partition:
+        """The embedded/reference split of the face list: the one handed
+        on, else derived now. Raises ContainerError unless the excluded
+        bitmap covers exactly |C| vertices."""
+        part = self.partition
+        if part is None:
+            part = compute_partition(self.n_vertices, self.faces)
+        if part.n_embedded != self.excluded.size:
+            raise ContainerError(
+                f"excluded bitmap covers {self.excluded.size} vertices but the "
+                f"face list implies {part.n_embedded} embedded vertices"
+            )
+        return part
 
     def capacity_bits(self) -> int:
         return 3 * self.n * int((self.excluded == 0).sum())
@@ -96,7 +115,7 @@ def write_container(c: MarkedContainer) -> bytes:
     """Serialize; the result re-reads to an equal MarkedContainer byte-exactly."""
     if not M_MIN <= c.m <= M_MAX:
         raise ContainerError(f"precision m={c.m} outside [{M_MIN}, {M_MAX}]")
-    if c.l not in _WORD_DTYPES:
+    if c.l not in WORD_DTYPES:
         raise ContainerError(f"unsupported word length l={c.l}")
     if not 1 <= c.n <= c.l:
         raise ContainerError(f"embedding length n={c.n} outside [1, {c.l}]")
@@ -109,7 +128,7 @@ def write_container(c: MarkedContainer) -> bytes:
         header,
         _pack_bitmap(c.signs) if c.signs.size else b"",
         _pack_bitmap(c.excluded) if c.excluded.size else b"",
-        c.magnitudes.astype(_WORD_DTYPES[c.l]).tobytes(),
+        c.magnitudes.astype(WORD_DTYPES[c.l]).tobytes(),
         c.faces.astype("<u4").tobytes(),
     ]
     return b"".join(parts)
@@ -126,7 +145,7 @@ def read_container(data: bytes) -> MarkedContainer:
         raise ContainerError(f"bad magic {magic!r}, expected {MAGIC!r}")
     if version != VERSION:
         raise ContainerError(f"unsupported container version {version}")
-    if l not in _WORD_DTYPES:
+    if l not in WORD_DTYPES:
         raise ContainerError(f"unsupported word length l={l}")
     if not M_MIN <= m <= M_MAX:
         raise ContainerError(f"precision m={m} outside [{M_MIN}, {M_MAX}]")
@@ -162,15 +181,13 @@ def read_container(data: bytes) -> MarkedContainer:
         raise ContainerError("face index out of range (corrupt face table)")
 
     magnitudes = (
-        np.frombuffer(mag_raw, dtype=_WORD_DTYPES[l]).astype(np.uint64).reshape(-1, 3)
+        np.frombuffer(mag_raw, dtype=WORD_DTYPES[l]).astype(np.uint64).reshape(-1, 3)
         if mag_bytes
         else np.empty((0, 3), dtype=np.uint64)
     )
     signs = _unpack_bitmap(sign_raw, 3 * n_verts, "sign").reshape(-1, 3)
 
-    from .mesh_io import Mesh
-
-    part = compute_partition(Mesh(np.zeros((n_verts, 3)), faces))
+    part = compute_partition(n_verts, faces)
     k_count = part.n_embedded
     if excl_bytes != (k_count + 7) // 8:
         raise ContainerError(
@@ -188,6 +205,7 @@ def read_container(data: bytes) -> MarkedContainer:
     return MarkedContainer(
         m=m, l=l, n=n, payload_bits=payload_bits, signs=signs,
         excluded=excluded, magnitudes=magnitudes, faces=faces, version=version,
+        partition=part,
     )
 
 

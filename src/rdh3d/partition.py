@@ -46,17 +46,26 @@ class Partition:
 
 
 def _adjacency(n_vertices: int, faces0: np.ndarray):
-    """CSR one-ring adjacency (0-based): sharing any face, self excluded."""
+    """CSR one-ring adjacency (0-based): sharing any face, self excluded.
+
+    Each directed pair (u, v) is encoded as u * N + v; sorting the codes
+    and keeping the first of each run of equal values is the dedup.
+    """
     if faces0.size == 0:
         off = np.zeros(n_vertices + 1, dtype=np.int64)
         return np.empty(0, dtype=np.int64), off
-    u = faces0[:, [0, 1, 0, 2, 1, 2]].ravel().astype(np.int64)
-    v = faces0[:, [1, 0, 2, 0, 2, 1]].ravel().astype(np.int64)
+    u = faces0[:, [0, 1, 0, 2, 1, 2]].ravel()
+    v = faces0[:, [1, 0, 2, 0, 2, 1]].ravel()
     keep = u != v  # degenerate faces must not make a vertex its own neighbor
-    codes = np.unique(u[keep] * np.int64(n_vertices) + v[keep])
-    u_sorted = codes // n_vertices
-    v_sorted = codes % n_vertices
-    offsets = np.searchsorted(u_sorted, np.arange(n_vertices + 1, dtype=np.int64))
+    codes = np.sort(u[keep] * np.int64(n_vertices) + v[keep])
+    if codes.size:
+        fresh = np.empty(codes.size, dtype=bool)
+        fresh[0] = True
+        np.not_equal(codes[1:], codes[:-1], out=fresh[1:])
+        codes = codes[fresh]
+    u_sorted, v_sorted = np.divmod(codes, n_vertices)
+    offsets = np.zeros(n_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(u_sorted, minlength=n_vertices), out=offsets[1:])
     return v_sorted, offsets
 
 
@@ -72,32 +81,41 @@ def _gather_ranges(flat, starts, lengths):
     return flat[pos]
 
 
-def partition(mesh) -> Partition:
-    """Greedy C/R sweep. Empty face lists leave every vertex unassigned."""
-    n = mesh.n_vertices
-    faces0 = mesh.faces - 1
+def partition(n_vertices: int, faces) -> Partition:
+    """Greedy C/R sweep over (M, 3) 1-based faces on n_vertices vertices.
+
+    Only the face list matters; empty face lists leave every vertex
+    unassigned.
+    """
+    n = int(n_vertices)
+    faces0 = np.asarray(faces, dtype=np.int64).reshape(-1, 3) - 1
     adj_flat, adj_off = _adjacency(n, faces0)
 
+    # first-appearance order over the face stream: the earliest stream
+    # position of each vertex, then those positions in stream order
     order = faces0.ravel()
-    if order.size:
-        # first-appearance order over the face stream
-        _, first_pos = np.unique(order, return_index=True)
-        visit = order[np.sort(first_pos)]
-    else:
-        visit = order
+    first = np.full(n, order.size, dtype=np.int64)
+    np.minimum.at(first, order, np.arange(order.size, dtype=np.int64))
+    in_any_face = first < order.size
+    is_first = np.zeros(order.size, dtype=bool)
+    is_first[first[in_any_face]] = True
+    visit = order[is_first]
 
+    # The sweep is inherently sequential; plain bytearray/memoryview
+    # indexing keeps numpy's per-call overhead out of the loop.
     UNSEEN, IN_C, IN_R = 0, 1, 2
-    status = np.zeros(n, dtype=np.uint8)
+    status = bytearray(n)
+    flat, off = memoryview(adj_flat), memoryview(adj_off)
     embedded0 = []
     for vtx in visit.tolist():
         if status[vtx] == UNSEEN:
             status[vtx] = IN_C
             embedded0.append(vtx)
-            status[adj_flat[adj_off[vtx]:adj_off[vtx + 1]]] = IN_R
+            for nb in flat[off[vtx]:off[vtx + 1]]:
+                status[nb] = IN_R
 
     emb = np.asarray(embedded0, dtype=np.int64)
-    in_any_face = np.zeros(n, dtype=bool)
-    in_any_face[order] = True
+    status = np.frombuffer(status, dtype=np.uint8)
 
     starts = adj_off[emb] if emb.size else np.empty(0, dtype=np.int64)
     lengths = (adj_off[emb + 1] - adj_off[emb]) if emb.size else np.empty(0, dtype=np.int64)

@@ -16,6 +16,9 @@ from .errors import ConfigError, DomainError
 
 M_MIN, M_MAX = 2, 9
 
+# Big-endian numpy dtype of one magnitude word, by word length l.
+WORD_DTYPES = {8: ">u1", 16: ">u2", 32: ">u4", 64: ">u8"}
+
 
 @dataclass
 class QuantizedMesh:

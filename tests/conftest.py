@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
+import rdh3d.partition
 from rdh3d import KeyMaterial, KeyRole, Mesh
 
 # Local patch of a cow-shaped mesh: 8 vertices, 6 triangles around
@@ -103,6 +106,25 @@ def grid_mesh(side: int, scale: float = 0.9) -> Mesh:
         np.column_stack([b, d, c]),
     ]) + 1
     return Mesh(verts, faces)
+
+
+@pytest.fixture
+def partition_calls(monkeypatch) -> list:
+    """Records the arguments of every partition() call made through any
+    rdh3d module for the duration of the test."""
+    original = rdh3d.partition.partition
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "rdh3d" or name.startswith("rdh3d."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
 
 
 @pytest.fixture

@@ -30,7 +30,6 @@ from rdh3d import (
     extract,
     hausdorff,
     parse_mesh,
-    partition,
     quantize,
     read_container,
     recover,
@@ -39,6 +38,7 @@ from rdh3d import (
     write_mesh,
 )
 from rdh3d.errors import ContainerError
+from rdh3d.partition import partition
 
 from conftest import grid_mesh, random_mesh
 from oracles import brute_analyze, brute_choose_n, brute_partition
@@ -69,7 +69,7 @@ def reversibility_sweep():
         mesh = random_mesh(1000 + i, n_min=4, n_max=500)
         m = 2 + i % 8
         q = quantize(mesh, m)
-        part = partition(mesh)
+        part = partition(mesh.n_vertices, mesh.faces)
         rep = analyze(q, part)
         enc = encrypt_mesh(q, KE)
         for n in range(1, q.l + 1):
@@ -126,7 +126,7 @@ def test_criterion_2_zero_extraction_error(reversibility_sweep):
 def test_criterion_3_separability():
     mesh = random_mesh(77, n_min=100, n_max=200, smooth=True)
     q = quantize(mesh, 5)
-    part = partition(mesh)
+    part = partition(mesh.n_vertices, mesh.faces)
     rep = analyze(q, part)
     n = choose_n(rep)
     cap = rep.capacity(n)
@@ -167,7 +167,7 @@ def test_criterion_4_capacity_law():
         mesh = random_mesh(300 + seed, n_min=4, n_max=50, smooth=bool(seed % 2))
         m = 2 + seed % 8
         q = quantize(mesh, m)
-        part = partition(mesh)
+        part = partition(mesh.n_vertices, mesh.faces)
         rep = analyze(q, part)
         enc = encrypt_mesh(q, KE)
         emb, _, rings, _ = brute_partition(mesh.n_vertices, mesh.faces)
@@ -201,7 +201,7 @@ def test_criterion_5_capacity_curve_shape():
     mesh = grid_mesh(32)  # 1024 vertices
     assert mesh.n_vertices >= 1000
     q = quantize(mesh, 5)
-    rep = analyze(q, partition(mesh))
+    rep = analyze(q, partition(mesh.n_vertices, mesh.faces))
     curve = rep.capacity_curve
     t_max = int(rep.ts.max())
     peak = int(np.argmax(curve)) + 1
@@ -223,7 +223,7 @@ def test_criterion_6_fidelity_trends_with_m():
     hausdorffs, snrs = [], []
     for m in range(2, 10):
         q = quantize(mesh, m)
-        part = partition(mesh)
+        part = partition(mesh.n_vertices, mesh.faces)
         rep = analyze(q, part)
         n = choose_n(rep)
         payload = payload_bits(rep.capacity(n), seed=m)
@@ -248,7 +248,7 @@ def test_criterion_7_dense_mesh_performance():
     assert mesh.n_vertices >= 100_000
     m = 4
     q = quantize(mesh, m)
-    part = partition(mesh)
+    part = partition(mesh.n_vertices, mesh.faces)
     rep = analyze(q, part)
     n = choose_n(rep)
     payload = payload_bits(rep.capacity(n), seed=7)
@@ -276,7 +276,7 @@ def test_criterion_8_oracle_equivalence():
         mesh = random_mesh(500 + seed, n_min=4, n_max=50, smooth=bool(seed % 3))
         m = 2 + seed % 8
         q = quantize(mesh, m)
-        part = partition(mesh)
+        part = partition(mesh.n_vertices, mesh.faces)
         rep = analyze(q, part)
         emb, _, rings, _ = brute_partition(mesh.n_vertices, mesh.faces)
         ts, curve = brute_analyze(q.magnitudes.tolist(), emb, rings, q.l)

@@ -29,6 +29,12 @@ class TestRunPipeline:
                       "t_extract", "t_recover")
         )
 
+    def test_one_partition_per_row(self, partition_calls):
+        mesh = random_mesh(5, n_max=80, smooth=True)
+        for m in (2, 5, 9):
+            run_pipeline(mesh, "x", m, None, "ka", "kb")
+        assert len(partition_calls) == 3
+
     def test_explicit_n(self):
         mesh = random_mesh(6, n_max=60, smooth=True)
         row = run_pipeline(mesh, "x", 4, 2, "ka", "kb")

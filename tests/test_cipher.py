@@ -12,7 +12,6 @@ from rdh3d import (
     decrypt_mesh,
     encrypt_mesh,
     keystream,
-    partition,
     quantize,
 )
 from rdh3d.cipher import stream_words

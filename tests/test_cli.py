@@ -5,11 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from rdh3d import dequantize, parse_mesh, quantize, read_container_file
+from rdh3d import Mesh, dequantize, parse_mesh, quantize, read_container_file
 from rdh3d.cli import main
 from rdh3d.mesh_io import write_mesh_file
 
-from conftest import cow_off_text, random_mesh
+from conftest import COW_FACES, COW_VERTICES, cow_off_text, random_mesh
 
 
 @pytest.fixture(autouse=True)
@@ -176,9 +176,43 @@ class TestExitCodes:
         assert run("recover", truncated, "--ke-pass", "a",
                    "--out", workdir / "r.off") == 5
 
+    def test_report_for_another_mesh(self, workdir):
+        # same vertices and |C| = 1, but vertex labels 1 and 2 swapped in
+        # the faces: the report's embedded vertex is 2, the container's 1
+        swap = np.array([0, 2, 1, 3, 4, 5, 6, 7, 8])
+        other = workdir / "other.off"
+        write_mesh_file(other, Mesh(COW_VERTICES, swap[COW_FACES]))
+        report = workdir / "other.json"
+        enc = workdir / "enc.rdh3d"
+        assert run("analyze", other, "--m", 4, "--out", report) == 0
+        assert json.loads(report.read_text())["embedded"] == [2]
+        assert run("encrypt", workdir / "cow.off", "--m", 4, "--ke-pass", "a",
+                   "--out", enc) == 0
+        assert read_container_file(enc).excluded.size == 1
+        out = workdir / "m.rdh3d"
+        assert run("embed", enc, "--report", report,
+                   "--kw-pass", "b", "--out", out) == 2
+        assert not out.exists()
+
     def test_missing_file(self, workdir):
         assert run("extract", workdir / "nope.rdh3d", "--kw-pass", "b",
                    "--out", workdir / "p.bin") == 2
+
+
+def test_one_partition_per_command(workdir, partition_calls):
+    mesh_path = workdir / "cow.off"
+    report, enc, marked = (workdir / name for name in ("r.json", "e.rdh3d", "m.rdh3d"))
+    commands = [
+        ("analyze", mesh_path, "--m", 4, "--out", report),
+        ("encrypt", mesh_path, "--m", 4, "--ke-pass", "a", "--out", enc),
+        ("embed", enc, "--report", report, "--kw-pass", "b", "--out", marked),
+        ("extract", marked, "--kw-pass", "b", "--out", workdir / "p.bin"),
+        ("recover", marked, "--ke-pass", "a", "--out", workdir / "r.off"),
+    ]
+    for argv in commands:
+        before = len(partition_calls)
+        assert run(*argv) == 0
+        assert len(partition_calls) - before == 1, argv[0]
 
 
 class TestMetricsCommand:

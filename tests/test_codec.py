@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,20 +18,20 @@ from rdh3d import (
     embed,
     encrypt_mesh,
     extract,
-    partition,
     quantize,
     read_container,
     recover,
     write_container,
 )
 from rdh3d.codec import bits_to_payload, payload_to_bits
+from rdh3d.partition import partition
 
 from conftest import ZeroKey, random_mesh
 
 
 def pipeline_parts(mesh, m, ke, kw):
     q = quantize(mesh, m)
-    part = partition(mesh)
+    part = partition(mesh.n_vertices, mesh.faces)
     rep = analyze(q, part)
     enc = encrypt_mesh(q, ke)
     return q, part, rep, enc
@@ -66,7 +68,7 @@ class TestEmbed:
         from rdh3d.predictor import PredictionReport
 
         q = quantize(tetra_mesh, 4)
-        part = partition(tetra_mesh)
+        part = partition(tetra_mesh.n_vertices, tetra_mesh.faces)
         enc = q.copy()
         enc.magnitudes[0] = [0x0B48, 0x0B48, 0x0B48]
         rep = PredictionReport(
@@ -175,6 +177,30 @@ class TestExtract:
         with pytest.raises(ContainerError):
             extract(c, kw)
 
+    def test_report_for_another_mesh_rejected(self, tetra_mesh, ke, kw):
+        # relabeling 1 <-> 2 keeps N and |C| = 1 but embeds vertex 2
+        swap = np.array([0, 2, 1, 3, 4])
+        other = Mesh(tetra_mesh.vertices, swap[tetra_mesh.faces])
+        q, part, rep, enc = pipeline_parts(tetra_mesh, 4, ke, kw)
+        _, other_part, other_rep, _ = pipeline_parts(other, 4, ke, kw)
+        assert other_part.n_embedded == part.n_embedded
+        assert other_rep.embedded.tolist() != rep.embedded.tolist()
+        with pytest.raises(ConfigError, match="another mesh"):
+            embed(enc, part, other_rep, 1, rand_bits(0), kw)
+
+    def test_partition_handed_on_and_ignored_by_eq(self, ke, kw):
+        mesh = random_mesh(21, n_max=60, smooth=True)
+        q, part, rep, enc = pipeline_parts(mesh, 4, ke, kw)
+        c = embed(enc, part, rep, 1, rand_bits(rep.capacity(1)), kw)
+        assert c.partition is part
+        bare = replace(c, partition=None)
+        assert bare == c
+        assert np.array_equal(extract(bare, kw), extract(c, kw))
+        assert recover(bare, ke) == recover(c, ke) == q
+        read = read_container(write_container(c))
+        assert read == c
+        assert np.array_equal(read.partition.ring_flat, part.ring_flat)
+
 
 class TestRecover:
     @pytest.mark.parametrize("seed", range(12))
@@ -188,6 +214,13 @@ class TestRecover:
         assert rec == q
         err = np.abs(dequantize(rec).vertices - mesh.vertices).max()
         assert err < 10.0**-m
+
+    def test_corrupt_excluded_bitmap_detected(self, tetra_mesh, ke, kw):
+        q, part, rep, enc = pipeline_parts(tetra_mesh, 4, ke, kw)
+        c = embed(enc, part, rep, 1, rand_bits(3), kw)
+        c.excluded = np.zeros(5, dtype=np.uint8)  # wrong size for |C|=1
+        with pytest.raises(ContainerError):
+            recover(c, ke)
 
     def test_all_excluded_is_plain_decryption(self, ke, kw):
         mesh = random_mesh(33, n_max=60, smooth=False)

@@ -8,12 +8,12 @@ from rdh3d import (
     MarkedContainer,
     Mesh,
     container_mesh,
-    partition,
     quantize,
     read_container,
     write_container,
 )
 from rdh3d.container import MAGIC
+from rdh3d.partition import partition
 
 from conftest import random_mesh
 
@@ -23,7 +23,7 @@ def make_container(seed: int, m: int = 4, payload_fill: float = 0.5) -> MarkedCo
     rng = np.random.default_rng(seed)
     mesh = random_mesh(seed, n_max=40)
     q = quantize(mesh, m)
-    part = partition(mesh)
+    part = partition(mesh.n_vertices, mesh.faces)
     k = part.n_embedded
     n = int(rng.integers(1, q.l + 1))
     excluded = rng.integers(0, 2, size=k).astype(np.uint8)

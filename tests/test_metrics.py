@@ -13,11 +13,11 @@ from rdh3d import (
     embedding_rate,
     encrypt_mesh,
     hausdorff,
-    partition,
     quantize,
     snr,
 )
 from rdh3d.errors import DomainError
+from rdh3d.partition import partition
 
 from conftest import grid_mesh, random_mesh
 from oracles import brute_hausdorff
@@ -66,7 +66,7 @@ class TestHausdorff:
         mesh = random_mesh(17, n_max=120, smooth=True)
         m = 4
         q = quantize(mesh, m)
-        part = partition(mesh)
+        part = partition(mesh.n_vertices, mesh.faces)
         rep = analyze(q, part)
         n = choose_n(rep)
         payload = np.random.default_rng(0).integers(0, 2, rep.capacity(n)).astype(np.uint8)

@@ -11,11 +11,11 @@ from rdh3d import (
     choose_n,
     encrypt_mesh,
     max_prefix_len,
-    partition,
     predict_bit,
     quantize,
 )
 from rdh3d.errors import ConfigError
+from rdh3d.partition import partition
 from rdh3d.predictor import PredictionReport
 
 from conftest import random_mesh
@@ -41,7 +41,7 @@ class TestPredictBit:
         # at m=6 every magnitude is far below 2^31, so the top plane of
         # the x words around vertex 1 must tally all zeros
         q = quantize(cow_mesh, 6)
-        part = partition(cow_mesh)
+        part = partition(cow_mesh.n_vertices, cow_mesh.faces)
         ring = part.rings()[1]
         assert ring.tolist() == [2, 3, 4, 5, 7, 8]
         ring_words = [int(q.magnitudes[v - 1, 0]) for v in ring]
@@ -88,7 +88,7 @@ class TestAnalyze:
         faces = rng.integers(1, n_verts + 1, size=(12, 3))
         mesh = Mesh(verts, faces)
         q = quantize(mesh, 4)
-        part = partition(mesh)
+        part = partition(mesh.n_vertices, mesh.faces)
         rep = analyze(q, part)
         k = part.n_embedded
         degenerate = {f[0] for f in mesh.faces.tolist() if len(set(f)) == 1}
@@ -100,7 +100,7 @@ class TestAnalyze:
     def test_excluded_monotone_and_formula(self):
         mesh = random_mesh(5, n_max=100)
         q = quantize(mesh, 5)
-        part = partition(mesh)
+        part = partition(mesh.n_vertices, mesh.faces)
         rep = analyze(q, part)
         k = part.n_embedded
         prev = -1
@@ -113,7 +113,7 @@ class TestAnalyze:
     def test_curve_zero_past_max_t(self):
         mesh = random_mesh(9, n_max=100)
         q = quantize(mesh, 4)
-        rep = analyze(q, partition(mesh))
+        rep = analyze(q, partition(mesh.n_vertices, mesh.faces))
         if rep.ts.size:
             t_max = int(rep.ts.max())
             assert (rep.capacity_curve[t_max:] == 0).all()
@@ -121,7 +121,7 @@ class TestAnalyze:
     def test_unchanged_by_encryption(self, ke):
         mesh = random_mesh(2, n_max=60)
         q = quantize(mesh, 4)
-        part = partition(mesh)
+        part = partition(mesh.n_vertices, mesh.faces)
         before = analyze(q, part)
         encrypt_mesh(q, ke)  # must not mutate q
         after = analyze(q, part)
@@ -133,7 +133,7 @@ class TestAnalyze:
     def test_matches_brute_force(self, seed, m):
         mesh = random_mesh(seed, n_min=4, n_max=30)
         q = quantize(mesh, m)
-        part = partition(mesh)
+        part = partition(mesh.n_vertices, mesh.faces)
         rep = analyze(q, part)
         emb, _, rings, _ = brute_partition(mesh.n_vertices, mesh.faces)
         ts, curve = brute_analyze(q.magnitudes.tolist(), emb, rings, q.l)
@@ -143,7 +143,7 @@ class TestAnalyze:
     def test_json_round_trip(self):
         mesh = random_mesh(4, n_max=40)
         q = quantize(mesh, 3)
-        rep = analyze(q, partition(mesh))
+        rep = analyze(q, partition(mesh.n_vertices, mesh.faces))
         back = PredictionReport.from_json_dict(rep.to_json_dict())
         assert np.array_equal(back.ts, rep.ts)
         assert np.array_equal(back.capacity_curve, rep.capacity_curve)
@@ -169,7 +169,7 @@ class TestChooseN:
     def test_requested_passthrough_and_validation(self):
         mesh = random_mesh(1, n_max=40)
         q = quantize(mesh, 4)
-        rep = analyze(q, partition(mesh))
+        rep = analyze(q, partition(mesh.n_vertices, mesh.faces))
         assert choose_n(rep, 7) == 7
         with pytest.raises(ConfigError):
             choose_n(rep, 0)
@@ -180,7 +180,7 @@ class TestChooseN:
     def test_matches_linear_scan(self, seed):
         mesh = random_mesh(seed, n_max=60)
         q = quantize(mesh, 5)
-        rep = analyze(q, partition(mesh))
+        rep = analyze(q, partition(mesh.n_vertices, mesh.faces))
         assert choose_n(rep) == brute_choose_n(rep.capacity_curve.tolist())
 
 
@@ -189,7 +189,7 @@ def test_recoverability_guarantee():
     # l-k from the ring reproduces the true bit
     mesh = random_mesh(21, n_max=80, smooth=True)
     q = quantize(mesh, 4)
-    part = partition(mesh)
+    part = partition(mesh.n_vertices, mesh.faces)
     rep = analyze(q, part)
     rings = part.rings()
     for i, cv in enumerate(part.embedded.tolist()):
