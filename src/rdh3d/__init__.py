@@ -5,14 +5,7 @@ faces)`; it is not re-exported here, so `rdh3d.partition` stays the
 submodule.
 """
 
-from .cipher import (
-    KeyMaterial,
-    KeyRole,
-    crypt_payload,
-    decrypt_mesh,
-    encrypt_mesh,
-    keystream,
-)
+from .cipher import KeyMaterial, KeyRole, decrypt_mesh, encrypt_mesh
 from .codec import embed, extract, recover
 from .container import (
     MarkedContainer,
@@ -33,21 +26,8 @@ from .errors import (
 from .mesh_io import Mesh, parse_mesh, read_mesh_file, write_mesh, write_mesh_file
 from .metrics import FidelityReport, embedding_rate, hausdorff, snr
 from .partition import Partition
-from .predictor import (
-    PredictionReport,
-    analyze,
-    choose_n,
-    max_prefix_len,
-    predict_bit,
-)
-from .quantize import (
-    QuantizedMesh,
-    bit_length,
-    bits_of,
-    dequantize,
-    quantize,
-    word_of,
-)
+from .predictor import PredictionReport, analyze, choose_n
+from .quantize import QuantizedMesh, bit_length, dequantize, quantize
 
 __version__ = "0.1.0"
 
@@ -68,10 +48,8 @@ __all__ = [
     "Rdh3dError",
     "analyze",
     "bit_length",
-    "bits_of",
     "choose_n",
     "container_mesh",
-    "crypt_payload",
     "decrypt_mesh",
     "dequantize",
     "embed",
@@ -79,17 +57,13 @@ __all__ = [
     "encrypt_mesh",
     "extract",
     "hausdorff",
-    "keystream",
-    "max_prefix_len",
     "parse_mesh",
-    "predict_bit",
     "quantize",
     "read_container",
     "read_container_file",
     "read_mesh_file",
     "recover",
     "snr",
-    "word_of",
     "write_container",
     "write_container_file",
     "write_mesh",

@@ -11,6 +11,7 @@ continues.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import logging
 import time
@@ -67,7 +68,7 @@ def default_payload(kw_pass: str, n_bits: int) -> np.ndarray:
 
 def run_pipeline(mesh: Mesh, mesh_id: str, m: int, n: int | None,
                  ke_pass: str, kw_pass: str,
-                 hausdorff_method: str = "brute") -> BenchRow:
+                 hausdorff_method: str = "kdtree") -> BenchRow:
     """One full pipeline run; raises on any reversibility violation."""
     ke = KeyMaterial.from_passphrase(ke_pass, KeyRole.ENCRYPT)
     kw = KeyMaterial.from_passphrase(kw_pass, KeyRole.HIDE)
@@ -124,9 +125,8 @@ def corpus_files(corpus_dir) -> list[Path]:
     return sorted(p for p in root.rglob("*") if p.suffix.lower().lstrip(".") in FORMATS)
 
 
-def _bench_one_file(path_str: str, m_values: list[int], n_values: list[int | None],
+def _bench_one_file(path: Path, m_values: list[int], n_values: list[int | None],
                     ke_pass: str, kw_pass: str, hausdorff_method: str):
-    path = Path(path_str)
     rows, failures = [], []
     try:
         mesh = read_mesh_file(path)
@@ -143,31 +143,22 @@ def _bench_one_file(path_str: str, m_values: list[int], n_values: list[int | Non
 
 
 def bench_corpus(corpus_dir, m_values, n_values, ke_pass: str, kw_pass: str,
-                 hausdorff_method: str = "brute", jobs: int = 1):
+                 hausdorff_method: str = "kdtree", jobs: int = 1):
     """Sweep every mesh file under corpus_dir; returns (rows, failures)."""
     paths = corpus_files(corpus_dir)
-    rows, failures = [], []
+    bench_file = functools.partial(
+        _bench_one_file, m_values=m_values, n_values=n_values,
+        ke_pass=ke_pass, kw_pass=kw_pass, hausdorff_method=hausdorff_method,
+    )
     if jobs > 1 and len(paths) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = pool.map(
-                _bench_one_file,
-                [str(p) for p in paths],
-                [m_values] * len(paths),
-                [n_values] * len(paths),
-                [ke_pass] * len(paths),
-                [kw_pass] * len(paths),
-                [hausdorff_method] * len(paths),
-            )
-            for file_rows, file_failures in results:
-                rows.extend(file_rows)
-                failures.extend(file_failures)
+            results = list(pool.map(bench_file, paths))
     else:
-        for p in paths:
-            file_rows, file_failures = _bench_one_file(
-                str(p), m_values, n_values, ke_pass, kw_pass, hausdorff_method
-            )
-            rows.extend(file_rows)
-            failures.extend(file_failures)
+        results = map(bench_file, paths)
+    rows, failures = [], []
+    for file_rows, file_failures in results:
+        rows.extend(file_rows)
+        failures.extend(file_failures)
     for name, why in failures:
         log.warning("%s: %s", name, why)
     return rows, failures

@@ -63,11 +63,6 @@ class KeyMaterial:
         return np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:n_bits]
 
 
-def keystream(key: KeyMaterial, count: int) -> np.ndarray:
-    """Deterministic bit vector of the key's stream (see module docstring)."""
-    return key.keystream_bits(count)
-
-
 def _require_role(key: KeyMaterial, role: KeyRole, op: str):
     if key.role is not role:
         raise ConfigError(
@@ -105,10 +100,3 @@ def decrypt_mesh(q, ke: KeyMaterial):
     """Inverse of encrypt_mesh (XOR involution)."""
     _require_role(ke, KeyRole.ENCRYPT, "mesh decryption")
     return _xor_magnitudes(q, ke)
-
-
-def crypt_payload(bits: np.ndarray, kw: KeyMaterial) -> np.ndarray:
-    """Self-inverse XOR of a payload bit vector with the Kw stream."""
-    _require_role(kw, KeyRole.HIDE, "payload encryption")
-    bits = np.asarray(bits, dtype=np.uint8)
-    return bits ^ kw.keystream_bits(bits.size)

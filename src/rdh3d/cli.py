@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .bench import bench_corpus, default_payload, mean_bpv_by_m, run_pipeline, write_csv
+from .bench import bench_corpus, default_payload, mean_bpv_by_m, write_csv
 from .cipher import KeyMaterial, KeyRole, encrypt_mesh
 from .codec import bits_to_payload, embed, extract, payload_to_bits, recover
 from .container import (
@@ -34,7 +34,7 @@ from .errors import (
     MeshParseError,
 )
 from .mesh_io import FORMATS, read_mesh_file, write_mesh, write_mesh_file
-from .metrics import FidelityReport, hausdorff, snr
+from .metrics import FidelityReport, embedding_rate, hausdorff, snr
 from .partition import partition
 from .predictor import PredictionReport, analyze, choose_n
 from .quantize import QuantizedMesh, dequantize, quantize
@@ -68,14 +68,6 @@ def _kw(args) -> KeyMaterial:
     )
 
 
-def _kw_pass(args) -> str:
-    return _passphrase(args.kw_pass, KW_ENV, "--kw-pass")
-
-
-def _load_mesh(path, fmt):
-    return read_mesh_file(path, fmt)
-
-
 def _emit(text: str, out_path):
     if out_path:
         with open(out_path, "w") as fh:
@@ -85,7 +77,7 @@ def _emit(text: str, out_path):
 
 
 def cmd_analyze(args) -> int:
-    mesh = _load_mesh(args.mesh, args.format)
+    mesh = read_mesh_file(args.mesh, args.format)
     q = quantize(mesh, args.m)
     part = partition(mesh.n_vertices, mesh.faces)
     rep = analyze(q, part)
@@ -98,7 +90,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_encrypt(args) -> int:
-    mesh = _load_mesh(args.mesh, args.format)
+    mesh = read_mesh_file(args.mesh, args.format)
     q = quantize(mesh, args.m)
     part = partition(mesh.n_vertices, mesh.faces)
     enc = encrypt_mesh(q, _ke(args))
@@ -118,22 +110,22 @@ def cmd_encrypt(args) -> int:
 
 def cmd_embed(args) -> int:
     c = read_container_file(args.container)
-    with open(args.report) as fh:
-        rep = PredictionReport.from_json_dict(json.load(fh))
-    if (rep.m, rep.l) != (c.m, c.l):
-        raise ConfigError(
-            f"report is for m={rep.m} but container was encrypted at m={c.m}"
-        )
+    try:
+        with open(args.report) as fh:
+            rep = PredictionReport.from_json_dict(json.load(fh))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"unreadable prediction report {args.report}: {exc!r}") from None
     enc = QuantizedMesh(c.magnitudes, c.signs, c.m, c.l, c.faces)
     part = c.checked_partition()
     n = choose_n(rep, args.n)
-    kw = _kw(args)
+    kw_pass = _passphrase(args.kw_pass, KW_ENV, "--kw-pass")
     if args.payload:
         with open(args.payload, "rb") as fh:
             payload = payload_to_bits(fh.read())
     else:
-        payload = default_payload(_kw_pass(args), rep.capacity(n))
-    marked = embed(enc, part, rep, n, payload, kw)
+        payload = default_payload(kw_pass, rep.capacity(n))
+    marked = embed(enc, part, rep, n, payload,
+                   KeyMaterial.from_passphrase(kw_pass, KeyRole.HIDE))
     write_container_file(args.out, marked)
     if args.export_off:
         with open(args.export_off, "w") as fh:
@@ -158,31 +150,33 @@ def cmd_recover(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    mesh_a = _load_mesh(args.mesh_a, args.format)
-    mesh_b = _load_mesh(args.mesh_b, args.format)
+    mesh_a = read_mesh_file(args.mesh_a, args.format)
+    mesh_b = read_mesh_file(args.mesh_b, args.format)
+    dist = hausdorff(mesh_a, mesh_b, method=args.method)
+    snr_db = snr(mesh_a, mesh_b, noise_ref=args.snr_noise_ref)
+    bits = read_container_file(args.container).payload_bits if args.container else 0
     report = FidelityReport(
-        hausdorff=hausdorff(mesh_a, mesh_b, method=args.method),
-        snr_db=snr(mesh_a, mesh_b, noise_ref=args.snr_noise_ref),
-        embedding_rate=0.0,
-        embedded_bits=0,
+        hausdorff=dist,
+        snr_db=snr_db,
+        embedding_rate=embedding_rate(bits, mesh_a.n_vertices),
+        embedded_bits=bits,
     )
-    if args.container:
-        c = read_container_file(args.container)
-        report.embedded_bits = c.payload_bits
-        report.embedding_rate = c.payload_bits / mesh_a.n_vertices
     _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", args.out)
     return EXIT_OK
 
 
 def _parse_int_range(text: str) -> list[int]:
     values: list[int] = []
-    for part in text.split(","):
-        part = part.strip()
-        if "-" in part.lstrip("-"):
-            lo, hi = part.split("-", 1)
-            values.extend(range(int(lo), int(hi) + 1))
-        else:
-            values.append(int(part))
+    try:
+        for part in text.split(","):
+            part = part.strip()
+            if "-" in part.lstrip("-"):
+                lo, hi = part.split("-", 1)
+                values.extend(range(int(lo), int(hi) + 1))
+            else:
+                values.append(int(part))
+    except ValueError:
+        raise ConfigError(f"bad integer range {text!r}") from None
     if not values:
         raise ConfigError(f"empty range {text!r}")
     return values
@@ -268,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mesh_a")
     p.add_argument("mesh_b")
     p.add_argument("--snr-noise-ref", choices=("mean", "original"), default="mean")
-    p.add_argument("--method", choices=("brute", "kdtree"), default="brute")
+    p.add_argument("--method", choices=("brute", "kdtree"), default="kdtree")
     p.add_argument("--container", default=None,
                    help="fill embedding fields from this container")
     add_format(p)
@@ -281,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", default="auto", help="'auto' or values, e.g. 16 or 1-32")
     p.add_argument("--ke-pass", default=None)
     p.add_argument("--kw-pass", default=None)
-    p.add_argument("--method", choices=("brute", "kdtree"), default="brute",
+    p.add_argument("--method", choices=("brute", "kdtree"), default="kdtree",
                    help="hausdorff evaluation")
     p.add_argument("--jobs", type=int, default=1, help="parallel mesh workers")
     p.add_argument("--out", required=True, help="output CSV path")
@@ -310,7 +304,7 @@ def main(argv=None) -> int:
     except ContainerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CORRUPT
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -20,7 +20,7 @@ from .cipher import KeyMaterial, KeyRole, _require_role, decrypt_mesh
 from .container import MarkedContainer
 from .errors import CapacityError, ConfigError, ContainerError
 from .partition import Partition, _gather_ranges
-from .predictor import PredictionReport, _segment_sums
+from .predictor import PredictionReport, _ring_majority
 from .quantize import QuantizedMesh
 
 
@@ -148,9 +148,7 @@ def recover(c: MarkedContainer, ke: KeyMaterial) -> QuantizedMesh:
         ring_words = words[ring0, axis]
         pred_val = np.zeros(inc_pos.size, dtype=np.int64)
         for k in range(1, n + 1):
-            ones = _segment_sums((ring_words >> (l - k)) & 1, offsets)
-            pred = (2 * ones > lengths).astype(np.int64)  # 0 wins ties
-            pred_val |= pred << (n - k)
+            pred_val |= _ring_majority(ring_words, offsets, lengths, l - k) << (n - k)
         out[targets0, axis] = (out[targets0, axis] & low_mask) | (
             pred_val.astype(np.uint64) << np.uint64(l - n)
         )

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigError,
     CoordinateSyntaxError,
     FaceIndexError,
     MalformedHeaderError,
@@ -117,7 +118,7 @@ def write_mesh_file(path, mesh: Mesh, fmt: str | None = None):
 def format_from_path(path) -> str:
     suffix = str(path).rsplit(".", 1)[-1].lower()
     if suffix not in FORMATS:
-        raise ValueError(f"cannot infer mesh format from {path!r}")
+        raise ConfigError(f"cannot infer mesh format from {path!r}")
     return suffix
 
 
@@ -135,15 +136,20 @@ def _meaningful_lines(text: str, skip_prefixes=("#",)):
         yield lineno, line
 
 
-def _parse_floats(tokens, lineno, what):
+def _parse_vertex_row(tokens, lineno):
+    """Parse an 'x y z' row (OFF/PLY body, OBJ after the 'v')."""
+    if len(tokens) != 3:
+        raise CoordinateSyntaxError(
+            f"expected 3 coordinates, got {len(tokens)}", lineno
+        )
     try:
         return [float(t) for t in tokens]
     except ValueError:
-        raise CoordinateSyntaxError(f"non-numeric {what}: {tokens!r}", lineno) from None
+        raise CoordinateSyntaxError(f"non-numeric coordinate: {tokens!r}", lineno) from None
 
 
 def _parse_counted_face(tokens, lineno):
-    """Parse 'c i j k ...' face rows (OFF/PLY body), returning 0-based indices."""
+    """Parse a 'c i j k' row (OFF/PLY body) into [i, j, k (0-based), lineno]."""
     try:
         count = int(tokens[0])
     except ValueError:
@@ -155,22 +161,45 @@ def _parse_counted_face(tokens, lineno):
             lineno,
         )
     try:
-        return [int(t) for t in tokens[1:]], lineno
+        return [int(tokens[1]), int(tokens[2]), int(tokens[3]), lineno]
     except ValueError:
         raise MeshParseError(f"non-integer face index in {tokens[1:]!r}", lineno) from None
 
 
-def _finish_mesh(vertices, faces_zero_based, face_lines):
+_ROW_PARSERS = {"vertex": _parse_vertex_row, "face": _parse_counted_face}
+
+
+def _finish_mesh(vertices, face_rows):
+    """face_rows holds [i, j, k, line number] rows, indices 0-based."""
     n = len(vertices)
-    for (i, j, k), lineno in zip(faces_zero_based, face_lines):
+    for i, j, k, lineno in face_rows:
         for idx in (i, j, k):
             if idx < 0 or idx >= n:
                 raise FaceIndexError(
                     f"face index {idx} out of range 0..{n - 1}", lineno
                 )
     verts = np.array(vertices, dtype=np.float64).reshape(-1, 3)
-    faces = np.array(faces_zero_based, dtype=np.int64).reshape(-1, 3) + 1
+    faces = np.array(face_rows, dtype=np.int64).reshape(-1, 4)[:, :3] + 1
     return Mesh(verts, faces)
+
+
+def _read_body(lines, elements) -> Mesh:
+    """Read the rows of each (name, count) element in declaration order,
+    then reject any trailing content (the OFF and PLY bodies)."""
+    rows = {"vertex": [], "face": []}
+    for name, count in elements:
+        out, parse_row = rows[name], _ROW_PARSERS[name]
+        for got in range(count):
+            try:
+                lineno, line = next(lines)
+            except StopIteration:
+                raise MeshParseError(
+                    f"unexpected end of file: expected {count} {name} rows, got {got}"
+                ) from None
+            out.append(parse_row(line.split(), lineno))
+    for lineno, line in lines:
+        raise MeshParseError(f"unexpected trailing content: {line!r}", lineno)
+    return _finish_mesh(rows["vertex"], rows["face"])
 
 
 def _parse_off(text: str) -> Mesh:
@@ -192,37 +221,7 @@ def _parse_off(text: str) -> Mesh:
         n_verts, n_faces, _n_edges = (int(p) for p in parts)
     except ValueError:
         raise MalformedHeaderError(f"non-integer counts: {counts!r}", lineno) from None
-
-    vertices = []
-    for _ in range(n_verts):
-        try:
-            lineno, line = next(lines)
-        except StopIteration:
-            raise MeshParseError(
-                f"unexpected end of file: expected {n_verts} vertex rows, got {len(vertices)}"
-            ) from None
-        tokens = line.split()
-        if len(tokens) != 3:
-            raise CoordinateSyntaxError(
-                f"expected 3 coordinates, got {len(tokens)}", lineno
-            )
-        vertices.append(_parse_floats(tokens, lineno, "coordinate"))
-
-    faces, face_lines = [], []
-    for _ in range(n_faces):
-        try:
-            lineno, line = next(lines)
-        except StopIteration:
-            raise MeshParseError(
-                f"unexpected end of file: expected {n_faces} face rows, got {len(faces)}"
-            ) from None
-        idx, lineno = _parse_counted_face(line.split(), lineno)
-        faces.append(idx)
-        face_lines.append(lineno)
-
-    for lineno, line in lines:
-        raise MeshParseError(f"unexpected trailing content: {line!r}", lineno)
-    return _finish_mesh(vertices, faces, face_lines)
+    return _read_body(lines, [("vertex", n_verts), ("face", n_faces)])
 
 
 _OBJ_IGNORED = {
@@ -231,8 +230,7 @@ _OBJ_IGNORED = {
 
 
 def _parse_obj(text: str) -> Mesh:
-    vertices = []
-    faces, face_lines = [], []
+    vertices, face_rows = [], []
     for lineno, line in _meaningful_lines(text):
         tokens = line.split()
         keyword = tokens[0]
@@ -241,7 +239,7 @@ def _parse_obj(text: str) -> Mesh:
                 raise CoordinateSyntaxError(
                     f"expected 'v x y z', got {len(tokens) - 1} values", lineno
                 )
-            vertices.append(_parse_floats(tokens[1:], lineno, "coordinate"))
+            vertices.append(_parse_vertex_row(tokens[1:], lineno))
         elif keyword == "f":
             refs = tokens[1:]
             if len(refs) != 3:
@@ -263,13 +261,13 @@ def _parse_obj(text: str) -> Mesh:
                         f"face index {i} is not a positive 1-based index", lineno
                     )
                 idx.append(i - 1)
-            faces.append(idx)
-            face_lines.append(lineno)
+            idx.append(lineno)
+            face_rows.append(idx)
         elif keyword in _OBJ_IGNORED:
             continue
         else:
             raise MeshParseError(f"unsupported OBJ keyword {keyword!r}", lineno)
-    return _finish_mesh(vertices, faces, face_lines)
+    return _finish_mesh(vertices, face_rows)
 
 
 def _parse_ply(text: str) -> Mesh:
@@ -296,7 +294,6 @@ def _parse_ply(text: str) -> Mesh:
 
     # Header walk: only vertex and face elements are allowed.
     elements = []  # (name, count) in declaration order
-    n_verts = n_faces = None
     current = None
     vertex_props = []
     saw_end = False
@@ -311,11 +308,7 @@ def _parse_ply(text: str) -> Mesh:
                 count = int(tokens[2])
             except ValueError:
                 raise MalformedHeaderError(f"bad element count {tokens[2]!r}", lineno) from None
-            if name == "vertex":
-                n_verts = count
-            elif name == "face":
-                n_faces = count
-            else:
+            if name not in _ROW_PARSERS:
                 raise MalformedHeaderError(
                     f"unsupported element {name!r}: only vertex and face", lineno
                 )
@@ -344,38 +337,14 @@ def _parse_ply(text: str) -> Mesh:
             raise MalformedHeaderError(f"unsupported header line {line!r}", lineno)
     if not saw_end:
         raise MalformedHeaderError("missing end_header")
-    if n_verts is None:
+    if "vertex" not in dict(elements):
         raise MalformedHeaderError("missing 'element vertex' declaration")
     if vertex_props != ["x", "y", "z"]:
         raise MalformedHeaderError(
             f"vertex properties must be exactly x, y, z; got {vertex_props}"
         )
 
-    vertices = []
-    faces, face_lines = [], []
-    for name, count in elements:
-        for _ in range(count):
-            try:
-                lineno, line = next(lines)
-            except StopIteration:
-                raise MeshParseError(
-                    f"unexpected end of file in {name} data"
-                ) from None
-            tokens = line.split()
-            if name == "vertex":
-                if len(tokens) != 3:
-                    raise CoordinateSyntaxError(
-                        f"expected 3 coordinates, got {len(tokens)}", lineno
-                    )
-                vertices.append(_parse_floats(tokens, lineno, "coordinate"))
-            else:
-                idx, lineno = _parse_counted_face(tokens, lineno)
-                faces.append(idx)
-                face_lines.append(lineno)
-
-    for lineno, line in lines:
-        raise MeshParseError(f"unexpected trailing content: {line!r}", lineno)
-    return _finish_mesh(vertices, faces, face_lines)
+    return _read_body(lines, elements)
 
 
 def _vertex_rows(mesh: Mesh):
@@ -383,11 +352,15 @@ def _vertex_rows(mesh: Mesh):
         yield f"{_fmt_coord(x)} {_fmt_coord(y)} {_fmt_coord(z)}"
 
 
+def _counted_face_rows(mesh: Mesh):
+    for i, j, k in mesh.faces:
+        yield f"3 {i - 1} {j - 1} {k - 1}"
+
+
 def _write_off(mesh: Mesh) -> str:
     out = ["OFF", f"{mesh.n_vertices} {mesh.n_faces} 0"]
     out.extend(_vertex_rows(mesh))
-    for i, j, k in mesh.faces:
-        out.append(f"3 {i - 1} {j - 1} {k - 1}")
+    out.extend(_counted_face_rows(mesh))
     return "\n".join(out) + "\n"
 
 
@@ -411,6 +384,5 @@ def _write_ply(mesh: Mesh) -> str:
         "end_header",
     ]
     out.extend(_vertex_rows(mesh))
-    for i, j, k in mesh.faces:
-        out.append(f"3 {i - 1} {j - 1} {k - 1}")
+    out.extend(_counted_face_rows(mesh))
     return "\n".join(out) + "\n"

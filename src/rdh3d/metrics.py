@@ -50,12 +50,12 @@ def _directed(a: np.ndarray, b: np.ndarray) -> float:
     return worst
 
 
-def hausdorff(a, b, method: str = "brute") -> float:
+def hausdorff(a, b, method: str = "kdtree") -> float:
     """Symmetric Hausdorff distance between two point sets.
 
-    method="brute" is the exact pairwise evaluation; method="kdtree"
-    computes the same value through nearest-neighbor queries and is the
-    one to use on dense meshes.
+    method="kdtree" answers through nearest-neighbor queries;
+    method="brute" is the chunked O(|a||b|) pairwise evaluation of the
+    same value, unusable on dense meshes.
     """
     a = _as_points(a)
     b = _as_points(b)

@@ -34,16 +34,6 @@ class Partition:
     def n_embedded(self) -> int:
         return self.embedded.shape[0]
 
-    def ring(self, i: int) -> np.ndarray:
-        """Ring of the i-th embedded vertex (position in C order)."""
-        return self.ring_flat[self.ring_offsets[i]:self.ring_offsets[i + 1]]
-
-    def rings(self) -> dict[int, np.ndarray]:
-        return {int(v): self.ring(i) for i, v in enumerate(self.embedded)}
-
-    def ring_sizes(self) -> np.ndarray:
-        return np.diff(self.ring_offsets)
-
 
 def _adjacency(n_vertices: int, faces0: np.ndarray):
     """CSR one-ring adjacency (0-based): sharing any face, self excluded.

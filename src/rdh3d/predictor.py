@@ -4,8 +4,8 @@ Each bit plane is predicted independently: the bit of an embedded vertex
 at plane u is guessed 0 when at least half of its ring neighbors carry 0
 at plane u (ties go to 0). A vertex's maximum embedding length t is the
 longest MSB-first prefix for which every plane is guessed correctly; the
-same rule replays at recovery time, which is what makes n-MSB
-substitution reversible for vertices with t >= n.
+same rule (`_ring_majority`) replays at recovery time, which is what
+makes n-MSB substitution reversible for vertices with t >= n.
 """
 
 from __future__ import annotations
@@ -36,9 +36,6 @@ class PredictionReport:
         """Boolean mask over C order: True = prediction fails before n."""
         return self.ts < n
 
-    def excluded(self, n: int) -> set[int]:
-        return set(self.embedded[self.excluded_mask(n)].tolist())
-
     def capacity(self, n: int) -> int:
         if not 1 <= n <= self.l:
             raise ConfigError(f"embedding length n={n} outside [1, {self.l}]")
@@ -56,53 +53,40 @@ class PredictionReport:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PredictionReport":
-        return cls(
+        rep = cls(
             ts=np.asarray(d["max_prefix_lengths"], dtype=np.int64),
             capacity_curve=np.asarray(d["capacity_curve"], dtype=np.int64),
             m=int(d["m"]),
             l=int(d["l"]),
             embedded=np.asarray(d["embedded"], dtype=np.int64),
         )
+        if not (rep.ts.ndim == rep.embedded.ndim == rep.capacity_curve.ndim == 1
+                and rep.ts.size == rep.embedded.size
+                and rep.capacity_curve.size == rep.l):
+            raise ConfigError(
+                "malformed prediction report: expected flat lists with one t "
+                "per embedded vertex and one capacity per n in 1..l"
+            )
+        return rep
 
 
-def predict_bit(plane: int, ring_words, l: int) -> int:
-    """Majority vote at one plane; 0 wins ties."""
-    ring_words = list(ring_words)
-    if not ring_words:
-        raise ValueError("cannot predict from an empty ring")
-    if not 0 <= plane < l:
-        raise ValueError(f"plane {plane} outside [0, {l})")
-    ones = sum((int(w) >> plane) & 1 for w in ring_words)
-    zeros = len(ring_words) - ones
-    return 0 if zeros >= ones else 1
+def _ring_majority(ring_words: np.ndarray, ring_offsets: np.ndarray,
+                   sizes: np.ndarray, u: int) -> np.ndarray:
+    """The prediction rule: bit u of each ring's majority, 0 on ties.
 
-
-def max_prefix_len(target_word: int, ring_words, l: int) -> int:
-    """Longest t such that planes l-1 .. l-t are all predicted correctly."""
-    ring_words = list(ring_words)
-    if not ring_words:
-        raise ValueError("cannot predict from an empty ring")
-    target_word = int(target_word)
-    for k in range(1, l + 1):
-        u = l - k
-        if predict_bit(u, ring_words, l) != (target_word >> u) & 1:
-            return k - 1
-    return l
-
-
-def _segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Sum of values within each [offsets[i], offsets[i+1]) segment.
-
-    cumsum-based so zero-length segments are well defined (sum 0).
+    Ring i is ring_words[ring_offsets[i]:ring_offsets[i+1]] with sizes[i]
+    members; an empty ring predicts 0.
     """
-    cs = np.zeros(values.size + 1, dtype=np.int64)
-    np.cumsum(values, out=cs[1:])
-    return cs[offsets[1:]] - cs[offsets[:-1]]
+    cs = np.zeros(ring_words.size + 1, dtype=np.int64)
+    np.cumsum((ring_words >> u) & 1, out=cs[1:])
+    ones = cs[ring_offsets[1:]] - cs[ring_offsets[:-1]]
+    return (2 * ones > sizes).astype(np.int64)
 
 
 def prefix_lengths(words: np.ndarray, targets0: np.ndarray, ring_flat0: np.ndarray,
                    ring_offsets: np.ndarray, l: int) -> np.ndarray:
-    """Vectorized max_prefix_len for one axis over all embedded vertices.
+    """Prefix length t for one axis over all embedded vertices: the
+    longest t such that planes l-1 .. l-t are all predicted correctly.
 
     words: (N,) int64 magnitudes; targets0/ring_flat0: 0-based indices.
     Empty rings yield t = 0.
@@ -116,9 +100,7 @@ def prefix_lengths(words: np.ndarray, targets0: np.ndarray, ring_flat0: np.ndarr
     for k in range(1, l + 1):
         u = l - k
         tbit = (target_words >> u) & 1
-        ones = _segment_sums((ring_words >> u) & 1, ring_offsets)
-        pred = (2 * ones > sizes).astype(np.int64)  # 0 iff zeros >= ones
-        wrong = undecided & (pred != tbit)
+        wrong = undecided & (_ring_majority(ring_words, ring_offsets, sizes, u) != tbit)
         t[wrong] = k - 1
         undecided &= ~wrong
         if not undecided.any():

@@ -1,4 +1,4 @@
-"""Fixed-point integer mapping of mesh coordinates and bit-plane helpers.
+"""Fixed-point integer mapping of mesh coordinates.
 
 Coordinates (all |v| < 1) are mapped to sign-magnitude form: an l-bit
 nonnegative magnitude floor(|v| * 10^m) plus a separate sign bit. Only
@@ -123,20 +123,3 @@ def dequantize(q: QuantizedMesh):
     coords = q.magnitudes.astype(np.float64) / scale
     coords = np.where(q.signs == 1, -coords, coords)
     return Mesh(coords, q.faces.copy())
-
-
-def bits_of(word: int, l: int) -> np.ndarray:
-    """Binary expansion, index 0 = LSB, index l-1 = MSB."""
-    word = int(word)
-    if not 0 <= word < (1 << l):
-        raise ValueError(f"word {word} does not fit in {l} bits")
-    return ((word >> np.arange(l, dtype=np.uint64)) & 1).astype(np.uint8)
-
-
-def word_of(bits) -> int:
-    """Inverse of bits_of: recompose sum(bits[u] * 2^u)."""
-    word = 0
-    for u, b in enumerate(bits):
-        if b:
-            word |= 1 << u
-    return word

@@ -108,6 +108,12 @@ def grid_mesh(side: int, scale: float = 0.9) -> Mesh:
     return Mesh(verts, faces)
 
 
+def rings_of(part) -> dict[int, np.ndarray]:
+    """{embedded vertex: its ring} of a Partition, 1-based ids."""
+    off = part.ring_offsets
+    return {int(v): part.ring_flat[off[i]:off[i + 1]] for i, v in enumerate(part.embedded)}
+
+
 @pytest.fixture
 def partition_calls(monkeypatch) -> list:
     """Records the arguments of every partition() call made through any

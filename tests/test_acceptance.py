@@ -288,7 +288,8 @@ def test_criterion_8_oracle_equivalence():
             ok, detail = False, f" (choose_n mismatch at seed={seed})"
             break
         for n in range(1, q.l + 1):
-            if rep.excluded(n) != {v for v, t in zip(emb, ts) if t < n}:
+            excluded = set(rep.embedded[rep.excluded_mask(n)].tolist())
+            if excluded != {v for v, t in zip(emb, ts) if t < n}:
                 ok, detail = False, f" (excluded set mismatch at seed={seed} n={n})"
                 break
         if not ok:

@@ -8,16 +8,19 @@ import pytest
 from rdh3d import (
     KeyMaterial,
     KeyRole,
-    crypt_payload,
+    analyze,
+    choose_n,
     decrypt_mesh,
+    embed,
     encrypt_mesh,
-    keystream,
+    extract,
     quantize,
 )
 from rdh3d.cipher import stream_words
 from rdh3d.errors import ConfigError
+from rdh3d.partition import partition
 
-from conftest import ZeroKey, random_mesh
+from conftest import ZeroKey, grid_mesh, random_mesh
 from oracles import chacha20_block, chacha20_keystream, keystream_bits
 
 RFC7539_KEY = bytes(range(32))
@@ -48,12 +51,12 @@ class TestReferenceImplementation:
 
 class TestKeystream:
     def test_zero_count(self, ke):
-        assert keystream(ke, 0).size == 0
+        assert ke.keystream_bits(0).size == 0
 
     def test_deterministic(self):
         a = KeyMaterial.from_passphrase("same", KeyRole.ENCRYPT)
         b = KeyMaterial.from_passphrase("same", KeyRole.ENCRYPT)
-        assert np.array_equal(keystream(a, 999), keystream(b, 999))
+        assert np.array_equal(a.keystream_bits(999), b.keystream_bits(999))
 
     def test_passphrase_k_matches_reference(self):
         ke = KeyMaterial.from_passphrase("k", KeyRole.ENCRYPT)
@@ -66,7 +69,7 @@ class TestKeystream:
             assert key_material.keystream_bytes(64) == chacha20_keystream(
                 key, nonce, 0, 64
             )
-            assert keystream(key_material, 64).tolist() == keystream_bits(
+            assert key_material.keystream_bits(64).tolist() == keystream_bits(
                 key, nonce, 64
             )
 
@@ -80,7 +83,7 @@ class TestKeystream:
         # the address: word view and bit view must agree everywhere
         l = 16
         words = stream_words(ke, 12, l)
-        bits = keystream(ke, 12 * l)
+        bits = ke.keystream_bits(12 * l)
         for w in range(12):
             for k in range(l):
                 u = l - 1 - k
@@ -151,13 +154,40 @@ class TestMeshEncryption:
             decrypt_mesh(q, kw)
 
 
+def embed_payload(bits, key):
+    """Embed `bits` into a smooth grid mesh at m=4 with the capacity-optimal n."""
+    q = quantize(grid_mesh(20), 4)
+    part = partition(q.n_vertices, q.faces)
+    rep = analyze(q, part)
+    return embed(q, part, rep, choose_n(rep), bits, key)
+
+
+def raw_slots(c):
+    """The n-MSB slot bits of a marked container, read back with plain
+    integer shifts: included embedded vertices in C order, x/y/z, MSB first."""
+    emb = c.checked_partition().embedded.tolist()
+    out = []
+    for v, excluded in zip(emb, c.excluded.tolist()):
+        if not excluded:
+            for axis in range(3):
+                word = int(c.magnitudes[v - 1, axis])
+                out += [(word >> (c.l - k)) & 1 for k in range(1, c.n + 1)]
+    return out
+
+
 class TestPayloadCrypt:
+    """The payload is XORed with the Kw stream inside embed and extract."""
+
     def test_empty(self, kw):
-        assert crypt_payload(np.empty(0, dtype=np.uint8), kw).size == 0
+        c = embed_payload(np.empty(0, dtype=np.uint8), kw)
+        assert extract(c, kw).size == 0
+        assert raw_slots(c) == kw.keystream_bits(c.capacity_bits()).tolist()
 
     def test_self_inverse(self, kw):
         bits = np.random.default_rng(0).integers(0, 2, 777).astype(np.uint8)
-        assert np.array_equal(crypt_payload(crypt_payload(bits, kw), kw), bits)
+        c = embed_payload(bits, kw)
+        assert c.capacity_bits() > bits.size
+        assert np.array_equal(extract(c, kw), bits)
 
     def test_24_bits_against_reference(self):
         kw = KeyMaterial.from_passphrase("k", KeyRole.HIDE)
@@ -166,8 +196,10 @@ class TestPayloadCrypt:
         nonce = hashlib.sha256(b"hide").digest()[:12]
         ref = keystream_bits(key, nonce, 24)
         expected = [b ^ r for b, r in zip(bits.tolist(), ref)]
-        assert crypt_payload(bits, kw).tolist() == expected
+        assert raw_slots(embed_payload(bits, kw))[:24] == expected
 
-    def test_role_check(self, ke):
+    def test_role_check(self, ke, kw):
         with pytest.raises(ConfigError, match="role"):
-            crypt_payload(np.zeros(8, dtype=np.uint8), ke)
+            embed_payload(np.zeros(8, dtype=np.uint8), ke)
+        with pytest.raises(ConfigError, match="role"):
+            extract(embed_payload(np.zeros(8, dtype=np.uint8), kw), ke)

@@ -280,3 +280,74 @@ class TestBenchCommand:
                    "--ke-pass", "a", "--kw-pass", "b", "--out", out) == 0
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 3
+
+
+class TestBadInputsExitTwo:
+    """User mistakes end with exit 2 and a one-line error, not a traceback."""
+
+    @pytest.fixture
+    def owner_files(self, workdir):
+        """An m=4 container and report of the cow mesh."""
+        enc, report = workdir / "enc.rdh3d", workdir / "r.json"
+        assert run("encrypt", workdir / "cow.off", "--m", 4, "--ke-pass", "a",
+                   "--out", enc) == 0
+        assert run("analyze", workdir / "cow.off", "--m", 4, "--out", report) == 0
+        return enc, report
+
+    def check(self, capsys, *argv):
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def embed_with(self, capsys, enc, report, *extra):
+        self.check(capsys, "embed", enc, "--report", report, "--kw-pass", "b",
+                   "--out", enc.with_name("m.rdh3d"), *extra)
+        assert not enc.with_name("m.rdh3d").exists()
+
+    def test_unknown_mesh_extension(self, workdir, capsys):
+        stl = workdir / "t.stl"
+        stl.write_text(cow_off_text())
+        self.check(capsys, "analyze", stl, "--m", 4)
+
+    def test_unknown_output_extension(self, owner_files, capsys):
+        enc, _ = owner_files
+        self.check(capsys, "recover", enc, "--ke-pass", "a",
+                   "--out", enc.with_name("r.stl"))
+
+    def test_report_not_json(self, owner_files, capsys):
+        enc, report = owner_files
+        report.write_text("{not json")
+        self.embed_with(capsys, enc, report)
+
+    def test_report_missing_keys(self, owner_files, capsys):
+        enc, report = owner_files
+        doc = json.loads(report.read_text())
+        del doc["max_prefix_lengths"]
+        report.write_text(json.dumps(doc))
+        self.embed_with(capsys, enc, report)
+
+    @pytest.mark.parametrize("key", ["max_prefix_lengths", "capacity_curve"])
+    def test_report_with_misshapen_lists(self, owner_files, capsys, key):
+        enc, report = owner_files
+        doc = json.loads(report.read_text())
+        doc[key] = [doc[key]]
+        report.write_text(json.dumps(doc))
+        self.embed_with(capsys, enc, report)
+
+    def test_report_for_another_m(self, owner_files, capsys):
+        enc, report = owner_files
+        assert run("analyze", enc.with_name("cow.off"), "--m", 5, "--n", 1,
+                   "--out", report) == 0
+        self.embed_with(capsys, enc, report, "--n", 1)
+
+    def test_bad_integer_range(self, tmp_path, capsys):
+        corpus = tmp_path / "corp"
+        corpus.mkdir()
+        self.check(capsys, "bench", corpus, "--m", "x", "--ke-pass", "a",
+                   "--kw-pass", "b", "--out", tmp_path / "rows.csv")
+
+    def test_directory_as_mesh(self, workdir, capsys):
+        folder = workdir / "dir.off"
+        folder.mkdir()
+        self.check(capsys, "analyze", folder, "--m", 4)

@@ -149,6 +149,32 @@ class TestParsePly:
         with pytest.raises(MalformedHeaderError, match="line 1"):
             parse_mesh("plyx\n", "ply")
 
+    def test_face_element_declared_first(self):
+        text = "\n".join([
+            "ply", "format ascii 1.0",
+            "element face 1", "property list uchar int vertex_indices",
+            "element vertex 3",
+            "property double x", "property double y", "property double z",
+            "end_header",
+            "3 0 1 2",
+            "0 0 0", "0.1 0 0", "0 0.1 0",
+        ]) + "\n"
+        assert parse_mesh(text, "ply") == parse_mesh(PLY_SMALL, "ply")
+
+    def test_truncated_vertex_block(self):
+        text = PLY_SMALL.replace("0 0.1 0\n3 0 1 2\n", "")
+        with pytest.raises(MeshParseError, match="end of file: expected 3 vertex rows, got 2"):
+            parse_mesh(text, "ply")
+
+    def test_truncated_face_block(self):
+        text = PLY_SMALL.replace("3 0 1 2\n", "")
+        with pytest.raises(MeshParseError, match="end of file: expected 1 face rows, got 0"):
+            parse_mesh(text, "ply")
+
+    def test_trailing_content(self):
+        with pytest.raises(MeshParseError, match="line 15: unexpected trailing"):
+            parse_mesh(PLY_SMALL + "3 0 1 2\n", "ply")
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("fmt", ["off", "obj", "ply"])

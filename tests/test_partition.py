@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from rdh3d import Mesh
 from rdh3d.partition import partition
 
-from conftest import grid_mesh, random_mesh
+from conftest import grid_mesh, random_mesh, rings_of
 from oracles import brute_partition
 
 
@@ -16,7 +16,7 @@ class TestCowFragment:
     def test_first_vertex_embeds_and_ring_references(self, cow_mesh):
         part = partition(cow_mesh.n_vertices, cow_mesh.faces)
         assert part.embedded[0] == 1
-        assert part.rings()[1].tolist() == [2, 3, 4, 5, 7, 8]
+        assert rings_of(part)[1].tolist() == [2, 3, 4, 5, 7, 8]
         assert set(part.reference.tolist()) >= {2, 3, 4, 5, 7, 8}
 
     def test_unused_vertex_is_unassigned(self, cow_mesh):
@@ -36,7 +36,7 @@ def test_tetrahedron_single_embedded(tetra_mesh):
     part = partition(tetra_mesh.n_vertices, tetra_mesh.faces)
     assert part.embedded.tolist() == [1]
     assert set(part.reference.tolist()) == {2, 3, 4}
-    assert part.rings()[1].tolist() == [2, 3, 4]
+    assert rings_of(part)[1].tolist() == [2, 3, 4]
     assert part.unassigned.size == 0
 
 
@@ -53,7 +53,7 @@ def test_traversal_follows_face_order():
 def test_degenerate_face_no_self_neighbor():
     mesh = Mesh(np.zeros((3, 3)), np.array([[1, 1, 2], [3, 3, 3]]))
     part = partition(mesh.n_vertices, mesh.faces)
-    rings = part.rings()
+    rings = rings_of(part)
     for c, ring in rings.items():
         assert c not in ring.tolist()
     # vertex 3 shares no face with another vertex: embedded, empty ring
@@ -86,7 +86,7 @@ class TestInvariants:
         part = partition(mesh.n_vertices, mesh.faces)
         c = set(part.embedded.tolist())
         r = set(part.reference.tolist())
-        for cv, ring in part.rings().items():
+        for cv, ring in rings_of(part).items():
             ring_list = ring.tolist()
             assert ring_list == sorted(set(ring_list))  # dedup + ascending
             assert not set(ring_list) & c  # no two C vertices adjacent
@@ -100,9 +100,9 @@ class TestInvariants:
         for face in mesh.faces.tolist():
             if len(set(face)) == 1:
                 degenerate_only.add(face[0])
-        for i, cv in enumerate(part.embedded.tolist()):
+        for cv, ring in rings_of(part).items():
             if cv not in degenerate_only:
-                assert part.ring(i).size >= 1
+                assert ring.size >= 1
 
     def test_determinism(self):
         mesh = random_mesh(11, n_max=200)
@@ -128,7 +128,7 @@ def test_matches_independent_reimplementation(seed):
     assert part.embedded.tolist() == emb
     assert set(part.reference.tolist()) == ref
     assert set(part.unassigned.tolist()) == unassigned
-    assert {k: v.tolist() for k, v in part.rings().items()} == rings
+    assert {k: v.tolist() for k, v in rings_of(part).items()} == rings
 
 
 def test_submodule_is_not_shadowed_by_the_function():
@@ -178,7 +178,7 @@ def test_matches_oracle_on_adversarial_face_lists(case):
     assert part.embedded.tolist() == emb
     assert part.reference.tolist() == sorted(ref)
     assert part.unassigned.tolist() == sorted(unassigned)
-    assert {k: v.tolist() for k, v in part.rings().items()} == rings
+    assert {k: v.tolist() for k, v in rings_of(part).items()} == rings
     assert part.ring_offsets.tolist()[0] == 0
     assert part.ring_offsets[-1] == part.ring_flat.size
 

@@ -5,56 +5,88 @@ import pytest
 
 from rdh3d import (
     Mesh,
-    KeyMaterial,
-    KeyRole,
     analyze,
     choose_n,
     encrypt_mesh,
-    max_prefix_len,
-    predict_bit,
     quantize,
 )
 from rdh3d.errors import ConfigError
 from rdh3d.partition import partition
 from rdh3d.predictor import PredictionReport
 
-from conftest import random_mesh
-from oracles import brute_analyze, brute_choose_n, brute_max_prefix_len, brute_partition
+from conftest import random_mesh, rings_of
+from oracles import (
+    brute_analyze,
+    brute_choose_n,
+    brute_max_prefix_len,
+    brute_partition,
+    brute_predict_bit,
+)
+
+
+def one_ring_t(target, ring, m):
+    """t of vertex 1 from analyze() on a fan mesh whose only embedded
+    vertex is 1, with ring 2..k+1 carrying the x words `ring`.
+
+    Every vertex shares one y and one z, so only x limits t. Words are
+    placed half a unit above w / 10^m so quantize maps them back exactly.
+    """
+    verts = [[(w + 0.5) / 10**m, 0.5, 0.5] for w in [target, *ring]]
+    k = len(ring)
+    if k == 0:
+        faces = [[1, 1, 1]]  # degenerate: vertex 1 embedded with an empty ring
+    elif k == 1:
+        faces = [[1, 2, 2]]
+    else:
+        faces = [[1, i, i + 1] for i in range(2, k + 1)]
+    mesh = Mesh(np.array(verts), np.array(faces))
+    q = quantize(mesh, m)
+    assert q.magnitudes[:, 0].tolist() == [target, *ring]
+    part = partition(mesh.n_vertices, mesh.faces)
+    assert part.embedded.tolist() == [1]
+    return int(analyze(q, part).ts[0])
 
 
 class TestPredictBit:
+    # m=4: words are below 10^4 < 2^14, so plane 13 (k = 3) is the top
+    # plane that can hold a 1 and planes 15, 14 always agree.
     def test_strict_majority(self):
-        # ring MSBs {0, 0, 1} at the top plane
-        l = 8
-        ring = [0b0000_0000, 0b0000_0001, 0b1000_0000]
-        assert predict_bit(l - 1, ring, l) == 0
+        # ring bits {0, 0, 1} at plane 13 predict 0
+        ring = [0, 0, 8192]
+        assert one_ring_t(0, ring, 4) == 16
+        assert one_ring_t(8192, ring, 4) == 2
+        assert brute_predict_bit(13, ring) == 0
 
     def test_tie_goes_to_zero(self):
-        ring = [0b0000_0000, 0b1000_0000]
-        assert predict_bit(7, ring, 8) == 0
+        ring = [0, 8192]
+        assert one_ring_t(0, ring, 4) == 16
+        assert one_ring_t(8192, ring, 4) == 2
+        assert brute_predict_bit(13, ring) == 0
 
     def test_majority_of_ones(self):
-        ring = [0b1000_0000, 0b1000_0000, 0b0000_0000]
-        assert predict_bit(7, ring, 8) == 1
+        ring = [8192, 8192, 0]
+        assert one_ring_t(8192, ring, 4) == 16
+        assert one_ring_t(0, ring, 4) == 2
+        assert brute_predict_bit(13, ring) == 1
 
     def test_cow_ring_msb_is_zero(self, cow_mesh):
         # at m=6 every magnitude is far below 2^31, so the top plane of
         # the x words around vertex 1 must tally all zeros
         q = quantize(cow_mesh, 6)
         part = partition(cow_mesh.n_vertices, cow_mesh.faces)
-        ring = part.rings()[1]
+        ring = rings_of(part)[1]
         assert ring.tolist() == [2, 3, 4, 5, 7, 8]
         ring_words = [int(q.magnitudes[v - 1, 0]) for v in ring]
-        assert predict_bit(q.l - 1, ring_words, q.l) == 0
-
-    def test_empty_ring_rejected(self):
-        with pytest.raises(ValueError, match="empty ring"):
-            predict_bit(0, [], 8)
+        assert brute_predict_bit(q.l - 1, ring_words) == 0
 
 
 class TestMaxPrefixLen:
     def test_identical_ring_gives_full_length(self):
-        assert max_prefix_len(2888, [2888, 2888, 2888], 16) == 16
+        assert one_ring_t(2888, [2888, 2888, 2888], 4) == 16
+
+    def test_empty_ring_gives_zero(self):
+        assert one_ring_t(0, [], 4) == 0
+        assert one_ring_t(8192, [], 4) == 0
 
     def test_worked_example_value_16(self, cow_mesh):
         # reconstruction of the m=6 worked example: the x word of vertex 1
@@ -65,19 +97,16 @@ class TestMaxPrefixLen:
         ring_word = target ^ (1 << 15)
         ring = [ring_word, ring_word, ring_word]
         assert brute_max_prefix_len(target, ring, 32) == 16
-        assert max_prefix_len(target, ring, 32) == 16
+        assert one_ring_t(target, ring, 6) == 16
 
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_plane_by_plane_oracle(self, seed):
         rng = np.random.default_rng(seed)
-        l = int(rng.choice([8, 16, 32]))
-        target = int(rng.integers(0, 2**l))
-        ring = [int(w) for w in rng.integers(0, 2**l, size=rng.integers(1, 9))]
-        assert max_prefix_len(target, ring, l) == brute_max_prefix_len(target, ring, l)
-
-    def test_empty_ring_rejected(self):
-        with pytest.raises(ValueError, match="empty ring"):
-            max_prefix_len(1, [], 8)
+        m = int(rng.choice([2, 4, 6]))
+        l = {2: 8, 4: 16, 6: 32}[m]
+        target = int(rng.integers(0, 10**m))
+        ring = [int(w) for w in rng.integers(0, 10**m, size=rng.integers(1, 9))]
+        assert one_ring_t(target, ring, m) == brute_max_prefix_len(target, ring, l)
 
 
 class TestAnalyze:
@@ -191,7 +220,7 @@ def test_recoverability_guarantee():
     q = quantize(mesh, 4)
     part = partition(mesh.n_vertices, mesh.faces)
     rep = analyze(q, part)
-    rings = part.rings()
+    rings = rings_of(part)
     for i, cv in enumerate(part.embedded.tolist()):
         t = int(rep.ts[i])
         ring = rings[cv]
@@ -203,4 +232,4 @@ def test_recoverability_guarantee():
             target = int(q.magnitudes[cv - 1, axis])
             for k in range(1, t + 1):
                 u = q.l - k
-                assert predict_bit(u, words, q.l) == (target >> u) & 1
+                assert brute_predict_bit(u, words) == (target >> u) & 1

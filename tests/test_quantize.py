@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdh3d import Mesh, bit_length, bits_of, dequantize, quantize, word_of
+from rdh3d import Mesh, bit_length, dequantize, quantize
 from rdh3d.errors import ConfigError, DomainError
 
 
@@ -116,43 +116,3 @@ class TestBitLength:
     def test_magnitudes_fit(self):
         for m in range(1, 10):
             assert 10**m - 1 < 2 ** bit_length(m)
-
-
-class TestBits:
-    def test_zero_word(self):
-        assert bits_of(0, 16).tolist() == [0] * 16
-
-    def test_all_ones(self):
-        assert bits_of(2**16 - 1, 16).tolist() == [1] * 16
-
-    def test_2888(self):
-        # 2888 = 0b0000101101001000, index 0 = LSB
-        msb_first = "0000101101001000"
-        assert bits_of(2888, 16).tolist() == [int(c) for c in reversed(msb_first)]
-
-    def test_word_too_wide(self):
-        with pytest.raises(ValueError):
-            bits_of(256, 8)
-
-    def test_word_of_zero(self):
-        assert word_of([0] * 16) == 0
-
-    def test_word_of_msb_only(self):
-        bits = [0] * 16
-        bits[15] = 1
-        assert word_of(bits) == 32768
-
-    def test_round_trip_2020(self):
-        assert word_of(bits_of(2020, 16)) == 2020
-
-    def test_exhaustive_l8(self):
-        for w in range(256):
-            assert word_of(bits_of(w, 8)) == w
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(8, 64).flatmap(
-        lambda l: st.tuples(st.just(l), st.integers(0, 2**l - 1))
-    ))
-    def test_inverse_property(self, case):
-        l, w = case
-        assert word_of(bits_of(w, l)) == w
