@@ -33,7 +33,7 @@ from .errors import (
     DomainError,
     MeshParseError,
 )
-from .mesh_io import FORMATS, read_mesh_file, write_mesh, write_mesh_file
+from .mesh_io import FORMATS, format_from_path, read_mesh_file, write_mesh_file
 from .metrics import FidelityReport, embedding_rate, hausdorff, snr
 from .partition import partition
 from .predictor import PredictionReport, analyze, choose_n
@@ -103,8 +103,7 @@ def cmd_encrypt(args) -> int:
     )
     write_container_file(args.out, c)
     if args.export_off:
-        with open(args.export_off, "w") as fh:
-            fh.write(write_mesh(container_mesh(c), "off"))
+        write_mesh_file(args.export_off, container_mesh(c), "off")
     return EXIT_OK
 
 
@@ -128,8 +127,7 @@ def cmd_embed(args) -> int:
                    KeyMaterial.from_passphrase(kw_pass, KeyRole.HIDE))
     write_container_file(args.out, marked)
     if args.export_off:
-        with open(args.export_off, "w") as fh:
-            fh.write(write_mesh(container_mesh(marked), "off"))
+        write_mesh_file(args.export_off, container_mesh(marked), "off")
     return EXIT_OK
 
 
@@ -142,10 +140,11 @@ def cmd_extract(args) -> int:
 
 
 def cmd_recover(args) -> int:
+    fmt = args.format or format_from_path(args.out)
     c = read_container_file(args.container)
     q = recover(c, _ke(args))
     mesh = dequantize(q)
-    write_mesh_file(args.out, mesh, args.format)
+    write_mesh_file(args.out, mesh, fmt)
     return EXIT_OK
 
 

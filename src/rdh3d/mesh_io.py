@@ -3,7 +3,9 @@
 Vertex and face order are preserved exactly; coordinates are printed in
 shortest round-trip decimal form, so parse(write(mesh)) reproduces the
 numeric model bit for bit even though the text bytes may differ from the
-original file.
+original file. A well-formed OFF or PLY body is converted by numpy in
+bulk; any other body is read line by line, so that an error names the
+offending line.
 """
 
 from __future__ import annotations
@@ -122,14 +124,9 @@ def format_from_path(path) -> str:
     return suffix
 
 
-def _fmt_coord(x: float) -> str:
-    # repr of a Python float is the shortest string that round-trips.
-    return repr(float(x))
-
-
-def _meaningful_lines(text: str, skip_prefixes=("#",)):
+def _meaningful_lines(raw_lines, skip_prefixes=("#",)):
     """Yield (line_number, stripped_line), skipping blanks and comments."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(raw_lines, start=1):
         line = raw.strip()
         if not line or line.startswith(skip_prefixes):
             continue
@@ -185,7 +182,8 @@ def _finish_mesh(vertices, face_rows):
 
 def _read_body(lines, elements) -> Mesh:
     """Read the rows of each (name, count) element in declaration order,
-    then reject any trailing content (the OFF and PLY bodies)."""
+    then reject any trailing content (the OFF and PLY bodies), one line
+    at a time so that an error names its line."""
     rows = {"vertex": [], "face": []}
     for name, count in elements:
         out, parse_row = rows[name], _ROW_PARSERS[name]
@@ -202,8 +200,67 @@ def _read_body(lines, elements) -> Mesh:
     return _finish_mesh(rows["vertex"], rows["face"])
 
 
+# Per bulk-read element: the dtype and width of one row, and every
+# character a well-formed row may hold (its numbers and the spaces
+# between them; face rows hold integers only).
+_BLOCKS = {
+    "vertex": (np.float64, 3, b"0123456789+-.eE "),
+    "face": (np.int64, 4, b"0123456789+- "),
+}
+
+
+def _load_block(lines, name):
+    """The (len(lines), width) array of the rows of one element, one row
+    per line, or None when the lines are not exactly that."""
+    dtype, width, chars = _BLOCKS[name]
+    if not lines:
+        return np.empty((0, width), dtype=dtype)
+    text = "".join(lines)
+    if not text.isascii() or text.encode("ascii").translate(None, chars):
+        return None
+    # loadtxt skips blank lines (and warns when all are), so a blank
+    # line shows as a short block.
+    if not lines[0].strip():
+        return None
+    try:
+        block = np.loadtxt(lines, dtype=dtype, ndmin=2, comments=None)
+    except ValueError:
+        return None
+    return block if block.shape == (len(lines), width) else None
+
+
+def _bulk_body(raw_lines, start, elements):
+    """The mesh of a well-formed body in raw_lines[start:], or None.
+
+    Well formed: the vertex rows, then the triangle rows, one per line,
+    with no blank, comment, missing or trailing line, no character
+    outside _BLOCKS, and every face index in range. numpy converts such
+    a body in bulk to the mesh _read_body would return. Any other body
+    gives None and goes to _read_body, which reads it or raises the
+    error of its first bad line.
+    """
+    if [name for name, _ in elements] not in (["vertex"], ["vertex", "face"]):
+        return None
+    counts = dict(elements)
+    n_verts, n_faces = counts["vertex"], counts.get("face", 0)
+    split, end = start + n_verts, start + n_verts + n_faces
+    if min(n_verts, n_faces) < 0 or end > len(raw_lines):
+        return None
+    if any(line.strip() for line in raw_lines[end:]):
+        return None
+    verts = _load_block(raw_lines[start:split], "vertex")
+    faces = _load_block(raw_lines[split:end], "face")
+    if verts is None or faces is None or (faces[:, 0] != 3).any():
+        return None
+    idx = faces[:, 1:]
+    if idx.size and (idx.min() < 0 or idx.max() >= n_verts):
+        return None
+    return Mesh(verts, idx + 1)
+
+
 def _parse_off(text: str) -> Mesh:
-    lines = _meaningful_lines(text)
+    raw_lines = text.splitlines()
+    lines = _meaningful_lines(raw_lines)
     try:
         lineno, header = next(lines)
     except StopIteration:
@@ -221,7 +278,9 @@ def _parse_off(text: str) -> Mesh:
         n_verts, n_faces, _n_edges = (int(p) for p in parts)
     except ValueError:
         raise MalformedHeaderError(f"non-integer counts: {counts!r}", lineno) from None
-    return _read_body(lines, [("vertex", n_verts), ("face", n_faces)])
+    elements = [("vertex", n_verts), ("face", n_faces)]
+    mesh = _bulk_body(raw_lines, lineno, elements)
+    return _read_body(lines, elements) if mesh is None else mesh
 
 
 _OBJ_IGNORED = {
@@ -231,7 +290,7 @@ _OBJ_IGNORED = {
 
 def _parse_obj(text: str) -> Mesh:
     vertices, face_rows = [], []
-    for lineno, line in _meaningful_lines(text):
+    for lineno, line in _meaningful_lines(text.splitlines()):
         tokens = line.split()
         keyword = tokens[0]
         if keyword == "v":
@@ -271,7 +330,8 @@ def _parse_obj(text: str) -> Mesh:
 
 
 def _parse_ply(text: str) -> Mesh:
-    lines = _meaningful_lines(text, skip_prefixes=("comment", "obj_info"))
+    raw_lines = text.splitlines()
+    lines = _meaningful_lines(raw_lines, skip_prefixes=("comment", "obj_info"))
     try:
         lineno, magic = next(lines)
     except StopIteration:
@@ -344,17 +404,18 @@ def _parse_ply(text: str) -> Mesh:
             f"vertex properties must be exactly x, y, z; got {vertex_props}"
         )
 
-    return _read_body(lines, elements)
+    mesh = _bulk_body(raw_lines, lineno, elements)
+    return _read_body(lines, elements) if mesh is None else mesh
 
 
 def _vertex_rows(mesh: Mesh):
-    for x, y, z in mesh.vertices:
-        yield f"{_fmt_coord(x)} {_fmt_coord(y)} {_fmt_coord(z)}"
+    # repr of a Python float is the shortest string that round-trips.
+    for x, y, z in mesh.vertices.tolist():
+        yield f"{x!r} {y!r} {z!r}"
 
 
 def _counted_face_rows(mesh: Mesh):
-    for i, j, k in mesh.faces:
-        yield f"3 {i - 1} {j - 1} {k - 1}"
+    return map("3 %d %d %d".__mod__, map(tuple, (mesh.faces - 1).tolist()))
 
 
 def _write_off(mesh: Mesh) -> str:
@@ -366,7 +427,7 @@ def _write_off(mesh: Mesh) -> str:
 
 def _write_obj(mesh: Mesh) -> str:
     out = [f"v {row}" for row in _vertex_rows(mesh)]
-    for i, j, k in mesh.faces:
+    for i, j, k in mesh.faces.tolist():
         out.append(f"f {i} {j} {k}")
     return "\n".join(out) + "\n" if out else ""
 

@@ -72,26 +72,27 @@ def bit_length(m: int) -> int:
 
 
 def _exact_floor_scaled(values: np.ndarray, m: int) -> np.ndarray:
-    """floor(values * 10^m) evaluated exactly on each float64 value.
+    """floor(values * 10^m), exact for each float64 value in [0, 1).
 
-    A plain float multiply can land one unit low near decimal boundaries
-    (0.29 * 100 == 28.999999999999996), which would break the < 10^-m
-    round-trip bound, so candidates near an integer are recomputed with
-    integer arithmetic on the float's exact binary value.
+    A plain float multiply can round up onto the next integer (0.03 * 100
+    == 3.0, yet the double 0.03 is below 3/100), which would break the
+    < 10^-m round-trip bound. Dekker's TwoProduct gives p = fl(v * 10^m)
+    and its exact error e = v * 10^m - p: a Veltkamp split at 2^27 + 1
+    cuts v into halves of at most 26 significant bits, and 10^m = 2^m *
+    5^m has at most 21 (5^9 < 2^21), so each half times 10^m is exact
+    and 10^m needs no split. No product underflows once p >= 1, and
+    below that the floor is 0 anyway. The true floor is floor(p), less 1
+    where p rounded up onto an integer (p integral and e < 0).
     """
-    scale = 10**m
-    scaled = values * float(scale)
-    cand = np.floor(scaled)
-    frac = scaled - cand
-    out = cand.astype(np.uint64)
-    # True product differs from the float product by < 3e-7 here, so only
-    # candidates this close to an integer boundary can be wrong.
-    unsure = np.nonzero((frac < 1e-6) | (frac > 1.0 - 1e-6))[0]
-    flat = values.ravel() if values.ndim else values
-    for idx in unsure:
-        num, den = float(flat[idx]).as_integer_ratio()
-        out.ravel()[idx] = num * scale // den
-    return out
+    scale = float(10**m)
+    p = values * scale
+    t = values * 134217729.0  # 2^27 + 1
+    v_hi = t - (t - values)
+    v_lo = values - v_hi
+    e = (v_hi * scale - p) + v_lo * scale
+    floor = np.floor(p)
+    floor -= (floor == p) & (e < 0)
+    return floor.astype(np.uint64)
 
 
 def quantize(mesh, m: int) -> QuantizedMesh:

@@ -68,6 +68,16 @@ def keystream_bits(key: bytes, nonce: bytes, n_bits: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
+# Fixed-point integer mapping, in integer arithmetic on the float's exact
+# binary value.
+
+def floor_scaled(value: float, m: int) -> int:
+    """floor(|value| * 10^m), exactly."""
+    num, den = abs(float(value)).as_integer_ratio()
+    return num * 10**m // den
+
+
+# ---------------------------------------------------------------------------
 # Embedded/reference split, rebuilt from the traversal rule.
 
 def brute_partition(n_vertices: int, faces):

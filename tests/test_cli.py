@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from rdh3d import Mesh, dequantize, parse_mesh, quantize, read_container_file
+from rdh3d import cli
 from rdh3d.cli import main
-from rdh3d.mesh_io import write_mesh_file
+from rdh3d.container import container_mesh
+from rdh3d.mesh_io import write_mesh, write_mesh_file
 
 from conftest import COW_FACES, COW_VERTICES, cow_off_text, random_mesh
 
@@ -118,6 +120,19 @@ class TestPipelineCommands:
         c = read_container_file(enc)
         assert exported.n_vertices == c.n_vertices
         assert (np.abs(exported.vertices) == c.magnitudes.astype(np.float64)).all()
+
+    def test_export_off_bytes(self, workdir):
+        """Both exports are the container's mesh as write_mesh prints it."""
+        mesh_path, report = workdir / "cow.off", workdir / "report.json"
+        enc, marked = workdir / "enc.rdh3d", workdir / "marked.rdh3d"
+        assert run("analyze", mesh_path, "--m", 4, "--out", report) == 0
+        assert run("encrypt", mesh_path, "--m", 4, "--ke-pass", "a",
+                   "--out", enc, "--export-off", workdir / "enc.off") == 0
+        assert run("embed", enc, "--report", report, "--kw-pass", "b",
+                   "--out", marked, "--export-off", workdir / "marked.off") == 0
+        for container in (enc, marked):
+            expected = write_mesh(container_mesh(read_container_file(container)), "off")
+            assert container.with_suffix(".off").read_bytes() == expected.encode()
 
     def test_analyze_to_stdout(self, workdir, capsys):
         assert run("analyze", workdir / "cow.off", "--m", 3) == 0
@@ -310,8 +325,13 @@ class TestBadInputsExitTwo:
         stl.write_text(cow_off_text())
         self.check(capsys, "analyze", stl, "--m", 4)
 
-    def test_unknown_output_extension(self, owner_files, capsys):
+    def test_unknown_output_extension(self, owner_files, capsys, monkeypatch):
         enc, _ = owner_files
+
+        def not_read(path):
+            raise AssertionError("the output name is checked before the container is read")
+
+        monkeypatch.setattr(cli, "read_container_file", not_read)
         self.check(capsys, "recover", enc, "--ke-pass", "a",
                    "--out", enc.with_name("r.stl"))
 

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdh3d import Mesh, parse_mesh, write_mesh
+from rdh3d import Mesh, mesh_io, parse_mesh, write_mesh
 from rdh3d.errors import (
     CoordinateSyntaxError,
     FaceIndexError,
@@ -256,3 +259,201 @@ def test_unknown_format_rejected(tetra_mesh):
         write_mesh(tetra_mesh, "stl")
     with pytest.raises(ValueError, match="unknown mesh format"):
         parse_mesh("", "stl")
+
+
+def _bulk_declines(*args):
+    return None
+
+
+def _no_line_reader(*args):
+    raise AssertionError("a well-formed body went to the line reader")
+
+
+def _outcome(text, fmt):
+    """What parse_mesh makes of text: the arrays' bytes, or the error.
+    A warning fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            mesh = parse_mesh(text, fmt)
+        except MeshParseError as exc:
+            return type(exc), str(exc), exc.line
+    return mesh.vertices.shape, mesh.vertices.tobytes(), mesh.faces.tobytes()
+
+
+def _line_reader_outcome(text, fmt):
+    with mock.patch.object(mesh_io, "_bulk_body", _bulk_declines):
+        return _outcome(text, fmt)
+
+
+_COORD = st.one_of(
+    st.floats(-1, 1, exclude_min=True, exclude_max=True, allow_nan=False,
+              width=64).map(repr),
+    st.decimals(-1, 1, places=4, allow_nan=False,
+                allow_infinity=False).map(str),
+    st.integers(-9, 9).map(str),
+)
+
+# Lines an edit inserts into a text, and tokens it puts in place of one.
+_INSERTED_LINES = ["", "   ", "# note", "comment note", "0 0 0", "3 0 0 0", "3 0 1", "x"]
+_ODD_TOKENS = [
+    "1_0", "+3", "-0", "nan", "inf", "1e400", "3.0", "1e0", "03", ".5", "5.",
+    "-1", "", "0 0", "x", "99999999999999999999", "0\t1", "0\u00a01", "0\x0c1",
+]
+_EDITS = [None, "insert", "token", "count", "index", "columns", "drop", "pad",
+          "tabs", "crlf", "append"]
+
+
+@st.composite
+def body_texts(draw):
+    """(format, text, read in bulk): a well-formed OFF or PLY text, or
+    that text after one edit."""
+    fmt = draw(st.sampled_from(["off", "ply"]))
+    n = draw(st.integers(0, 4))
+    rows = [" ".join(draw(st.tuples(_COORD, _COORD, _COORD))) for _ in range(n)]
+    index = st.integers(0, n - 1) if n else st.just(0)
+    faces = draw(st.lists(st.tuples(index, index, index), max_size=4 if n else 0))
+    face_rows = [f"3 {i} {j} {k}" for i, j, k in faces]
+    face_first = False
+    if fmt == "off":
+        header = ["OFF", f"{n} {len(faces)} 0"]
+    else:
+        vertex = [f"element vertex {n}", "property double x",
+                  "property double y", "property double z"]
+        face = [f"element face {len(faces)}",
+                "property list uchar int vertex_indices"]
+        face_first = draw(st.booleans())
+        header = ["ply", "format ascii 1.0"]
+        header += face + vertex if face_first else vertex + face
+        header.append("end_header")
+    blocks = [face_rows, rows] if face_first else [rows, face_rows]
+    edit = draw(st.sampled_from(_EDITS))
+    targets = [face_rows] if edit in ("count", "index") else blocks
+    targets = [b for b in targets if b]
+    if not targets and edit not in (None, "crlf", "append"):
+        edit, targets = "insert", blocks
+    block = draw(st.sampled_from(targets)) if targets else []
+    at = draw(st.integers(0, max(0, len(block) - 1)))
+    if edit == "insert":
+        block.insert(at, draw(st.sampled_from(_INSERTED_LINES)))
+    elif edit == "token":
+        tokens = block[at].split(" ")
+        odd = st.sampled_from(_ODD_TOKENS + [str(n)])
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(odd)
+        block[at] = " ".join(tokens)
+    elif edit in ("count", "index"):
+        tokens = block[at].split(" ")
+        if edit == "count":
+            tokens[0] = draw(st.sampled_from(["2", "4"]))
+        else:
+            tokens[draw(st.integers(1, 3))] = draw(st.sampled_from([str(n), "-1"]))
+        block[at] = " ".join(tokens)
+    elif edit == "columns":
+        # every row of the block one token wider or narrower
+        wider = draw(st.booleans())
+        block[:] = [row + " 0" if wider else row.rsplit(" ", 1)[0] for row in block]
+    elif edit == "drop":
+        del block[at:]
+    elif edit == "pad":
+        block[at] = f"  {block[at].replace(' ', '  ')} "
+    elif edit == "tabs":
+        block[at] = block[at].replace(" ", "\t")
+    lines = header + blocks[0] + blocks[1]
+    if edit == "append":
+        lines.append(draw(st.sampled_from(_INSERTED_LINES[2:])))
+    text = "\n".join(lines) + "\n"
+    if edit == "crlf":
+        text = text.replace("\n", "\r\n")
+    bulk = edit in (None, "crlf", "pad") and not face_first
+    return fmt, text, bulk
+
+
+class TestBulkBody:
+    """parse_mesh reads a well-formed OFF/PLY body in bulk and sends any
+    other to the line reader; either way it gives the line reader's mesh
+    or error."""
+
+    @pytest.mark.parametrize("fmt", ["off", "ply"])
+    def test_well_formed_body_is_read_in_bulk(self, fmt, monkeypatch):
+        mesh = random_mesh(11, n_min=300, n_max=300)
+        text = write_mesh(mesh, fmt)
+        monkeypatch.setattr(mesh_io, "_read_body", _no_line_reader)
+        assert parse_mesh(text, fmt) == mesh
+
+    # (text, read in bulk); the text's first word names its format.
+    CASES = {
+        "well formed": ("OFF\n3 1 0\n0.5 -0.25 1e-05\n0 0.1 0\n-0.1 0 0\n3 0 1 2\n", True),
+        "crlf": ("OFF\r\n3 1 0\r\n0.5 -0.25 1e-05\r\n0 0.1 0\r\n-0.1 0 0\r\n3 0 1 2\r\n", True),
+        "spaces": ("OFF\n3 1 0\n 0.5  -0.25 1e-05 \n0 0.1 0\n-0.1 0 0\n3 0 1 2  \n", True),
+        "signs and zeros": ("OFF\n3 1 0\n+0.5 -0 .5\n0 0.1 0\n-0.1 0 0\n+3 -0 01 2\n", True),
+        "blank line after body": ("OFF\n3 1 0\n0.5 0 0\n0 0.1 0\n-0.1 0 0\n3 0 1 2\n\n  \n", True),
+        "empty vertex block": ("OFF\n0 0 0\n", True),
+        "empty face block": ("OFF\n1 0 0\n0.5 0 0\n", True),
+        "blank line in vertex block": ("OFF\n3 1 0\n0.5 0 0\n\n0 0.1 0\n-0.1 0 0\n3 0 1 2\n", False),
+        "blank line in face block": ("OFF\n3 2 0\n0.5 0 0\n0 0.1 0\n-0.1 0 0\n3 0 1 2\n   \n3 2 1 0\n", False),
+        "blank vertex block": ("OFF\n1 0 0\n\n", False),
+        "blank face block": ("OFF\n3 1 0\n0.5 0 0\n0 0.1 0\n-0.1 0 0\n   \n", False),
+        "comment in body": ("OFF\n3 1 0\n0.5 0 0\n# note\n0 0.1 0\n-0.1 0 0\n3 0 1 2\n", False),
+        "tab": ("OFF\n3 1 0\n0.5\t0 0\n0 0.1 0\n-0.1 0 0\n3 0 1 2\n", False),
+        "underscore": ("OFF\n3 1 0\n1_0 0 0\n0 0.1 0\n-0.1 0 0\n3 0 1 2\n", False),
+        "nan": ("OFF\n3 1 0\nnan 0 0\n0 0.1 0\n-0.1 0 0\n3 0 1 2\n", False),
+        "hex float": ("OFF\n3 1 0\n0x1p3 0 0\n0 0.1 0\n-0.1 0 0\n3 0 1 2\n", False),
+        "non-ASCII space": ("OFF\n3 1 0\n0.5\u00a00 0\n0 0.1 0\n-0.1 0 0\n3 0 1 2\n", False),
+        "2-token and 4-token rows": ("OFF\n3 1 0\n0.5 0\n0 0.1 0 0\n-0.1 0 0\n3 0 1 2\n", False),
+        "4-token vertex rows": ("OFF\n1 0 0\n0.5 0 0 0\n", False),
+        "count 4, three indices": ("OFF\n3 1 0\n0.5 0 0\n0 0.1 0\n-0.1 0 0\n4 0 1 2\n", False),
+        "count 4": ("OFF\n4 1 0\n0 0 0\n0.1 0 0\n0 0.1 0\n0 0 0.1\n4 0 1 2 3\n", False),
+        "count 3.0": ("OFF\n3 1 0\n0.5 0 0\n0 0.1 0\n-0.1 0 0\n3.0 0 1 2\n", False),
+        "index 1e0": ("OFF\n3 1 0\n0.5 0 0\n0 0.1 0\n-0.1 0 0\n3 0 1e0 2\n", False),
+        "index equal to N": ("OFF\n3 1 0\n0.5 0 0\n0 0.1 0\n-0.1 0 0\n3 0 1 3\n", False),
+        "negative index": ("OFF\n3 1 0\n0.5 0 0\n0 0.1 0\n-0.1 0 0\n3 0 -1 2\n", False),
+        "huge index": ("OFF\n3 1 0\n0.5 0 0\n0 0.1 0\n-0.1 0 0\n3 0 1 99999999999999999999\n", False),
+        "truncated vertex block": ("OFF\n3 0 0\n0.5 0 0\n0 0.1 0\n", False),
+        "truncated face block": ("OFF\n3 2 0\n0.5 0 0\n0 0.1 0\n-0.1 0 0\n3 0 1 2\n", False),
+        "negative count": ("OFF\n-1 0 0\n", False),
+        "trailing text": ("OFF\n1 0 0\n0.5 0 0\nx\n", False),
+        "ply": (PLY_SMALL, True),
+        "ply vertex only": (PLY_SMALL.replace("element face 1\nproperty list uchar int vertex_indices\n", "").replace("3 0 1 2\n", ""), True),
+        "ply comment in body": (PLY_SMALL.replace("0 0.1 0\n", "comment x\n0 0.1 0\n"), False),
+        "ply face first": ("\n".join([
+            "ply", "format ascii 1.0",
+            "element face 1", "property list uchar int vertex_indices",
+            "element vertex 3",
+            "property double x", "property double y", "property double z",
+            "end_header", "3 0 1 2", "0 0 0", "0.1 0 0", "0 0.1 0",
+        ]) + "\n", False),
+        "ply face first, rows fit the other element": ("\n".join([
+            "ply", "format ascii 1.0",
+            "element face 1", "property list uchar int vertex_indices",
+            "element vertex 1",
+            "property double x", "property double y", "property double z",
+            "end_header", "0 0 0", "3 0 0 0",
+        ]) + "\n", False),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_edge_case(self, name, monkeypatch):
+        text, bulk = self.CASES[name]
+        fmt = text.split(None, 1)[0].lower()
+        expected = _line_reader_outcome(text, fmt)
+        line_reader = mesh_io._read_body
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return line_reader(*args)
+
+        monkeypatch.setattr(mesh_io, "_read_body", counting)
+        assert _outcome(text, fmt) == expected
+        assert bool(calls) is not bulk
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=body_texts())
+    def test_agrees_with_line_reader(self, case):
+        fmt, text, bulk = case
+        expected = _line_reader_outcome(text, fmt)
+        if bulk:
+            with mock.patch.object(mesh_io, "_read_body", _no_line_reader):
+                assert _outcome(text, fmt) == expected
+        else:
+            assert _outcome(text, fmt) == expected

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from rdh3d import Mesh, bit_length, dequantize, quantize
 from rdh3d.errors import ConfigError, DomainError
+
+from oracles import floor_scaled
 
 
 def one_vertex_mesh(x, y=0.0, z=0.0):
@@ -77,6 +80,49 @@ class TestQuantize:
         exact = Fraction(abs(v))
         assert Fraction(mag, 10**m) <= exact < Fraction(mag + 1, 10**m)
         assert (q.signs[0, 0] == 1) == (v < 0)
+
+
+@st.composite
+def decimal_printed(draw):
+    """k / 10^d as a file printed with d decimals holds it, or one of its
+    one-ulp neighbours; either sign."""
+    d = draw(st.integers(1, 12))
+    v = draw(st.integers(0, 10**d - 1)) / 10**d
+    v = draw(st.sampled_from([v, math.nextafter(v, -1.0), math.nextafter(v, 1.0)]))
+    return -v if draw(st.booleans()) else v
+
+
+class TestExactFloor:
+    """quantize's vectorized floor against Fraction and the integer oracle."""
+
+    @pytest.mark.parametrize("m", range(2, 10))
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(
+        st.one_of(
+            decimal_printed(),
+            st.floats(-1, 1, exclude_min=True, exclude_max=True,
+                      allow_nan=False, width=64),
+        ),
+        min_size=3, max_size=30,
+    ))
+    def test_property(self, m, values):
+        values = values[: len(values) // 3 * 3]
+        q = quantize(Mesh(np.array(values).reshape(-1, 3), np.empty((0, 3))), m)
+        for v, mag in zip(values, q.magnitudes.ravel().tolist()):
+            assert mag == floor_scaled(v, m)
+            assert Fraction(mag, 10**m) <= Fraction(abs(v)) < Fraction(mag + 1, 10**m)
+
+    @pytest.mark.parametrize("m", range(2, 10))
+    def test_decimal_grid(self, m):
+        """Every d in 2..9: k / 10^d and its one-ulp neighbours."""
+        rng = np.random.default_rng(m)
+        for d in range(2, 10):
+            k = np.concatenate([[0, 1, 10**d - 1], rng.integers(0, 10**d, 300)])
+            v = k / float(10**d)
+            v = np.concatenate([v, np.nextafter(v, -1.0), np.nextafter(v, 1.0)])
+            q = quantize(Mesh(v.reshape(-1, 3), np.empty((0, 3))), m)
+            expected = [floor_scaled(x, m) for x in v.tolist()]
+            assert q.magnitudes.ravel().tolist() == expected
 
 
 class TestDequantize:
