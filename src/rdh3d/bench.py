@@ -80,10 +80,10 @@ def run_pipeline(mesh: Mesh, mesh_id: str, m: int, n: int | None,
     rep = analyze(q, part)
     n_eff = choose_n(rep, n)
     t2 = time.perf_counter()
-    enc = encrypt_mesh(q, ke)
+    enc = encrypt_mesh(q, part, ke)
     t3 = time.perf_counter()
     payload = default_payload(kw_pass, rep.capacity(n_eff))
-    marked = embed(enc, part, rep, n_eff, payload, kw)
+    marked = embed(enc, rep, n_eff, payload, kw)
     t4 = time.perf_counter()
     extracted = extract(marked, kw)
     t5 = time.perf_counter()

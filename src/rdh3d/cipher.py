@@ -1,5 +1,9 @@
 """Keyed ChaCha20 bit streams and XOR encryption of magnitude words.
 
+`encrypt_mesh` gives the owner's MarkedContainer, the only encrypted
+form of a mesh; `decrypt_mesh` XORs any container back, payload slots
+unrestored (`codec.recover` re-predicts them).
+
 Key material is derived as sha256(passphrase); the stream nonce is
 sha256(role label) truncated to 96 bits with the block counter starting
 at 0, so the encryption and hiding streams are independent even under a
@@ -18,8 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 
+from .container import MarkedContainer
 from .errors import ConfigError
-from .quantize import WORD_DTYPES
+from .partition import Partition
+from .quantize import WORD_DTYPES, QuantizedMesh
 
 
 class KeyRole(enum.Enum):
@@ -83,20 +89,22 @@ def stream_words(key: KeyMaterial, n_words: int, l: int) -> np.ndarray:
     return np.frombuffer(raw, dtype=WORD_DTYPES[l]).astype(np.uint64)
 
 
-def _xor_magnitudes(q, key: KeyMaterial):
-    words = stream_words(key, 3 * q.n_vertices, q.l).reshape(q.n_vertices, 3)
-    out = q.copy()
-    out.magnitudes = q.magnitudes ^ words
-    return out
-
-
-def encrypt_mesh(q, ke: KeyMaterial):
-    """XOR every magnitude's l bits with the Ke stream; signs/faces untouched."""
+def encrypt_mesh(q: QuantizedMesh, part: Partition, ke: KeyMaterial) -> MarkedContainer:
+    """The owner's container: magnitudes XORed with the Ke stream, signs
+    and faces as they are, `part` (the partition of q.faces) carried on.
+    No payload yet: every embedded vertex is marked excluded."""
     _require_role(ke, KeyRole.ENCRYPT, "mesh encryption")
-    return _xor_magnitudes(q, ke)
+    words = stream_words(ke, 3 * q.n_vertices, q.l).reshape(-1, 3)
+    return MarkedContainer(
+        m=q.m, l=q.l, n=1, payload_bits=0, signs=q.signs.copy(),
+        excluded=np.ones(part.n_embedded, dtype=np.uint8),
+        magnitudes=q.magnitudes ^ words, faces=q.faces.copy(), partition=part,
+    )
 
 
-def decrypt_mesh(q, ke: KeyMaterial):
-    """Inverse of encrypt_mesh (XOR involution)."""
+def decrypt_mesh(c: MarkedContainer, ke: KeyMaterial) -> QuantizedMesh:
+    """XOR a container's magnitudes with the Ke stream; every word but
+    the payload slots comes back exact."""
     _require_role(ke, KeyRole.ENCRYPT, "mesh decryption")
-    return _xor_magnitudes(q, ke)
+    words = stream_words(ke, 3 * c.n_vertices, c.l).reshape(-1, 3)
+    return QuantizedMesh(c.magnitudes ^ words, c.signs.copy(), c.m, c.l, c.faces.copy())

@@ -15,17 +15,10 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from .bench import bench_corpus, default_payload, mean_bpv_by_m, write_csv
 from .cipher import KeyMaterial, KeyRole, encrypt_mesh
 from .codec import bits_to_payload, embed, extract, payload_to_bits, recover
-from .container import (
-    MarkedContainer,
-    container_mesh,
-    read_container_file,
-    write_container_file,
-)
+from .container import container_mesh, read_container_file, write_container_file
 from .errors import (
     CapacityError,
     ConfigError,
@@ -37,7 +30,7 @@ from .mesh_io import FORMATS, format_from_path, read_mesh_file, write_mesh_file
 from .metrics import FidelityReport, embedding_rate, hausdorff, snr
 from .partition import partition
 from .predictor import PredictionReport, analyze, choose_n
-from .quantize import QuantizedMesh, dequantize, quantize
+from .quantize import dequantize, quantize
 
 KE_ENV = "RDH3D_KE_PASS"
 KW_ENV = "RDH3D_KW_PASS"
@@ -92,15 +85,7 @@ def cmd_analyze(args) -> int:
 def cmd_encrypt(args) -> int:
     mesh = read_mesh_file(args.mesh, args.format)
     q = quantize(mesh, args.m)
-    part = partition(mesh.n_vertices, mesh.faces)
-    enc = encrypt_mesh(q, _ke(args))
-    # No payload yet: every embedded vertex is marked excluded, so
-    # recovery of this container is plain decryption.
-    c = MarkedContainer(
-        m=q.m, l=q.l, n=1, payload_bits=0, signs=enc.signs,
-        excluded=np.ones(part.n_embedded, dtype=np.uint8),
-        magnitudes=enc.magnitudes, faces=enc.faces, partition=part,
-    )
+    c = encrypt_mesh(q, partition(mesh.n_vertices, mesh.faces), _ke(args))
     write_container_file(args.out, c)
     if args.export_off:
         write_mesh_file(args.export_off, container_mesh(c), "off")
@@ -114,8 +99,6 @@ def cmd_embed(args) -> int:
             rep = PredictionReport.from_json_dict(json.load(fh))
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"unreadable prediction report {args.report}: {exc!r}") from None
-    enc = QuantizedMesh(c.magnitudes, c.signs, c.m, c.l, c.faces)
-    part = c.checked_partition()
     n = choose_n(rep, args.n)
     kw_pass = _passphrase(args.kw_pass, KW_ENV, "--kw-pass")
     if args.payload:
@@ -123,8 +106,7 @@ def cmd_embed(args) -> int:
             payload = payload_to_bits(fh.read())
     else:
         payload = default_payload(kw_pass, rep.capacity(n))
-    marked = embed(enc, part, rep, n, payload,
-                   KeyMaterial.from_passphrase(kw_pass, KeyRole.HIDE))
+    marked = embed(c, rep, n, payload, KeyMaterial.from_passphrase(kw_pass, KeyRole.HIDE))
     write_container_file(args.out, marked)
     if args.export_off:
         write_mesh_file(args.export_off, container_mesh(marked), "off")

@@ -1,6 +1,7 @@
 """Payload embedding into n-MSB slots, extraction, and lossless recovery.
 
-Embedding replaces the top n bits of every non-excluded embedded
+`embed` turns the owner's container (`cipher.encrypt_mesh`) into the
+marked one. It replaces the top n bits of every non-excluded embedded
 vertex's x, y, z magnitude (vertices in C order, payload bits MSB-first)
 with Kw-encrypted payload; the low l-n bits survive untouched:
 
@@ -19,7 +20,7 @@ import numpy as np
 from .cipher import KeyMaterial, KeyRole, _require_role, decrypt_mesh
 from .container import MarkedContainer
 from .errors import CapacityError, ConfigError, ContainerError
-from .partition import Partition, _gather_ranges
+from .partition import _gather_ranges
 from .predictor import PredictionReport, _ring_majority
 from .quantize import QuantizedMesh
 
@@ -39,22 +40,23 @@ def _words_to_groups(vals: np.ndarray, n: int) -> np.ndarray:
     return ((vals.astype(np.int64)[..., None] >> shifts) & 1).astype(np.uint8).ravel()
 
 
-def embed(enc: QuantizedMesh, part: Partition, rep: PredictionReport, n: int,
+def embed(c: MarkedContainer, rep: PredictionReport, n: int,
           payload: np.ndarray, kw: KeyMaterial) -> MarkedContainer:
-    """Write a Kw-encrypted payload into the n-MSB slots of an encrypted mesh.
+    """Write a Kw-encrypted payload of 0/1 bits into the n-MSB slots of
+    the owner's container, which must not carry a payload yet.
 
     Payload shorter than capacity is padded with further Kw stream bits;
-    the true bit count travels in the container header. `part` must be
-    the partition of enc.faces and `rep` must have been made for it; the
-    result carries `part` on for extraction and recovery.
+    the true bit count travels in the container header. `rep` must have
+    been made for the container's mesh.
     """
     _require_role(kw, KeyRole.HIDE, "payload embedding")
-    if not 1 <= n <= enc.l:
-        raise ConfigError(f"embedding length n={n} outside [1, {enc.l}]")
-    if (rep.m, rep.l) != (enc.m, enc.l):
+    if not 1 <= n <= c.l:
+        raise ConfigError(f"embedding length n={n} outside [1, {c.l}]")
+    if (rep.m, rep.l) != (c.m, c.l):
         raise ConfigError(
-            f"prediction report was made for m={rep.m}, mesh has m={enc.m}"
+            f"prediction report was made for m={rep.m}, mesh has m={c.m}"
         )
+    part = c.checked_partition()
     if rep.ts.size != part.n_embedded:
         raise ConfigError("prediction report does not match the partition")
     if not np.array_equal(rep.embedded, part.embedded):
@@ -62,12 +64,20 @@ def embed(enc: QuantizedMesh, part: Partition, rep: PredictionReport, n: int,
             "prediction report was made for another mesh: its embedded "
             "vertices differ from the partition's"
         )
+    if not c.excluded.all():
+        raise ConfigError(
+            "container already carries a payload; embed takes only the owner's "
+            "unmarked container"
+        )
 
     excluded = rep.excluded_mask(n)
     included0 = (part.embedded - 1)[~excluded]
     capacity = 3 * n * included0.size
 
-    payload = np.asarray(payload, dtype=np.uint8).ravel()
+    payload = np.asarray(payload).ravel()
+    if ((payload != 0) & (payload != 1)).any():
+        raise ConfigError("payload bits must be 0 or 1")
+    payload = payload.astype(np.uint8)
     if payload.size > capacity:
         raise CapacityError(
             f"payload of {payload.size} bits exceeds capacity of {capacity} bits "
@@ -76,20 +86,19 @@ def embed(enc: QuantizedMesh, part: Partition, rep: PredictionReport, n: int,
         )
 
     slots = kw.keystream_bits(capacity)
-    slots = slots.copy()
     slots[:payload.size] ^= payload
 
-    mags = enc.magnitudes.copy()
+    mags = c.magnitudes.copy()
     if included0.size:
         vals = _groups_to_words(slots, n).astype(np.uint64)
-        low_mask = np.uint64((1 << (enc.l - n)) - 1)
-        shift = np.uint64(enc.l - n)
+        low_mask = np.uint64((1 << (c.l - n)) - 1)
+        shift = np.uint64(c.l - n)
         mags[included0] = (mags[included0] & low_mask) | (vals << shift)
 
     return MarkedContainer(
-        m=enc.m, l=enc.l, n=n, payload_bits=int(payload.size),
-        signs=enc.signs.copy(), excluded=excluded.astype(np.uint8),
-        magnitudes=mags, faces=enc.faces.copy(), partition=part,
+        m=c.m, l=c.l, n=n, payload_bits=int(payload.size),
+        signs=c.signs.copy(), excluded=excluded.astype(np.uint8),
+        magnitudes=mags, faces=c.faces.copy(), partition=part,
     )
 
 
@@ -97,7 +106,7 @@ def extract(c: MarkedContainer, kw: KeyMaterial) -> np.ndarray:
     """Read the payload back out of a marked container; needs Kw only.
 
     The embedded set comes from the face list (the partition handed on
-    by the reader or the embedder), excluded vertices are skipped via the
+    by the reader or the owner), excluded vertices are skipped via the
     header bitmap, and no mesh decryption happens (this is what makes
     the scheme separable).
     """
@@ -126,8 +135,7 @@ def recover(c: MarkedContainer, ke: KeyMaterial) -> QuantizedMesh:
     """
     _require_role(ke, KeyRole.ENCRYPT, "mesh recovery")
     part = c.checked_partition()
-    marked = QuantizedMesh(c.magnitudes, c.signs, c.m, c.l, c.faces)
-    dec = decrypt_mesh(marked, ke)
+    dec = decrypt_mesh(c, ke)
 
     inc_pos = np.nonzero(c.excluded == 0)[0]
     if inc_pos.size == 0:

@@ -1,5 +1,9 @@
 """Binary .rdh3d container: encrypted/marked mesh plus plaintext header.
 
+MarkedContainer is the one encrypted form of a mesh. The owner's
+(`cipher.encrypt_mesh`) has n=1, no payload and every embedded vertex
+excluded; `codec.embed` turns it into a marked one.
+
 Layout (all header integers little-endian):
 
     offset 0   magic "RDH3"
@@ -51,7 +55,7 @@ class MarkedContainer:
     magnitudes: np.ndarray  # (N, 3) uint64, encrypted (C vertices may carry payload)
     faces: np.ndarray       # (M, 3) int64, 1-based
     version: int = field(default=VERSION)
-    # Split of `faces` as derived by the reader or the embedder; not
+    # Split of `faces` as derived by the reader or the owner; not
     # serialized and ignored by ==. Replace it if `faces` changes.
     partition: Partition | None = field(default=None, repr=False)
 

@@ -41,11 +41,6 @@ class QuantizedMesh:
         """Signed integer coordinates, e.g. -2020 for magnitude 2020 / sign 1."""
         return np.where(self.signs == 1, -1, 1) * self.magnitudes.astype(np.int64)
 
-    def copy(self) -> "QuantizedMesh":
-        return QuantizedMesh(
-            self.magnitudes.copy(), self.signs.copy(), self.m, self.l, self.faces.copy()
-        )
-
     def __eq__(self, other):
         if not isinstance(other, QuantizedMesh):
             return NotImplemented

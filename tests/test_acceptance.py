@@ -71,11 +71,11 @@ def reversibility_sweep():
         q = quantize(mesh, m)
         part = partition(mesh.n_vertices, mesh.faces)
         rep = analyze(q, part)
-        enc = encrypt_mesh(q, KE)
+        enc = encrypt_mesh(q, part, KE)
         for n in range(1, q.l + 1):
             cap = rep.capacity(n)
             payload = payload_bits(cap, seed=i * 100 + n)
-            c = embed(enc, part, rep, n, payload, KW)
+            c = embed(enc, rep, n, payload, KW)
             got = extract(c, KW)
             if not np.array_equal(got, payload):
                 extraction_mismatches.append((i, m, n))
@@ -132,7 +132,7 @@ def test_criterion_3_separability():
     cap = rep.capacity(n)
     payload = payload_bits(cap, seed=3)
     assert payload.size >= 128
-    data = write_container(embed(encrypt_mesh(q, KE), part, rep, n, payload, KW))
+    data = write_container(embed(encrypt_mesh(q, part, KE), rep, n, payload, KW))
 
     extract_ok = np.array_equal(extract(read_container(data), KW), payload)
     recover_ok = recover(read_container(data), KE) == q
@@ -169,13 +169,13 @@ def test_criterion_4_capacity_law():
         q = quantize(mesh, m)
         part = partition(mesh.n_vertices, mesh.faces)
         rep = analyze(q, part)
-        enc = encrypt_mesh(q, KE)
+        enc = encrypt_mesh(q, part, KE)
         emb, _, rings, _ = brute_partition(mesh.n_vertices, mesh.faces)
         ts, _ = brute_analyze(q.magnitudes.tolist(), emb, rings, q.l)
         for n in range(1, q.l + 1):
             expected = 3 * n * sum(1 for t in ts if t >= n)
             payload = payload_bits(expected, seed=seed * 64 + n)
-            c = embed(enc, part, rep, n, payload, KW)
+            c = embed(enc, rep, n, payload, KW)
             measured = c.capacity_bits()
             bpv = measured / mesh.n_vertices
             checked += 1
@@ -227,7 +227,7 @@ def test_criterion_6_fidelity_trends_with_m():
         rep = analyze(q, part)
         n = choose_n(rep)
         payload = payload_bits(rep.capacity(n), seed=m)
-        c = embed(encrypt_mesh(q, KE), part, rep, n, payload, KW)
+        c = embed(encrypt_mesh(q, part, KE), rep, n, payload, KW)
         rec = dequantize(recover(c, KE))
         hausdorffs.append(hausdorff(mesh.vertices, rec.vertices))
         snrs.append(snr(mesh, rec, noise_ref="original"))
@@ -252,7 +252,7 @@ def test_criterion_7_dense_mesh_performance():
     rep = analyze(q, part)
     n = choose_n(rep)
     payload = payload_bits(rep.capacity(n), seed=7)
-    data = write_container(embed(encrypt_mesh(q, KE), part, rep, n, payload, KW))
+    data = write_container(embed(encrypt_mesh(q, part, KE), rep, n, payload, KW))
     c = read_container(data)
     got = extract(c, KW)
     rec = recover(c, KE)

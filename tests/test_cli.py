@@ -5,13 +5,24 @@ import json
 import numpy as np
 import pytest
 
-from rdh3d import Mesh, dequantize, parse_mesh, quantize, read_container_file
+from rdh3d import (
+    KeyMaterial,
+    KeyRole,
+    Mesh,
+    dequantize,
+    encrypt_mesh,
+    parse_mesh,
+    quantize,
+    read_container_file,
+    write_container,
+)
 from rdh3d import cli
 from rdh3d.cli import main
 from rdh3d.container import container_mesh
 from rdh3d.mesh_io import write_mesh, write_mesh_file
+from rdh3d.partition import partition
 
-from conftest import COW_FACES, COW_VERTICES, cow_off_text, random_mesh
+from conftest import COW_FACES, COW_VERTICES, cow_off_text, grid_mesh, random_mesh
 
 
 @pytest.fixture(autouse=True)
@@ -214,6 +225,19 @@ class TestExitCodes:
                    "--out", workdir / "p.bin") == 2
 
 
+@pytest.mark.parametrize("m", [2, 5, 9])
+def test_library_encrypt_is_cli_encrypt(tmp_path, m):
+    mesh = grid_mesh(20)
+    mesh_path, enc = tmp_path / "grid.off", tmp_path / "enc.rdh3d"
+    write_mesh_file(mesh_path, mesh)
+    assert run("encrypt", mesh_path, "--m", m, "--ke-pass", "alpha", "--out", enc) == 0
+    q = quantize(parse_mesh(mesh_path.read_text(), "off"), m)
+    ke = KeyMaterial.from_passphrase("alpha", KeyRole.ENCRYPT)
+    c = encrypt_mesh(q, partition(q.n_vertices, q.faces), ke)
+    assert c == read_container_file(enc)
+    assert write_container(c) == enc.read_bytes()
+
+
 def test_one_partition_per_command(workdir, partition_calls):
     mesh_path = workdir / "cow.off"
     report, enc, marked = (workdir / name for name in ("r.json", "e.rdh3d", "m.rdh3d"))
@@ -360,6 +384,21 @@ class TestBadInputsExitTwo:
         assert run("analyze", enc.with_name("cow.off"), "--m", 5, "--n", 1,
                    "--out", report) == 0
         self.embed_with(capsys, enc, report, "--n", 1)
+
+    def test_embed_into_marked_container(self, tmp_path, capsys):
+        mesh_path = tmp_path / "grid.off"
+        write_mesh_file(mesh_path, grid_mesh(40))
+        report, enc = tmp_path / "r.json", tmp_path / "e.rdh3d"
+        marked = tmp_path / "marked.rdh3d"
+        assert run("analyze", mesh_path, "--m", 4, "--out", report) == 0
+        assert run("encrypt", mesh_path, "--m", 4, "--ke-pass", "a", "--out", enc) == 0
+        assert run("embed", enc, "--report", report, "--n", 6, "--kw-pass", "b",
+                   "--out", marked) == 0
+        for n in (2, 6):
+            self.embed_with(capsys, marked, report, "--n", n)
+        assert run("recover", marked, "--ke-pass", "a", "--out", tmp_path / "r.off") == 0
+        got = parse_mesh((tmp_path / "r.off").read_text(), "off")
+        assert got == dequantize(quantize(parse_mesh(mesh_path.read_text(), "off"), 4))
 
     def test_bad_integer_range(self, tmp_path, capsys):
         corpus = tmp_path / "corp"

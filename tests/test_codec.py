@@ -13,6 +13,7 @@ from rdh3d import (
     KeyRole,
     Mesh,
     analyze,
+    choose_n,
     decrypt_mesh,
     dequantize,
     embed,
@@ -26,14 +27,14 @@ from rdh3d import (
 from rdh3d.codec import bits_to_payload, payload_to_bits
 from rdh3d.partition import partition
 
-from conftest import ZeroKey, random_mesh
+from conftest import ZeroKey, grid_mesh, random_mesh
 
 
 def pipeline_parts(mesh, m, ke, kw):
     q = quantize(mesh, m)
     part = partition(mesh.n_vertices, mesh.faces)
     rep = analyze(q, part)
-    enc = encrypt_mesh(q, ke)
+    enc = encrypt_mesh(q, part, ke)
     return q, part, rep, enc
 
 
@@ -45,21 +46,21 @@ class TestEmbed:
     def test_n_zero_rejected(self, tetra_mesh, ke, kw):
         q, part, rep, enc = pipeline_parts(tetra_mesh, 4, ke, kw)
         with pytest.raises(ConfigError):
-            embed(enc, part, rep, 0, rand_bits(0), kw)
+            embed(enc, rep, 0, rand_bits(0), kw)
 
     def test_n_above_l_rejected(self, tetra_mesh, ke, kw):
         q, part, rep, enc = pipeline_parts(tetra_mesh, 4, ke, kw)
         with pytest.raises(ConfigError):
-            embed(enc, part, rep, q.l + 1, rand_bits(0), kw)
+            embed(enc, rep, q.l + 1, rand_bits(0), kw)
 
     def test_single_vertex_capacity_is_three_bits(self, tetra_mesh, ke, kw):
         # tetrahedron: |C| = 1, so n=1 embeds exactly 3 bits
         q, part, rep, enc = pipeline_parts(tetra_mesh, 4, ke, kw)
         assert rep.capacity(1) == 3
-        c = embed(enc, part, rep, 1, rand_bits(3), kw)
+        c = embed(enc, rep, 1, rand_bits(3), kw)
         assert c.payload_bits == 3
         with pytest.raises(CapacityError) as err:
-            embed(enc, part, rep, 1, rand_bits(4), kw)
+            embed(enc, rep, 1, rand_bits(4), kw)
         assert err.value.capacity_bits == 3
 
     def test_msb_substitution_worked_example(self, tetra_mesh, kw):
@@ -69,7 +70,7 @@ class TestEmbed:
 
         q = quantize(tetra_mesh, 4)
         part = partition(tetra_mesh.n_vertices, tetra_mesh.faces)
-        enc = q.copy()
+        enc = encrypt_mesh(q, part, ZeroKey())
         enc.magnitudes[0] = [0x0B48, 0x0B48, 0x0B48]
         rep = PredictionReport(
             ts=np.array([16]),
@@ -78,7 +79,7 @@ class TestEmbed:
         )
         assert int(part.embedded[0]) == 1 and rep.capacity(4) == 12
         payload = np.array([1, 0, 1, 0] * 3, dtype=np.uint8)
-        marked = embed(enc, part, rep, 4, payload, ZeroKey(KeyRole.HIDE))
+        marked = embed(enc, rep, 4, payload, ZeroKey(KeyRole.HIDE))
         assert [hex(int(w)) for w in marked.magnitudes[0]] == ["0xab48"] * 3
         assert int(marked.magnitudes[0, 0]) == (0xA << 12) | (0x0B48 % 2**12)
 
@@ -89,7 +90,7 @@ class TestEmbed:
         if n < 1:
             pytest.skip("no embeddable vertex in this mesh")
         cap = rep.capacity(n)
-        marked = embed(enc, part, rep, n, rand_bits(cap), kw)
+        marked = embed(enc, rep, n, rand_bits(cap), kw)
         low = (1 << (q.l - n)) - 1
         included = (part.embedded - 1)[~rep.excluded_mask(n)]
         assert np.array_equal(
@@ -101,7 +102,7 @@ class TestEmbed:
         mesh = random_mesh(14, n_max=80)
         q, part, rep, enc = pipeline_parts(mesh, 5, ke, kw)
         n = 2
-        marked = embed(enc, part, rep, n, rand_bits(min(6, rep.capacity(n))), kw)
+        marked = embed(enc, rep, n, rand_bits(min(6, rep.capacity(n))), kw)
         ref0 = part.reference - 1
         una0 = part.unassigned - 1
         for idx in (ref0, una0):
@@ -113,24 +114,61 @@ class TestEmbed:
         if n < 1:
             pytest.skip("tetrahedron vertex not embeddable at this m")
         short = rand_bits(2)
-        c = embed(enc, part, rep, n, short, kw)
+        c = embed(enc, rep, n, short, kw)
         assert c.payload_bits == 2
         got = extract(c, kw)
         assert np.array_equal(got, short)
         # slots past the payload carry pure keystream
-        full = embed(enc, part, rep, n, np.empty(0, dtype=np.uint8), kw)
+        full = embed(enc, rep, n, np.empty(0, dtype=np.uint8), kw)
         assert full.payload_bits == 0
 
     def test_mismatched_report_rejected(self, tetra_mesh, ke, kw):
         q, part, rep, enc = pipeline_parts(tetra_mesh, 4, ke, kw)
         q5 = quantize(tetra_mesh, 5)
         with pytest.raises(ConfigError):
-            embed(encrypt_mesh(q5, ke), part, rep, 1, rand_bits(0), kw)
+            embed(encrypt_mesh(q5, part, ke), rep, 1, rand_bits(0), kw)
 
     def test_role_check(self, tetra_mesh, ke, kw):
         q, part, rep, enc = pipeline_parts(tetra_mesh, 4, ke, kw)
         with pytest.raises(ConfigError, match="role"):
-            embed(enc, part, rep, 1, rand_bits(3), ke)
+            embed(enc, rep, 1, rand_bits(3), ke)
+
+    def test_marked_container_rejected(self, ke, kw):
+        # a second payload at another n would overwrite slots of the
+        # first and make recovery inexact; the same n is refused too
+        q, part, rep, enc = pipeline_parts(grid_mesh(40), 4, ke, kw)
+        marked = embed(enc, rep, 6, rand_bits(rep.capacity(6)), kw)
+        assert marked.capacity_bits() > 0
+        for n in (2, 6):
+            with pytest.raises(ConfigError, match="already carries a payload"):
+                embed(marked, rep, n, rand_bits(rep.capacity(n)), kw)
+        assert recover(marked, ke) == q
+
+    def test_container_without_written_slots_accepted(self, ke, kw):
+        # every embedded vertex excluded: no slot was written, so the
+        # container is as good as the owner's
+        q, part, rep, enc = pipeline_parts(grid_mesh(12), 4, ke, kw)
+        n_none = int(rep.ts.max()) + 1
+        blank = read_container(write_container(embed(enc, rep, n_none, rand_bits(0), kw)))
+        assert (blank.excluded == 1).all() and blank.n == n_none
+        n = choose_n(rep)
+        payload = rand_bits(rep.capacity(n), 1)
+        c = embed(blank, rep, n, payload, kw)
+        assert c == embed(enc, rep, n, payload, kw)
+        assert np.array_equal(extract(c, kw), payload)
+        assert recover(c, ke) == q
+
+    @pytest.mark.parametrize("bad", [[0, 1, 2], [1, -1], [0.5], [256]],
+                             ids=["two", "minus one", "half", "256"])
+    def test_non_bit_payload_rejected(self, tetra_mesh, ke, kw, bad):
+        q, part, rep, enc = pipeline_parts(tetra_mesh, 4, ke, kw)
+        with pytest.raises(ConfigError, match="0 or 1"):
+            embed(enc, rep, 1, np.array(bad), kw)
+
+    def test_bool_payload_same_as_bits(self, tetra_mesh, ke, kw):
+        q, part, rep, enc = pipeline_parts(tetra_mesh, 4, ke, kw)
+        bits = np.array([1, 0, 1], dtype=np.uint8)
+        assert embed(enc, rep, 1, bits.astype(bool), kw) == embed(enc, rep, 1, bits, kw)
 
 
 class TestExtract:
@@ -141,7 +179,7 @@ class TestExtract:
         for n in range(1, q.l + 1):
             cap = rep.capacity(n)
             payload = rand_bits(cap, seed=seed + n)
-            c = embed(enc, part, rep, n, payload, kw)
+            c = embed(enc, rep, n, payload, kw)
             assert np.array_equal(extract(c, kw), payload)
 
     def test_no_decryption_needed(self, tetra_mesh, ke, kw):
@@ -149,16 +187,16 @@ class TestExtract:
         q, part, rep, enc = pipeline_parts(tetra_mesh, 4, ke, kw)
         n = max(1, int(rep.ts[0]))
         payload = rand_bits(rep.capacity(n), seed=5)
-        data = write_container(embed(enc, part, rep, n, payload, kw))
+        data = write_container(embed(enc, rep, n, payload, kw))
         assert np.array_equal(extract(read_container(data), kw), payload)
 
     def test_three_bit_hand_trace(self, tetra_mesh, kw):
         # n=1 with zero hiding stream: extracted bit k is
         # floor(word / 2^(l-1)) mod 2 of each marked axis word
-        q, part, rep, _ = pipeline_parts(tetra_mesh, 4, ZeroKey(), kw)
+        q, part, rep, enc = pipeline_parts(tetra_mesh, 4, ZeroKey(), kw)
         zero_kw = ZeroKey(KeyRole.HIDE)
         payload = np.array([1, 0, 1], dtype=np.uint8)
-        c = embed(q.copy(), part, rep, 1, payload, zero_kw)
+        c = embed(enc, rep, 1, payload, zero_kw)
         v = c.magnitudes[int(part.embedded[0]) - 1]
         hand = [(int(w) >> (q.l - 1)) & 1 for w in v]
         assert hand == [1, 0, 1]
@@ -166,13 +204,13 @@ class TestExtract:
 
     def test_wrong_role(self, tetra_mesh, ke, kw):
         q, part, rep, enc = pipeline_parts(tetra_mesh, 4, ke, kw)
-        c = embed(enc, part, rep, 1, rand_bits(3), kw)
+        c = embed(enc, rep, 1, rand_bits(3), kw)
         with pytest.raises(ConfigError, match="role"):
             extract(c, ke)
 
     def test_corrupt_excluded_bitmap_detected(self, tetra_mesh, ke, kw):
         q, part, rep, enc = pipeline_parts(tetra_mesh, 4, ke, kw)
-        c = embed(enc, part, rep, 1, rand_bits(3), kw)
+        c = embed(enc, rep, 1, rand_bits(3), kw)
         c.excluded = np.zeros(5, dtype=np.uint8)  # wrong size for |C|=1
         with pytest.raises(ContainerError):
             extract(c, kw)
@@ -186,12 +224,12 @@ class TestExtract:
         assert other_part.n_embedded == part.n_embedded
         assert other_rep.embedded.tolist() != rep.embedded.tolist()
         with pytest.raises(ConfigError, match="another mesh"):
-            embed(enc, part, other_rep, 1, rand_bits(0), kw)
+            embed(enc, other_rep, 1, rand_bits(0), kw)
 
     def test_partition_handed_on_and_ignored_by_eq(self, ke, kw):
         mesh = random_mesh(21, n_max=60, smooth=True)
         q, part, rep, enc = pipeline_parts(mesh, 4, ke, kw)
-        c = embed(enc, part, rep, 1, rand_bits(rep.capacity(1)), kw)
+        c = embed(enc, rep, 1, rand_bits(rep.capacity(1)), kw)
         assert c.partition is part
         bare = replace(c, partition=None)
         assert bare == c
@@ -209,7 +247,7 @@ class TestRecover:
         m = 2 + seed % 8
         q, part, rep, enc = pipeline_parts(mesh, m, ke, kw)
         n = max(1, int(rep.ts.max())) if rep.ts.size else 1
-        c = embed(enc, part, rep, n, rand_bits(rep.capacity(n), seed), kw)
+        c = embed(enc, rep, n, rand_bits(rep.capacity(n), seed), kw)
         rec = recover(c, ke)
         assert rec == q
         err = np.abs(dequantize(rec).vertices - mesh.vertices).max()
@@ -217,7 +255,7 @@ class TestRecover:
 
     def test_corrupt_excluded_bitmap_detected(self, tetra_mesh, ke, kw):
         q, part, rep, enc = pipeline_parts(tetra_mesh, 4, ke, kw)
-        c = embed(enc, part, rep, 1, rand_bits(3), kw)
+        c = embed(enc, rep, 1, rand_bits(3), kw)
         c.excluded = np.zeros(5, dtype=np.uint8)  # wrong size for |C|=1
         with pytest.raises(ContainerError):
             recover(c, ke)
@@ -228,19 +266,17 @@ class TestRecover:
         n = int(rep.ts.max()) + 1 if rep.ts.size else 1
         if n > q.l:
             pytest.skip("every vertex predicts perfectly; cannot exclude all")
-        c = embed(enc, part, rep, n, np.empty(0, dtype=np.uint8), kw)
+        c = embed(enc, rep, n, np.empty(0, dtype=np.uint8), kw)
         assert (c.excluded == 1).all()
         rec = recover(c, ke)
-        assert rec == decrypt_mesh(
-            type(q)(c.magnitudes, c.signs, c.m, c.l, c.faces), ke
-        )
+        assert rec == decrypt_mesh(c, ke)
         assert rec == q
 
     def test_marked_r_vertices_decrypt_exactly(self, ke, kw):
         mesh = random_mesh(7, n_max=60, smooth=True)
         q, part, rep, enc = pipeline_parts(mesh, 4, ke, kw)
         n = max(1, int(rep.ts.max()))
-        c = embed(enc, part, rep, n, rand_bits(rep.capacity(n), 3), kw)
+        c = embed(enc, rep, n, rand_bits(rep.capacity(n), 3), kw)
         # R-vertex words in the marked container differ from the purely
         # encrypted mesh in zero bits
         ref0 = part.reference - 1
@@ -253,12 +289,12 @@ class TestRecover:
         # recovery must rebuild the overwritten planes by ring majority
         zero_ke = ZeroKey(KeyRole.ENCRYPT)
         zero_kw = ZeroKey(KeyRole.HIDE)
-        q, part, rep, _ = pipeline_parts(tetra_mesh, 4, zero_ke, zero_kw)
+        q, part, rep, enc = pipeline_parts(tetra_mesh, 4, zero_ke, zero_kw)
         n = int(rep.ts[0])
         if n < 1:
             pytest.skip("tetrahedron vertex not embeddable at this m")
         payload = rand_bits(rep.capacity(n), 9)
-        c = embed(q.copy(), part, rep, n, payload, zero_kw)
+        c = embed(enc, rep, n, payload, zero_kw)
         rec = recover(c, zero_ke)
         # by hand: every prediction plane k <= t of vertex 1 is the
         # majority bit of words of vertices 2, 3, 4
@@ -274,7 +310,7 @@ class TestRecover:
 
     def test_wrong_role(self, tetra_mesh, ke, kw):
         q, part, rep, enc = pipeline_parts(tetra_mesh, 4, ke, kw)
-        c = embed(enc, part, rep, 1, rand_bits(3), kw)
+        c = embed(enc, rep, 1, rand_bits(3), kw)
         with pytest.raises(ConfigError, match="role"):
             recover(c, kw)
 
@@ -285,7 +321,7 @@ class TestSeparability:
         q, part, rep, enc = pipeline_parts(mesh, 4, ke, kw)
         n = max(1, int(rep.ts.max()))
         payload = rand_bits(rep.capacity(n), 2)
-        data = write_container(embed(enc, part, rep, n, payload, kw))
+        data = write_container(embed(enc, rep, n, payload, kw))
         # case 1: Kw alone extracts
         assert np.array_equal(extract(read_container(data), kw), payload)
         # case 2: Ke alone recovers
@@ -297,7 +333,7 @@ class TestSeparability:
         n = max(1, int(rep.ts.max()))
         payload = rand_bits(max(128, rep.capacity(n) // 2), 4)[: rep.capacity(n)]
         assert payload.size >= 128
-        c = embed(enc, part, rep, n, payload, kw)
+        c = embed(enc, rep, n, payload, kw)
 
         # hiding key used as encryption key: garbage mesh
         kw_as_ke = KeyMaterial(kw.key_bytes, KeyRole.ENCRYPT)

@@ -70,7 +70,7 @@ class TestHausdorff:
         rep = analyze(q, part)
         n = choose_n(rep)
         payload = np.random.default_rng(0).integers(0, 2, rep.capacity(n)).astype(np.uint8)
-        c = embed(encrypt_mesh(q, ke), part, rep, n, payload, kw)
+        c = embed(encrypt_mesh(q, part, ke), rep, n, payload, kw)
         rec = recover(c, ke)
         assert rec == q
         # integer level: exactly zero

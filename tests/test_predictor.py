@@ -152,7 +152,7 @@ class TestAnalyze:
         q = quantize(mesh, 4)
         part = partition(mesh.n_vertices, mesh.faces)
         before = analyze(q, part)
-        encrypt_mesh(q, ke)  # must not mutate q
+        encrypt_mesh(q, part, ke)  # must not mutate q
         after = analyze(q, part)
         assert np.array_equal(before.ts, after.ts)
         assert np.array_equal(before.capacity_curve, after.capacity_curve)
