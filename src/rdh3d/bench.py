@@ -150,8 +150,10 @@ def bench_corpus(corpus_dir, m_values, n_values, ke_pass: str, kw_pass: str,
         _bench_one_file, m_values=m_values, n_values=n_values,
         ke_pass=ke_pass, kw_pass=kw_pass, hausdorff_method=hausdorff_method,
     )
-    if jobs > 1 and len(paths) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(paths))
+    if workers > 1:
+        # fork starts every worker up front, so never ask for more than files
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(bench_file, paths))
     else:
         results = map(bench_file, paths)

@@ -164,6 +164,8 @@ def _parse_int_range(text: str) -> list[int]:
 
 
 def cmd_bench(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     m_values = _parse_int_range(args.m)
     n_values: list[int | None]
     if args.n.strip() == "auto":

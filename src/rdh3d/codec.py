@@ -20,8 +20,7 @@ import numpy as np
 from .cipher import KeyMaterial, KeyRole, _require_role, decrypt_mesh
 from .container import MarkedContainer
 from .errors import CapacityError, ConfigError, ContainerError
-from .partition import _gather_ranges
-from .predictor import PredictionReport, _ring_majority
+from .predictor import PredictionReport, predict_words
 from .quantize import QuantizedMesh
 
 
@@ -129,37 +128,27 @@ def extract(c: MarkedContainer, kw: KeyMaterial) -> np.ndarray:
 def recover(c: MarkedContainer, ke: KeyMaterial) -> QuantizedMesh:
     """Decrypt and ring-predict back to the exact original quantized mesh.
 
-    Reference and excluded vertices are exact after decryption alone;
-    each non-excluded embedded vertex gets its n MSBs re-predicted per
-    axis by majority vote over its (fully recovered) reference ring.
+    Reference and excluded vertices are exact after decryption alone.
+    `predictor.predict_words` re-predicts the n MSBs of every embedded
+    vertex from its (fully recovered) reference ring, and those bits are
+    spliced over the included vertices; they are exact wherever the
+    measured prefix length t = l - bit_length(mispredicted planes)
+    reached n.
     """
     _require_role(ke, KeyRole.ENCRYPT, "mesh recovery")
     part = c.checked_partition()
     dec = decrypt_mesh(c, ke)
 
-    inc_pos = np.nonzero(c.excluded == 0)[0]
-    if inc_pos.size == 0:
+    included = c.excluded == 0
+    if not included.any():
         return dec
-
-    targets0 = (part.embedded - 1)[inc_pos]
-    starts = part.ring_offsets[inc_pos]
-    lengths = part.ring_offsets[inc_pos + 1] - starts
-    ring0 = _gather_ranges(part.ring_flat, starts, lengths) - 1
-    offsets = np.zeros(inc_pos.size + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-
     l, n = c.l, c.n
-    words = dec.magnitudes.astype(np.int64)
+    pred = predict_words(dec.magnitudes.astype(np.int64), part, l, n)[included]
+    targets0 = (part.embedded - 1)[included]
     low_mask = np.uint64((1 << (l - n)) - 1)
-    out = dec.magnitudes
-    for axis in range(3):
-        ring_words = words[ring0, axis]
-        pred_val = np.zeros(inc_pos.size, dtype=np.int64)
-        for k in range(1, n + 1):
-            pred_val |= _ring_majority(ring_words, offsets, lengths, l - k) << (n - k)
-        out[targets0, axis] = (out[targets0, axis] & low_mask) | (
-            pred_val.astype(np.uint64) << np.uint64(l - n)
-        )
+    dec.magnitudes[targets0] = (dec.magnitudes[targets0] & low_mask) | (
+        pred.astype(np.uint64) << np.uint64(l - n)
+    )
     return dec
 
 

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContainerError
+from .mesh_io import Mesh
 from .partition import Partition, partition as compute_partition
 from .quantize import M_MAX, M_MIN, WORD_DTYPES, bit_length
 
@@ -223,10 +224,8 @@ def write_container_file(path, c: MarkedContainer):
         fh.write(write_container(c))
 
 
-def container_mesh(c: MarkedContainer):
+def container_mesh(c: MarkedContainer) -> Mesh:
     """Signed integer coordinates as a Mesh, for visual export of the
     encrypted/marked state (coordinates fit float64 exactly)."""
-    from .mesh_io import Mesh
-
     signed = np.where(c.signs == 1, -1.0, 1.0) * c.magnitudes.astype(np.float64)
     return Mesh(signed, c.faces.copy())

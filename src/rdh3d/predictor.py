@@ -1,11 +1,14 @@
-"""Per-bit-plane majority prediction of embedded vertices from their rings.
+"""Multi-MSB prediction of embedded vertices from their rings.
 
 Each bit plane is predicted independently: the bit of an embedded vertex
 at plane u is guessed 0 when at least half of its ring neighbors carry 0
-at plane u (ties go to 0). A vertex's maximum embedding length t is the
-longest MSB-first prefix for which every plane is guessed correctly; the
-same rule (`_ring_majority`) replays at recovery time, which is what
-makes n-MSB substitution reversible for vertices with t >= n.
+at plane u (ties go to 0). `predict_words` applies this rule to every
+plane at once and returns whole predicted words. A vertex's maximum
+embedding length t is the longest MSB-first prefix on which prediction
+and word agree on all three axes, t = l - bit_length(OR over axes of
+(pred XOR word)). The same function replays the rule at recovery time,
+which is what makes n-MSB substitution reversible for vertices with
+t >= n.
 """
 
 from __future__ import annotations
@@ -70,58 +73,53 @@ class PredictionReport:
         return rep
 
 
-def _ring_majority(ring_words: np.ndarray, ring_offsets: np.ndarray,
-                   sizes: np.ndarray, u: int) -> np.ndarray:
-    """The prediction rule: bit u of each ring's majority, 0 on ties.
+def predict_words(words: np.ndarray, part, l: int, n: int) -> np.ndarray:
+    """The prediction rule: the top n bits of each embedded vertex's
+    ring-majority word, as a (K, 3) int64 array in C order.
 
-    Ring i is ring_words[ring_offsets[i]:ring_offsets[i+1]] with sizes[i]
-    members; an empty ring predicts 0.
+    words: (N, 3) int64 magnitudes. Bit u of the majority word is 1 when
+    more than half of the ring carries 1 at plane u (ties and empty
+    rings give 0). The three axes' rings are laid end to end as 3K rings
+    so each plane takes one cumsum; planes at or above the bit length of
+    the largest ring word predict 0 and are skipped.
     """
+    k_count = part.n_embedded
+    ring_words = words[part.ring_flat - 1].T.ravel()
+    shift = np.arange(3, dtype=np.int64)[:, None] * part.ring_flat.size
+    starts = (part.ring_offsets[:-1] + shift).ravel()
+    ends = (part.ring_offsets[1:] + shift).ravel()
+    sizes = ends - starts
+    top = int(ring_words.max()).bit_length() if ring_words.size else 0
+    pred = np.zeros(3 * k_count, dtype=np.int64)
     cs = np.zeros(ring_words.size + 1, dtype=np.int64)
-    np.cumsum((ring_words >> u) & 1, out=cs[1:])
-    ones = cs[ring_offsets[1:]] - cs[ring_offsets[:-1]]
-    return (2 * ones > sizes).astype(np.int64)
-
-
-def prefix_lengths(words: np.ndarray, targets0: np.ndarray, ring_flat0: np.ndarray,
-                   ring_offsets: np.ndarray, l: int) -> np.ndarray:
-    """Prefix length t for one axis over all embedded vertices: the
-    longest t such that planes l-1 .. l-t are all predicted correctly.
-
-    words: (N,) int64 magnitudes; targets0/ring_flat0: 0-based indices.
-    Empty rings yield t = 0.
-    """
-    k_count = targets0.size
-    sizes = np.diff(ring_offsets)
-    target_words = words[targets0]
-    ring_words = words[ring_flat0]
-    t = np.full(k_count, l, dtype=np.int64)
-    undecided = np.ones(k_count, dtype=bool)
-    for k in range(1, l + 1):
-        u = l - k
-        tbit = (target_words >> u) & 1
-        wrong = undecided & (_ring_majority(ring_words, ring_offsets, sizes, u) != tbit)
-        t[wrong] = k - 1
-        undecided &= ~wrong
-        if not undecided.any():
-            break
-    t[sizes == 0] = 0
-    return t
+    for u in range(l - n, min(l, top)):
+        np.cumsum((ring_words >> u) & 1, out=cs[1:])
+        pred |= (2 * (cs[ends] - cs[starts]) > sizes).astype(np.int64) << (u - (l - n))
+    return pred.reshape(3, k_count).T
 
 
 def analyze(q, part) -> PredictionReport:
-    """Per-vertex prefix lengths and the full capacity curve (plaintext side)."""
-    if part.embedded.size and int(part.embedded.max()) > q.n_vertices:
-        raise ValueError("partition does not match quantized mesh (vertex count)")
+    """Per-vertex prefix lengths and the full capacity curve (plaintext side).
+
+    t = l - bit_length of the planes any axis mispredicts; empty rings
+    give t = 0.
+    """
+    n_vertices = q.n_vertices
+    for ids in (part.embedded, part.ring_flat):
+        if ids.size and int(ids.max()) > n_vertices:
+            raise ConfigError(
+                f"partition refers to vertex {int(ids.max())} but the mesh has "
+                f"{n_vertices} vertices; it was made for another mesh"
+            )
     l = q.l
-    cidx = part.embedded - 1
-    rflat = part.ring_flat - 1
     words = q.magnitudes.astype(np.int64)
-    k_count = cidx.size
-    ts = np.full(k_count, l, dtype=np.int64)
-    for axis in range(3):
-        t_axis = prefix_lengths(words[:, axis], cidx, rflat, part.ring_offsets, l)
-        np.minimum(ts, t_axis, out=ts)
+    k_count = part.n_embedded
+    wrong = np.bitwise_or.reduce(
+        predict_words(words, part, l, l) ^ words[part.embedded - 1], axis=1
+    )
+    powers = np.int64(1) << np.arange(l, dtype=np.int64)
+    ts = l - np.searchsorted(powers, wrong, side="right")
+    ts[np.diff(part.ring_offsets) == 0] = 0
 
     hist = np.bincount(ts, minlength=l + 1)
     # count of vertices with t >= n, for n = 1..l

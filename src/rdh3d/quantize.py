@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
+from .mesh_io import Mesh
 
 M_MIN, M_MAX = 2, 9
 
@@ -111,10 +112,8 @@ def quantize(mesh, m: int) -> QuantizedMesh:
     return QuantizedMesh(mags, signs, m, bit_length(m), mesh.faces.copy())
 
 
-def dequantize(q: QuantizedMesh):
+def dequantize(q: QuantizedMesh) -> Mesh:
     """Inverse map: coordinate = (-1)^sign * magnitude / 10^m."""
-    from .mesh_io import Mesh
-
     scale = float(10**q.m)
     coords = q.magnitudes.astype(np.float64) / scale
     coords = np.where(q.signs == 1, -coords, coords)

@@ -108,6 +108,35 @@ def grid_mesh(side: int, scale: float = 0.9) -> Mesh:
     return Mesh(verts, faces)
 
 
+def fan_mesh(spokes: int, radius: float = 1e-3) -> Mesh:
+    """Closed fan: apex 1 (embedded) with a ring of `spokes` members.
+
+    The rim lies on a small circle around the apex, so the high bit
+    planes of the ring agree and prediction reaches deep prefixes.
+    """
+    angle = np.linspace(0.0, 2 * np.pi, spokes, endpoint=False)
+    apex = np.array([0.3, -0.2, 0.1])
+    rim = apex + radius * np.column_stack(
+        [np.cos(angle), np.sin(angle), 0.5 * np.sin(3 * angle)]
+    )
+    rim_ids = np.arange(2, spokes + 2)
+    faces = np.column_stack([np.ones(spokes, dtype=np.int64), rim_ids,
+                             np.roll(rim_ids, -1)])
+    return Mesh(np.vstack([apex, rim]), faces)
+
+
+def empty_ring_mesh(side: int = 8) -> Mesh:
+    """grid_mesh plus two vertices that appear only in degenerate faces
+    [k, k, k]: one such face mid-list and one last, so an embedded
+    vertex part-way through C order and the last one have empty rings."""
+    grid = grid_mesh(side)
+    extra = np.array([[0.25, 0.5, -0.125], [-0.5, 0.375, 0.0625]])
+    mid = grid.faces.shape[0] // 2
+    k = grid.n_vertices
+    faces = np.vstack([grid.faces[:mid], [[k + 1] * 3], grid.faces[mid:], [[k + 2] * 3]])
+    return Mesh(np.vstack([grid.vertices, extra]), faces)
+
+
 def rings_of(part) -> dict[int, np.ndarray]:
     """{embedded vertex: its ring} of a Partition, 1-based ids."""
     off = part.ring_offsets

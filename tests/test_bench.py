@@ -15,6 +15,32 @@ from rdh3d.mesh_io import write_mesh_file
 from conftest import grid_mesh, random_mesh
 
 
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps
+    in this process, so no worker is ever started."""
+
+    def __init__(self, created, max_workers):
+        created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.fixture
+def pools(monkeypatch) -> list:
+    """max_workers of every pool bench_corpus creates during the test."""
+    created = []
+    monkeypatch.setattr("rdh3d.bench.ProcessPoolExecutor",
+                        lambda max_workers: RecordingPool(created, max_workers))
+    return created
+
+
 class TestRunPipeline:
     def test_row_invariants(self):
         mesh = random_mesh(4, n_max=80, smooth=True)
@@ -94,3 +120,22 @@ def test_mean_bpv_by_m():
         BenchRow("c", 10, 5, 5, 3, 70, 7.0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
     ]
     assert mean_bpv_by_m(rows) == {4: 4.0, 5: 7.0}
+
+
+class TestCorpusWorkers:
+    @pytest.fixture
+    def corpus(self, tmp_path):
+        for seed in range(2):
+            write_mesh_file(tmp_path / f"mesh{seed}.off", random_mesh(seed, n_max=30))
+        return tmp_path
+
+    def test_pool_capped_at_file_count(self, corpus, pools):
+        rows, failures = bench_corpus(corpus, [3], [None], "a", "b", jobs=5000)
+        assert pools == [2]
+        assert len(rows) == 2 and not failures
+
+    def test_one_job_or_one_file_runs_inline(self, corpus, pools):
+        bench_corpus(corpus, [3], [None], "a", "b", jobs=1)
+        (corpus / "mesh1.off").unlink()
+        bench_corpus(corpus, [3], [None], "a", "b", jobs=8)
+        assert pools == []

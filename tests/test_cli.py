@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -319,6 +320,52 @@ class TestBenchCommand:
                    "--ke-pass", "a", "--kw-pass", "b", "--out", out) == 0
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, monkeypatch, jobs):
+        def no_pool(max_workers):
+            raise AssertionError("no worker pool may be created")
+
+        monkeypatch.setattr("rdh3d.bench.ProcessPoolExecutor", no_pool)
+        write_mesh_file(tmp_path / "m.off", random_mesh(3, n_max=30))
+        out = tmp_path / "rows.csv"
+        assert run("bench", tmp_path, "--jobs", jobs, "--ke-pass", "a",
+                   "--kw-pass", "b", "--out", out) == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+
+# sha256 of every file of the 120x120 grid round trip at m=4; any change
+# to quantization, partition, prediction, ciphers, container layout or
+# mesh writing shows up here.
+GRID_120_SHA256 = {
+    "rep.json": "f3a9b57074ab26c1799ce0096c413e0a2a402fa191fcb26f11ad0b9f237966d6",
+    "enc.rdh3d": "04fc51ba6148d0230a82a5de0016321f4bb1cfbe8092a5f98bf0c80c8b9e882f",
+    "marked.rdh3d": "d875e3328c50c1af0385b7f64358b007755bdcdfe257c4b828f004d199713da4",
+    "payload.bin": "3b2e7caede9924ebdda6e25ab0d6ac5b5ae5934166a0758e1e7398c2d1e69b2c",
+    "rec.off": "d1fef3cbd6effe28dc7484e8e24f9b804e92fd0daca6645d1b4e70776247653f",
+    "enc.off": "74f344f776b43e8504b7838fe8b48289eacaa837996f8357e82531256ebd7784",
+    "marked.off": "305ad78769cfda3e985c76f4ecdbdc94e8d4d1ea4c2d2842075305f52d521f28",
+}
+
+
+def test_grid_round_trip_bytes_pinned(tmp_path):
+    mesh = tmp_path / "mesh.off"
+    write_mesh_file(mesh, grid_mesh(120))
+    d = tmp_path
+    assert run("analyze", mesh, "--m", 4, "--out", d / "rep.json") == 0
+    assert run("encrypt", mesh, "--m", 4, "--ke-pass", "owner", "--out",
+               d / "enc.rdh3d", "--export-off", d / "enc.off") == 0
+    assert run("embed", d / "enc.rdh3d", "--report", d / "rep.json",
+               "--kw-pass", "hider", "--out", d / "marked.rdh3d",
+               "--export-off", d / "marked.off") == 0
+    assert run("extract", d / "marked.rdh3d", "--kw-pass", "hider",
+               "--out", d / "payload.bin") == 0
+    assert run("recover", d / "marked.rdh3d", "--ke-pass", "owner",
+               "--out", d / "rec.off") == 0
+    digests = {name: hashlib.sha256((d / name).read_bytes()).hexdigest()
+               for name in GRID_120_SHA256}
+    assert digests == GRID_120_SHA256
 
 
 class TestBadInputsExitTwo:

@@ -27,7 +27,7 @@ from rdh3d import (
 from rdh3d.codec import bits_to_payload, payload_to_bits
 from rdh3d.partition import partition
 
-from conftest import ZeroKey, grid_mesh, random_mesh
+from conftest import ZeroKey, empty_ring_mesh, fan_mesh, grid_mesh, random_mesh
 
 
 def pipeline_parts(mesh, m, ke, kw):
@@ -252,6 +252,15 @@ class TestRecover:
         assert rec == q
         err = np.abs(dequantize(rec).vertices - mesh.vertices).max()
         assert err < 10.0**-m
+
+    @pytest.mark.parametrize("mesh", [fan_mesh(300), empty_ring_mesh()],
+                             ids=["300-spoke-fan", "empty-rings"])
+    @pytest.mark.parametrize("m", [2, 6])
+    def test_exact_at_every_n(self, mesh, m, ke, kw):
+        q, part, rep, enc = pipeline_parts(mesh, m, ke, kw)
+        for n in range(1, q.l + 1):
+            c = embed(enc, rep, n, rand_bits(rep.capacity(n), n), kw)
+            assert recover(c, ke) == q
 
     def test_corrupt_excluded_bitmap_detected(self, tetra_mesh, ke, kw):
         q, part, rep, enc = pipeline_parts(tetra_mesh, 4, ke, kw)

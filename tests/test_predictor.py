@@ -14,7 +14,7 @@ from rdh3d.errors import ConfigError
 from rdh3d.partition import partition
 from rdh3d.predictor import PredictionReport
 
-from conftest import random_mesh, rings_of
+from conftest import empty_ring_mesh, fan_mesh, random_mesh, rings_of
 from oracles import (
     brute_analyze,
     brute_choose_n,
@@ -78,6 +78,24 @@ class TestPredictBit:
         assert ring.tolist() == [2, 3, 4, 5, 7, 8]
         ring_words = [int(q.magnitudes[v - 1, 0]) for v in ring]
         assert brute_predict_bit(q.l - 1, ring_words) == 0
+
+    def test_all_zero_ring_runs_no_plane(self):
+        # every ring word is 0, so no plane is counted and the prediction
+        # is 0: t is l minus the bit length of the target, 16 - 3
+        assert one_ring_t(5, [0, 0], 4) == 13
+        assert brute_max_prefix_len(5, [0, 0], 16) == 13
+
+    def test_300_member_ring(self):
+        # one ring of 300 members at a fan apex; ties still go to 0
+        tie = [8192] * 150 + [0] * 150
+        assert one_ring_t(0, tie, 4) == 16
+        assert one_ring_t(8192, tie, 4) == 2
+        ones = [8192] * 151 + [0] * 149
+        assert one_ring_t(8192, ones, 4) == 16
+        assert one_ring_t(0, ones, 4) == 2
+        ring = [int(w) for w in np.random.default_rng(3).integers(4000, 4400, 300)]
+        for target in (4100, 4200, 4300, 8191):
+            assert one_ring_t(target, ring, 4) == brute_max_prefix_len(target, ring, 16)
 
 
 class TestMaxPrefixLen:
@@ -168,6 +186,32 @@ class TestAnalyze:
         ts, curve = brute_analyze(q.magnitudes.tolist(), emb, rings, q.l)
         assert rep.ts.tolist() == ts
         assert rep.capacity_curve.tolist() == curve
+
+    @pytest.mark.parametrize("mesh", [fan_mesh(300), empty_ring_mesh()],
+                             ids=["300-spoke-fan", "empty-rings"])
+    @pytest.mark.parametrize("m", [2, 4, 6, 9])
+    def test_edge_meshes_match_brute_force(self, mesh, m):
+        q = quantize(mesh, m)
+        part = partition(mesh.n_vertices, mesh.faces)
+        emb, _, rings, _ = brute_partition(mesh.n_vertices, mesh.faces)
+        ts, curve = brute_analyze(q.magnitudes.tolist(), emb, rings, q.l)
+        rep = analyze(q, part)
+        assert rep.ts.tolist() == ts
+        assert rep.capacity_curve.tolist() == curve
+
+    def test_partition_of_another_mesh_rejected(self):
+        # embedded vertex 4 does not exist in a 3-vertex mesh
+        q = quantize(Mesh(np.full((3, 3), 0.25), np.array([[1, 2, 3]])), 4)
+        with pytest.raises(ConfigError, match="another mesh"):
+            analyze(q, partition(4, [[4, 1, 2]]))
+
+    def test_partition_with_foreign_ring_ids_rejected(self):
+        # embedded vertices 1 and 2 exist, but their rings name 4, 5, 6
+        q = quantize(Mesh(np.full((3, 3), 0.25), np.array([[1, 2, 3]])), 4)
+        part = partition(6, [[1, 4, 5], [2, 3, 6]])
+        assert int(part.embedded.max()) <= 3 < int(part.ring_flat.max())
+        with pytest.raises(ConfigError, match="another mesh"):
+            analyze(q, part)
 
     def test_json_round_trip(self):
         mesh = random_mesh(4, n_max=40)
