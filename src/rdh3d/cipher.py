@@ -77,16 +77,14 @@ def _require_role(key: KeyMaterial, role: KeyRole, op: str):
 
 
 def stream_words(key: KeyMaterial, n_words: int, l: int) -> np.ndarray:
-    """Keystream as n_words l-bit words (big-endian per word), uint64.
+    """Keystream as n_words l-bit words (big-endian per word), int64.
 
     Word w covers stream bits [w*l, (w+1)*l) MSB-first, which matches
     the per-bit addressing order exactly because l is a whole number of
-    bytes.
+    bytes. l is a word length of WORD_DTYPES.
     """
-    if l not in WORD_DTYPES:
-        raise ConfigError(f"unsupported word length l={l}")
     raw = key.keystream_bytes(n_words * (l // 8))
-    return np.frombuffer(raw, dtype=WORD_DTYPES[l]).astype(np.uint64)
+    return np.frombuffer(raw, dtype=WORD_DTYPES[l]).astype(np.int64)
 
 
 def encrypt_mesh(q: QuantizedMesh, part: Partition, ke: KeyMaterial) -> MarkedContainer:
@@ -96,7 +94,7 @@ def encrypt_mesh(q: QuantizedMesh, part: Partition, ke: KeyMaterial) -> MarkedCo
     _require_role(ke, KeyRole.ENCRYPT, "mesh encryption")
     words = stream_words(ke, 3 * q.n_vertices, q.l).reshape(-1, 3)
     return MarkedContainer(
-        m=q.m, l=q.l, n=1, payload_bits=0, signs=q.signs.copy(),
+        m=q.m, n=1, payload_bits=0, signs=q.signs.copy(),
         excluded=np.ones(part.n_embedded, dtype=np.uint8),
         magnitudes=q.magnitudes ^ words, faces=q.faces.copy(), partition=part,
     )
@@ -107,4 +105,4 @@ def decrypt_mesh(c: MarkedContainer, ke: KeyMaterial) -> QuantizedMesh:
     the payload slots comes back exact."""
     _require_role(ke, KeyRole.ENCRYPT, "mesh decryption")
     words = stream_words(ke, 3 * c.n_vertices, c.l).reshape(-1, 3)
-    return QuantizedMesh(c.magnitudes ^ words, c.signs.copy(), c.m, c.l, c.faces.copy())
+    return QuantizedMesh(c.magnitudes ^ words, c.signs.copy(), c.m, c.faces.copy())

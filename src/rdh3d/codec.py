@@ -36,7 +36,7 @@ def _groups_to_words(bits: np.ndarray, n: int) -> np.ndarray:
 def _words_to_groups(vals: np.ndarray, n: int) -> np.ndarray:
     """(k, 3) integers -> flat bit vector, MSB-first per n-bit group."""
     shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
-    return ((vals.astype(np.int64)[..., None] >> shifts) & 1).astype(np.uint8).ravel()
+    return ((vals[..., None] >> shifts) & 1).astype(np.uint8).ravel()
 
 
 def embed(c: MarkedContainer, rep: PredictionReport, n: int,
@@ -51,7 +51,7 @@ def embed(c: MarkedContainer, rep: PredictionReport, n: int,
     _require_role(kw, KeyRole.HIDE, "payload embedding")
     if not 1 <= n <= c.l:
         raise ConfigError(f"embedding length n={n} outside [1, {c.l}]")
-    if (rep.m, rep.l) != (c.m, c.l):
+    if rep.m != c.m:
         raise ConfigError(
             f"prediction report was made for m={rep.m}, mesh has m={c.m}"
         )
@@ -89,13 +89,12 @@ def embed(c: MarkedContainer, rep: PredictionReport, n: int,
 
     mags = c.magnitudes.copy()
     if included0.size:
-        vals = _groups_to_words(slots, n).astype(np.uint64)
-        low_mask = np.uint64((1 << (c.l - n)) - 1)
-        shift = np.uint64(c.l - n)
-        mags[included0] = (mags[included0] & low_mask) | (vals << shift)
+        vals = _groups_to_words(slots, n)
+        low_mask = (1 << (c.l - n)) - 1
+        mags[included0] = (mags[included0] & low_mask) | (vals << (c.l - n))
 
     return MarkedContainer(
-        m=c.m, l=c.l, n=n, payload_bits=int(payload.size),
+        m=c.m, n=n, payload_bits=int(payload.size),
         signs=c.signs.copy(), excluded=excluded.astype(np.uint8),
         magnitudes=mags, faces=c.faces.copy(), partition=part,
     )
@@ -119,8 +118,7 @@ def extract(c: MarkedContainer, kw: KeyMaterial) -> np.ndarray:
     included0 = (part.embedded - 1)[c.excluded == 0]
     if payload_bits == 0:
         return np.empty(0, dtype=np.uint8)
-    shift = np.uint64(c.l - c.n)
-    vals = c.magnitudes[included0] >> shift
+    vals = c.magnitudes[included0] >> (c.l - c.n)
     bits = _words_to_groups(vals, c.n)[:payload_bits]
     return bits ^ kw.keystream_bits(payload_bits)
 
@@ -143,12 +141,10 @@ def recover(c: MarkedContainer, ke: KeyMaterial) -> QuantizedMesh:
     if not included.any():
         return dec
     l, n = c.l, c.n
-    pred = predict_words(dec.magnitudes.astype(np.int64), part, l, n)[included]
+    pred = predict_words(dec.magnitudes, part, l, n)[included]
     targets0 = (part.embedded - 1)[included]
-    low_mask = np.uint64((1 << (l - n)) - 1)
-    dec.magnitudes[targets0] = (dec.magnitudes[targets0] & low_mask) | (
-        pred.astype(np.uint64) << np.uint64(l - n)
-    )
+    low_mask = (1 << (l - n)) - 1
+    dec.magnitudes[targets0] = (dec.magnitudes[targets0] & low_mask) | (pred << (l - n))
     return dec
 
 

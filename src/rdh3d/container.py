@@ -9,7 +9,7 @@ Layout (all header integers little-endian):
     offset 0   magic "RDH3"
     offset 4   u8  version (1)
     offset 5   u8  m
-    offset 6   u8  l
+    offset 6   u8  l  (= bit_length(m))
     offset 7   u8  n
     offset 8   u32 N  (vertex count)
     offset 12  u32 M  (face count)
@@ -48,12 +48,11 @@ _HEADER = struct.Struct("<4sBBBBIIQ")
 @dataclass
 class MarkedContainer:
     m: int
-    l: int
     n: int
     payload_bits: int
     signs: np.ndarray       # (N, 3) uint8
     excluded: np.ndarray    # (|C|,) uint8, 1 = excluded, C order
-    magnitudes: np.ndarray  # (N, 3) uint64, encrypted (C vertices may carry payload)
+    magnitudes: np.ndarray  # (N, 3) int64 l-bit words, encrypted (C vertices may carry payload)
     faces: np.ndarray       # (M, 3) int64, 1-based
     version: int = field(default=VERSION)
     # Split of `faces` as derived by the reader or the owner; not
@@ -63,8 +62,12 @@ class MarkedContainer:
     def __post_init__(self):
         self.signs = np.asarray(self.signs, dtype=np.uint8).reshape(-1, 3)
         self.excluded = np.asarray(self.excluded, dtype=np.uint8).reshape(-1)
-        self.magnitudes = np.asarray(self.magnitudes, dtype=np.uint64).reshape(-1, 3)
+        self.magnitudes = np.asarray(self.magnitudes, dtype=np.int64).reshape(-1, 3)
         self.faces = np.asarray(self.faces, dtype=np.int64).reshape(-1, 3)
+
+    @property
+    def l(self) -> int:
+        return bit_length(self.m)
 
     @property
     def n_vertices(self) -> int:
@@ -95,8 +98,8 @@ class MarkedContainer:
         if not isinstance(other, MarkedContainer):
             return NotImplemented
         return (
-            (self.m, self.l, self.n, self.payload_bits, self.version)
-            == (other.m, other.l, other.n, other.payload_bits, other.version)
+            (self.m, self.n, self.payload_bits, self.version)
+            == (other.m, other.n, other.payload_bits, other.version)
             and np.array_equal(self.signs, other.signs)
             and np.array_equal(self.excluded, other.excluded)
             and np.array_equal(self.magnitudes, other.magnitudes)
@@ -116,24 +119,31 @@ def _unpack_bitmap(raw: bytes, n_bits: int, what: str) -> np.ndarray:
     return bits[:n_bits]
 
 
+def _word_length(m: int, n: int) -> int:
+    """The word length l of a container with precision m and embedding
+    length n; raises ContainerError unless m and n are in range."""
+    if not M_MIN <= m <= M_MAX:
+        raise ContainerError(f"precision m={m} outside [{M_MIN}, {M_MAX}]")
+    l = bit_length(m)
+    if not 1 <= n <= l:
+        raise ContainerError(f"embedding length n={n} outside [1, {l}]")
+    return l
+
+
 def write_container(c: MarkedContainer) -> bytes:
     """Serialize; the result re-reads to an equal MarkedContainer byte-exactly."""
-    if not M_MIN <= c.m <= M_MAX:
-        raise ContainerError(f"precision m={c.m} outside [{M_MIN}, {M_MAX}]")
-    if c.l not in WORD_DTYPES:
-        raise ContainerError(f"unsupported word length l={c.l}")
-    if not 1 <= c.n <= c.l:
-        raise ContainerError(f"embedding length n={c.n} outside [1, {c.l}]")
-    if c.magnitudes.size and int(c.magnitudes.max()) >> c.l:
+    l = _word_length(c.m, c.n)
+    mags = c.magnitudes
+    if mags.size and (mags.min() < 0 or int(mags.max()) >> l):
         raise ContainerError("magnitude does not fit the declared word length")
     header = _HEADER.pack(
-        MAGIC, c.version, c.m, c.l, c.n, c.n_vertices, c.n_faces, c.payload_bits
+        MAGIC, c.version, c.m, l, c.n, c.n_vertices, c.n_faces, c.payload_bits
     )
     parts = [
         header,
         _pack_bitmap(c.signs) if c.signs.size else b"",
         _pack_bitmap(c.excluded) if c.excluded.size else b"",
-        c.magnitudes.astype(WORD_DTYPES[c.l]).tobytes(),
+        mags.astype(WORD_DTYPES[l]).tobytes(),
         c.faces.astype("<u4").tobytes(),
     ]
     return b"".join(parts)
@@ -150,14 +160,8 @@ def read_container(data: bytes) -> MarkedContainer:
         raise ContainerError(f"bad magic {magic!r}, expected {MAGIC!r}")
     if version != VERSION:
         raise ContainerError(f"unsupported container version {version}")
-    if l not in WORD_DTYPES:
-        raise ContainerError(f"unsupported word length l={l}")
-    if not M_MIN <= m <= M_MAX:
-        raise ContainerError(f"precision m={m} outside [{M_MIN}, {M_MAX}]")
-    if l != bit_length(m):
+    if l != _word_length(m, n):
         raise ContainerError(f"word length l={l} inconsistent with m={m}")
-    if not 1 <= n <= l:
-        raise ContainerError(f"embedding length n={n} outside [1, {l}]")
 
     sign_bytes = (3 * n_verts + 7) // 8
     mag_bytes = 3 * n_verts * (l // 8)
@@ -185,11 +189,6 @@ def read_container(data: bytes) -> MarkedContainer:
     if faces.size and (faces.min() < 1 or faces.max() > n_verts):
         raise ContainerError("face index out of range (corrupt face table)")
 
-    magnitudes = (
-        np.frombuffer(mag_raw, dtype=WORD_DTYPES[l]).astype(np.uint64).reshape(-1, 3)
-        if mag_bytes
-        else np.empty((0, 3), dtype=np.uint64)
-    )
     signs = _unpack_bitmap(sign_raw, 3 * n_verts, "sign").reshape(-1, 3)
 
     part = compute_partition(n_verts, faces)
@@ -208,9 +207,9 @@ def read_container(data: bytes) -> MarkedContainer:
         )
 
     return MarkedContainer(
-        m=m, l=l, n=n, payload_bits=payload_bits, signs=signs,
-        excluded=excluded, magnitudes=magnitudes, faces=faces, version=version,
-        partition=part,
+        m=m, n=n, payload_bits=payload_bits, signs=signs,
+        excluded=excluded, magnitudes=np.frombuffer(mag_raw, dtype=WORD_DTYPES[l]),
+        faces=faces, version=version, partition=part,
     )
 
 

@@ -244,7 +244,7 @@ def _bulk_body(raw_lines, start, elements):
     counts = dict(elements)
     n_verts, n_faces = counts["vertex"], counts.get("face", 0)
     split, end = start + n_verts, start + n_verts + n_faces
-    if min(n_verts, n_faces) < 0 or end > len(raw_lines):
+    if end > len(raw_lines):
         return None
     if any(line.strip() for line in raw_lines[end:]):
         return None
@@ -278,6 +278,8 @@ def _parse_off(text: str) -> Mesh:
         n_verts, n_faces, _n_edges = (int(p) for p in parts)
     except ValueError:
         raise MalformedHeaderError(f"non-integer counts: {counts!r}", lineno) from None
+    if min(n_verts, n_faces) < 0:
+        raise MalformedHeaderError(f"negative counts: {counts!r}", lineno)
     elements = [("vertex", n_verts), ("face", n_faces)]
     mesh = _bulk_body(raw_lines, lineno, elements)
     return _read_body(lines, elements) if mesh is None else mesh
@@ -372,11 +374,15 @@ def _parse_ply(text: str) -> Mesh:
                 raise MalformedHeaderError(
                     f"unsupported element {name!r}: only vertex and face", lineno
                 )
+            if count < 0:
+                raise MalformedHeaderError(f"negative element count {count}", lineno)
+            if name in dict(elements):
+                raise MalformedHeaderError(f"repeated element {name!r}", lineno)
             elements.append((name, count))
             current = name
         elif keyword == "property":
             if current == "vertex":
-                if tokens[1] == "list":
+                if tokens[1:2] == ["list"]:
                     raise MalformedHeaderError("list property on vertex element", lineno)
                 if len(tokens) != 3 or tokens[1] not in _PLY_FLOAT_TYPES:
                     raise MalformedHeaderError(
@@ -384,7 +390,7 @@ def _parse_ply(text: str) -> Mesh:
                     )
                 vertex_props.append(tokens[2])
             elif current == "face":
-                if tokens[1] != "list" or tokens[-1] not in ("vertex_index", "vertex_indices"):
+                if tokens[1:2] != ["list"] or tokens[-1] not in ("vertex_index", "vertex_indices"):
                     raise MalformedHeaderError(
                         f"unsupported face property {line!r}", lineno
                     )

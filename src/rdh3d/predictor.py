@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .quantize import bit_length
 
 
 @dataclass
@@ -32,8 +33,11 @@ class PredictionReport:
     ts: np.ndarray              # (K,) int64
     capacity_curve: np.ndarray  # (l,) int64
     m: int
-    l: int
     embedded: np.ndarray        # 1-based vertex ids, C order (context copy)
+
+    @property
+    def l(self) -> int:
+        return bit_length(self.m)
 
     def excluded_mask(self, n: int) -> np.ndarray:
         """Boolean mask over C order: True = prediction fails before n."""
@@ -60,9 +64,12 @@ class PredictionReport:
             ts=np.asarray(d["max_prefix_lengths"], dtype=np.int64),
             capacity_curve=np.asarray(d["capacity_curve"], dtype=np.int64),
             m=int(d["m"]),
-            l=int(d["l"]),
             embedded=np.asarray(d["embedded"], dtype=np.int64),
         )
+        if int(d["l"]) != rep.l:
+            raise ConfigError(
+                f"malformed prediction report: l={d['l']} contradicts m={rep.m}"
+            )
         if not (rep.ts.ndim == rep.embedded.ndim == rep.capacity_curve.ndim == 1
                 and rep.ts.size == rep.embedded.size
                 and rep.capacity_curve.size == rep.l):
@@ -112,7 +119,7 @@ def analyze(q, part) -> PredictionReport:
                 f"{n_vertices} vertices; it was made for another mesh"
             )
     l = q.l
-    words = q.magnitudes.astype(np.int64)
+    words = q.magnitudes
     k_count = part.n_embedded
     wrong = np.bitwise_or.reduce(
         predict_words(words, part, l, l) ^ words[part.embedded - 1], axis=1
@@ -127,7 +134,7 @@ def analyze(q, part) -> PredictionReport:
     ns = np.arange(1, l + 1, dtype=np.int64)
     curve = 3 * ns * ge
     return PredictionReport(
-        ts=ts, capacity_curve=curve, m=q.m, l=l, embedded=part.embedded.copy()
+        ts=ts, capacity_curve=curve, m=q.m, embedded=part.embedded.copy()
     )
 
 

@@ -1,9 +1,10 @@
 """Fixed-point integer mapping of mesh coordinates.
 
-Coordinates (all |v| < 1) are mapped to sign-magnitude form: an l-bit
-nonnegative magnitude floor(|v| * 10^m) plus a separate sign bit. Only
-the magnitude words take part in encryption and embedding; sign bits
-travel in the clear in the container header.
+Coordinates (all |v| < 1) are mapped to sign-magnitude form: a
+nonnegative magnitude word floor(|v| * 10^m), an int64 of l = bit_length(m)
+significant bits, plus a separate sign bit. Only the magnitude words take
+part in encryption and embedding; sign bits travel in the clear in the
+container header.
 """
 
 from __future__ import annotations
@@ -17,54 +18,49 @@ from .mesh_io import Mesh
 
 M_MIN, M_MAX = 2, 9
 
-# Big-endian numpy dtype of one magnitude word, by word length l.
-WORD_DTYPES = {8: ">u1", 16: ">u2", 32: ">u4", 64: ">u8"}
+# Big-endian byte form of one magnitude word, by word length l.
+WORD_DTYPES = {8: ">u1", 16: ">u2", 32: ">u4"}
+
+
+def bit_length(m: int) -> int:
+    """Word length l at precision m: the narrowest width in WORD_DTYPES
+    that holds 10^m - 1. Defined for m in [1, 9]."""
+    for l in WORD_DTYPES:
+        # m <= l keeps 10**m small for any int m (m may come from JSON)
+        if 1 <= m <= l and 10**m <= 1 << l:
+            return l
+    raise ConfigError(f"precision m={m} outside supported range [1, 9]")
 
 
 @dataclass
 class QuantizedMesh:
-    magnitudes: np.ndarray  # (N, 3) uint64, each < 10^m and < 2^l
+    magnitudes: np.ndarray  # (N, 3) int64, each < 10^m
     signs: np.ndarray       # (N, 3) uint8, 1 = negative
     m: int
-    l: int
     faces: np.ndarray       # (M, 3) int64, 1-based, copied from the source Mesh
 
     def __post_init__(self):
-        self.magnitudes = np.asarray(self.magnitudes, dtype=np.uint64).reshape(-1, 3)
+        self.magnitudes = np.asarray(self.magnitudes, dtype=np.int64).reshape(-1, 3)
         self.signs = np.asarray(self.signs, dtype=np.uint8).reshape(-1, 3)
         self.faces = np.asarray(self.faces, dtype=np.int64).reshape(-1, 3)
 
     @property
+    def l(self) -> int:
+        return bit_length(self.m)
+
+    @property
     def n_vertices(self) -> int:
         return self.magnitudes.shape[0]
-
-    def signed_ints(self) -> np.ndarray:
-        """Signed integer coordinates, e.g. -2020 for magnitude 2020 / sign 1."""
-        return np.where(self.signs == 1, -1, 1) * self.magnitudes.astype(np.int64)
 
     def __eq__(self, other):
         if not isinstance(other, QuantizedMesh):
             return NotImplemented
         return (
             self.m == other.m
-            and self.l == other.l
             and np.array_equal(self.magnitudes, other.magnitudes)
             and np.array_equal(self.signs, other.signs)
             and np.array_equal(self.faces, other.faces)
         )
-
-
-def bit_length(m: int) -> int:
-    """Storage width in bits for magnitudes at precision m."""
-    if not 1 <= m <= 33:
-        raise ConfigError(f"precision m={m} outside supported range [1, 33]")
-    if m <= 2:
-        return 8
-    if m <= 4:
-        return 16
-    if m <= 9:
-        return 32
-    return 64
 
 
 def _exact_floor_scaled(values: np.ndarray, m: int) -> np.ndarray:
@@ -88,7 +84,7 @@ def _exact_floor_scaled(values: np.ndarray, m: int) -> np.ndarray:
     e = (v_hi * scale - p) + v_lo * scale
     floor = np.floor(p)
     floor -= (floor == p) & (e < 0)
-    return floor.astype(np.uint64)
+    return floor.astype(np.int64)
 
 
 def quantize(mesh, m: int) -> QuantizedMesh:
@@ -109,7 +105,7 @@ def quantize(mesh, m: int) -> QuantizedMesh:
     flat = np.abs(verts).ravel()
     mags = _exact_floor_scaled(flat, m).reshape(verts.shape)
     signs = (verts < 0).astype(np.uint8)
-    return QuantizedMesh(mags, signs, m, bit_length(m), mesh.faces.copy())
+    return QuantizedMesh(mags, signs, m, mesh.faces.copy())
 
 
 def dequantize(q: QuantizedMesh) -> Mesh:

@@ -137,6 +137,12 @@ def empty_ring_mesh(side: int = 8) -> Mesh:
     return Mesh(np.vstack([grid.vertices, extra]), faces)
 
 
+def signed_ints(q) -> np.ndarray:
+    """Signed integer coordinates of a QuantizedMesh, e.g. -2020 for
+    magnitude 2020 / sign 1."""
+    return np.where(q.signs == 1, -1, 1) * q.magnitudes
+
+
 def rings_of(part) -> dict[int, np.ndarray]:
     """{embedded vertex: its ring} of a Partition, 1-based ids."""
     off = part.ring_offsets

@@ -40,7 +40,7 @@ from rdh3d import (
 from rdh3d.errors import ContainerError
 from rdh3d.partition import partition
 
-from conftest import grid_mesh, random_mesh
+from conftest import grid_mesh, random_mesh, signed_ints
 from oracles import brute_analyze, brute_choose_n, brute_partition
 
 KE = KeyMaterial.from_passphrase("acceptance-ke", KeyRole.ENCRYPT)
@@ -258,7 +258,7 @@ def test_criterion_7_dense_mesh_performance():
     rec = recover(c, KE)
     elapsed = time.perf_counter() - t0
     extraction_clean = np.array_equal(got, payload)
-    integer_h = hausdorff(rec.signed_ints(), q.signed_ints(), method="kdtree")
+    integer_h = hausdorff(signed_ints(rec), signed_ints(q), method="kdtree")
     report(
         7,
         f"{mesh.n_vertices}-vertex mesh, n={n}, {payload.size} payload bits: "

@@ -176,6 +176,13 @@ class TestExitCodes:
         bad.write_text("not a mesh\n")
         assert run("analyze", bad, "--m", 4) == 3
 
+    def test_bare_ply_property_line(self, workdir, capsys):
+        bad = workdir / "bad.ply"
+        bad.write_text("ply\nformat ascii 1.0\nelement vertex 1\nproperty\n"
+                       "end_header\n0 0 0\n")
+        assert run("analyze", bad, "--m", 4) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_domain_error(self, workdir):
         big = workdir / "big.off"
         big.write_text("OFF\n1 0 0\n1.5 0 0\n")
@@ -423,6 +430,13 @@ class TestBadInputsExitTwo:
         enc, report = owner_files
         doc = json.loads(report.read_text())
         doc[key] = [doc[key]]
+        report.write_text(json.dumps(doc))
+        self.embed_with(capsys, enc, report)
+
+    def test_report_l_contradicts_m(self, owner_files, capsys):
+        enc, report = owner_files
+        doc = json.loads(report.read_text())
+        doc["l"] = 32  # m=4 gives l=16
         report.write_text(json.dumps(doc))
         self.embed_with(capsys, enc, report)
 

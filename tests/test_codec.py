@@ -75,7 +75,7 @@ class TestEmbed:
         rep = PredictionReport(
             ts=np.array([16]),
             capacity_curve=np.array([3 * n for n in range(1, 17)]),
-            m=4, l=16, embedded=part.embedded.copy(),
+            m=4, embedded=part.embedded.copy(),
         )
         assert int(part.embedded[0]) == 1 and rep.capacity(4) == 12
         payload = np.array([1, 0, 1, 0] * 3, dtype=np.uint8)
@@ -94,8 +94,8 @@ class TestEmbed:
         low = (1 << (q.l - n)) - 1
         included = (part.embedded - 1)[~rep.excluded_mask(n)]
         assert np.array_equal(
-            marked.magnitudes[included] & np.uint64(low),
-            enc.magnitudes[included] & np.uint64(low),
+            marked.magnitudes[included] & low,
+            enc.magnitudes[included] & low,
         )
 
     def test_reference_vertices_untouched(self, ke, kw):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -31,7 +33,7 @@ def make_container(seed: int, m: int = 4, payload_fill: float = 0.5) -> MarkedCo
     payload_bits = int(capacity * payload_fill)
     mags = rng.integers(0, 2**q.l, size=(mesh.n_vertices, 3)).astype(np.uint64)
     return MarkedContainer(
-        m=m, l=q.l, n=n, payload_bits=payload_bits, signs=q.signs,
+        m=m, n=n, payload_bits=payload_bits, signs=q.signs,
         excluded=excluded, magnitudes=mags, faces=mesh.faces,
     )
 
@@ -52,7 +54,7 @@ class TestRoundTrip:
 
     def test_empty_mesh_container(self):
         c = MarkedContainer(
-            m=4, l=16, n=1, payload_bits=0,
+            m=4, n=1, payload_bits=0,
             signs=np.empty((0, 3), dtype=np.uint8),
             excluded=np.empty(0, dtype=np.uint8),
             magnitudes=np.empty((0, 3), dtype=np.uint64),
@@ -92,6 +94,35 @@ class TestRejection:
         with pytest.raises(ContainerError, match="embedding length"):
             read_container(bytes(data))
 
+    def test_n_above_l_rejected(self):
+        c = make_container(0, m=4)
+        data = bytearray(write_container(c))
+        data[7] = c.l + 1
+        with pytest.raises(ContainerError, match="embedding length"):
+            read_container(bytes(data))
+
+    @pytest.mark.parametrize("l", [24, 64])
+    def test_l_outside_table_rejected(self, l):
+        data = bytearray(write_container(make_container(0, m=4)))
+        data[6] = l  # no word width of the table, whatever m
+        with pytest.raises(ContainerError, match="inconsistent"):
+            read_container(bytes(data))
+
+    @pytest.mark.parametrize("offset,size,match", [
+        (8, 4, "length mismatch"), (12, 4, "length mismatch"), (16, 8, "capacity"),
+    ], ids=["N", "M", "payload_bits"])
+    def test_huge_header_count_rejected_without_allocation(self, offset, size, match):
+        data = bytearray(write_container(make_container(0)))
+        data[offset:offset + size] = b"\xff" * size
+        tracemalloc.start()
+        try:
+            with pytest.raises(ContainerError, match=match):
+                read_container(bytes(data))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def test_every_truncation_rejected(self):
         data = write_container(make_container(1))
         for cut in range(len(data)):
@@ -126,7 +157,7 @@ class TestRejection:
     def test_excluded_bitmap_length_mismatch(self):
         c = make_container(6)
         grown = MarkedContainer(
-            m=c.m, l=c.l, n=c.n, payload_bits=0, signs=c.signs,
+            m=c.m, n=c.n, payload_bits=0, signs=c.signs,
             excluded=np.zeros(c.excluded.size + 8, dtype=np.uint8),
             magnitudes=c.magnitudes, faces=c.faces,
         )
@@ -144,6 +175,14 @@ class TestRejection:
         c = make_container(8)
         c.magnitudes = c.magnitudes.copy()
         c.magnitudes[0, 0] = np.uint64(2**c.l)
+        with pytest.raises(ContainerError, match="word length"):
+            write_container(c)
+
+
+    def test_negative_magnitude_refused_on_write(self):
+        c = make_container(8)
+        c.magnitudes = c.magnitudes.copy()
+        c.magnitudes[0, 0] = -1
         with pytest.raises(ContainerError, match="word length"):
             write_container(c)
 
@@ -173,7 +212,7 @@ def test_magnitudes_packed_big_endian():
     mesh = Mesh(np.array([[0.1, 0.2, 0.3]]), np.empty((0, 3)))
     q = quantize(mesh, 4)
     c = MarkedContainer(
-        m=4, l=16, n=1, payload_bits=0, signs=q.signs,
+        m=4, n=1, payload_bits=0, signs=q.signs,
         excluded=np.empty(0, dtype=np.uint8),
         magnitudes=np.array([[0x0B48, 0x0001, 0xFFFF]], dtype=np.uint64),
         faces=np.empty((0, 3), dtype=np.int64),

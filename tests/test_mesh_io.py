@@ -49,6 +49,14 @@ class TestParseOff:
         with pytest.raises(MalformedHeaderError, match="line 2"):
             parse_mesh("OFF\n1 0\n0 0 0\n", "off")
 
+    @pytest.mark.parametrize("text", [
+        "OFF\n-1 0 0\n",
+        "OFF\n3 -2 0\n0 0 0\n0.1 0 0\n0 0.1 0\n",
+    ], ids=["-1 0 0", "3 -2 0"])
+    def test_negative_counts(self, text):
+        with pytest.raises(MalformedHeaderError, match="line 2: negative counts"):
+            parse_mesh(text, "off")
+
     def test_non_numeric_coordinate(self):
         with pytest.raises(CoordinateSyntaxError, match="line 3"):
             parse_mesh("OFF\n1 0 0\n0 zero 0\n", "off")
@@ -141,6 +149,28 @@ class TestParsePly:
             "property double z", "property double z\nproperty double nx"
         )
         with pytest.raises(MalformedHeaderError):
+            parse_mesh(text, "ply")
+
+    @pytest.mark.parametrize("first_property", [
+        "property double x", "property list uchar int vertex_indices",
+    ], ids=["vertex", "face"])
+    def test_bare_property_line(self, first_property):
+        text = PLY_SMALL.replace(first_property, f"property\n{first_property}")
+        lineno = text.splitlines().index("property") + 1
+        with pytest.raises(MalformedHeaderError, match=f"line {lineno}: unsupported"):
+            parse_mesh(text, "ply")
+
+    def test_negative_element_count(self):
+        text = PLY_SMALL.replace("element vertex 3", "element vertex -3")
+        with pytest.raises(MalformedHeaderError, match="line 4: negative element count"):
+            parse_mesh(text, "ply")
+
+    def test_repeated_element(self):
+        # a second vertex element with its own row, which would otherwise
+        # be read as a fourth vertex
+        text = PLY_SMALL.replace("element face 1", "element vertex 1\nelement face 1")
+        text = text.replace("0 0.1 0\n", "0 0.1 0\n0.2 0 0\n")
+        with pytest.raises(MalformedHeaderError, match="line 8: repeated element 'vertex'"):
             parse_mesh(text, "ply")
 
     def test_face_index_range(self):
@@ -410,7 +440,6 @@ class TestBulkBody:
         "huge index": ("OFF\n3 1 0\n0.5 0 0\n0 0.1 0\n-0.1 0 0\n3 0 1 99999999999999999999\n", False),
         "truncated vertex block": ("OFF\n3 0 0\n0.5 0 0\n0 0.1 0\n", False),
         "truncated face block": ("OFF\n3 2 0\n0.5 0 0\n0 0.1 0\n-0.1 0 0\n3 0 1 2\n", False),
-        "negative count": ("OFF\n-1 0 0\n", False),
         "trailing text": ("OFF\n1 0 0\n0.5 0 0\nx\n", False),
         "ply": (PLY_SMALL, True),
         "ply vertex only": (PLY_SMALL.replace("element face 1\nproperty list uchar int vertex_indices\n", "").replace("3 0 1 2\n", ""), True),

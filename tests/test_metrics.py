@@ -19,7 +19,7 @@ from rdh3d import (
 from rdh3d.errors import DomainError
 from rdh3d.partition import partition
 
-from conftest import grid_mesh, random_mesh
+from conftest import grid_mesh, random_mesh, signed_ints
 from oracles import brute_hausdorff
 
 
@@ -74,7 +74,7 @@ class TestHausdorff:
         rec = recover(c, ke)
         assert rec == q
         # integer level: exactly zero
-        assert hausdorff(rec.signed_ints(), q.signed_ints()) == 0.0
+        assert hausdorff(signed_ints(rec), signed_ints(q)) == 0.0
         # float level
         d = hausdorff(mesh.vertices, dequantize(rec).vertices)
         assert d <= math.sqrt(3) * 10.0**-m

@@ -222,12 +222,21 @@ class TestAnalyze:
         assert np.array_equal(back.capacity_curve, rep.capacity_curve)
         assert (back.m, back.l) == (rep.m, rep.l)
 
+    @pytest.mark.parametrize("l", [8, 32, 64])
+    def test_json_l_contradicting_m_rejected(self, l):
+        mesh = random_mesh(4, n_max=40)
+        doc = analyze(quantize(mesh, 4), partition(mesh.n_vertices, mesh.faces)).to_json_dict()
+        assert doc["l"] == 16
+        doc["l"] = l
+        with pytest.raises(ConfigError, match="contradicts m=4"):
+            PredictionReport.from_json_dict(doc)
+
 
 class TestChooseN:
     def test_single_peak(self):
         rep = PredictionReport(
             ts=np.array([16] * 10), capacity_curve=np.zeros(32, dtype=np.int64),
-            m=5, l=32, embedded=np.arange(1, 11),
+            m=5, embedded=np.arange(1, 11),
         )
         rep.capacity_curve[15] = 100
         assert choose_n(rep) == 16
@@ -235,7 +244,7 @@ class TestChooseN:
     def test_all_equal_tie_breaks_small(self):
         rep = PredictionReport(
             ts=np.array([8]), capacity_curve=np.full(16, 5, dtype=np.int64),
-            m=4, l=16, embedded=np.array([1]),
+            m=4, embedded=np.array([1]),
         )
         assert choose_n(rep) == 1
 
