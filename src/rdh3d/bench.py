@@ -26,7 +26,7 @@ from .codec import embed, extract, recover
 from .errors import Rdh3dError
 from .mesh_io import FORMATS, Mesh, read_mesh_file
 from .metrics import embedding_rate, hausdorff, snr
-from .partition import partition
+from .partition import Partition, partition
 from .predictor import analyze, choose_n
 from .quantize import dequantize, quantize
 
@@ -68,15 +68,21 @@ def default_payload(kw_pass: str, n_bits: int) -> np.ndarray:
 
 def run_pipeline(mesh: Mesh, mesh_id: str, m: int, n: int | None,
                  ke_pass: str, kw_pass: str,
-                 hausdorff_method: str = "kdtree") -> BenchRow:
-    """One full pipeline run; raises on any reversibility violation."""
+                 hausdorff_method: str = "kdtree",
+                 part: Partition | None = None) -> BenchRow:
+    """One full pipeline run; raises on any reversibility violation.
+
+    part, when given, must be partition(mesh.n_vertices, mesh.faces): a
+    sweep over m hands in the one partition of its mesh.
+    """
     ke = KeyMaterial.from_passphrase(ke_pass, KeyRole.ENCRYPT)
     kw = KeyMaterial.from_passphrase(kw_pass, KeyRole.HIDE)
 
     t0 = time.perf_counter()
     q = quantize(mesh, m)
     t1 = time.perf_counter()
-    part = partition(mesh.n_vertices, mesh.faces)
+    if part is None:
+        part = partition(mesh.n_vertices, mesh.faces)
     rep = analyze(q, part)
     n_eff = choose_n(rep, n)
     t2 = time.perf_counter()
@@ -132,11 +138,12 @@ def _bench_one_file(path: Path, m_values: list[int], n_values: list[int | None],
         mesh = read_mesh_file(path)
     except Exception as exc:
         return rows, [(path.name, f"parse failed: {exc}")]
+    part = partition(mesh.n_vertices, mesh.faces)  # a function of the faces alone
     for m in m_values:
         for n in n_values:
             try:
                 rows.append(run_pipeline(mesh, path.name, m, n, ke_pass, kw_pass,
-                                         hausdorff_method))
+                                         hausdorff_method, part))
             except Exception as exc:
                 failures.append((path.name, f"m={m} n={n}: {exc}"))
     return rows, failures

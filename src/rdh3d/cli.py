@@ -133,8 +133,9 @@ def cmd_recover(args) -> int:
 def cmd_metrics(args) -> int:
     mesh_a = read_mesh_file(args.mesh_a, args.format)
     mesh_b = read_mesh_file(args.mesh_b, args.format)
-    dist = hausdorff(mesh_a, mesh_b, method=args.method)
+    # snr rejects a vertex-count mismatch before any distance is computed
     snr_db = snr(mesh_a, mesh_b, noise_ref=args.snr_noise_ref)
+    dist = hausdorff(mesh_a, mesh_b, method=args.method)
     bits = read_container_file(args.container).payload_bits if args.container else 0
     report = FidelityReport(
         hausdorff=dist,

@@ -275,10 +275,10 @@ def _parse_off(text: str) -> Mesh:
     if len(parts) != 3:
         raise MalformedHeaderError(f"expected 'N M E' counts, got {counts!r}", lineno)
     try:
-        n_verts, n_faces, _n_edges = (int(p) for p in parts)
+        n_verts, n_faces, n_edges = (int(p) for p in parts)
     except ValueError:
         raise MalformedHeaderError(f"non-integer counts: {counts!r}", lineno) from None
-    if min(n_verts, n_faces) < 0:
+    if min(n_verts, n_faces, n_edges) < 0:
         raise MalformedHeaderError(f"negative counts: {counts!r}", lineno)
     elements = [("vertex", n_verts), ("face", n_faces)]
     mesh = _bulk_body(raw_lines, lineno, elements)
@@ -390,7 +390,9 @@ def _parse_ply(text: str) -> Mesh:
                     )
                 vertex_props.append(tokens[2])
             elif current == "face":
-                if tokens[1:2] != ["list"] or tokens[-1] not in ("vertex_index", "vertex_indices"):
+                # property list <count type> <index type> vertex_indices
+                if (len(tokens) != 5 or tokens[1] != "list"
+                        or tokens[4] not in ("vertex_index", "vertex_indices")):
                     raise MalformedHeaderError(
                         f"unsupported face property {line!r}", lineno
                     )

@@ -11,6 +11,7 @@ from rdh3d.bench import (
     run_pipeline,
 )
 from rdh3d.mesh_io import write_mesh_file
+from rdh3d.partition import partition
 
 from conftest import grid_mesh, random_mesh
 
@@ -61,6 +62,16 @@ class TestRunPipeline:
             run_pipeline(mesh, "x", m, None, "ka", "kb")
         assert len(partition_calls) == 3
 
+    def test_given_partition_is_used(self, partition_calls):
+        mesh = random_mesh(5, n_max=80, smooth=True)
+        part = partition(mesh.n_vertices, mesh.faces)
+        with_part = run_pipeline(mesh, "x", 4, None, "ka", "kb", part=part)
+        assert partition_calls == []
+        without = run_pipeline(mesh, "x", 4, None, "ka", "kb")
+        assert (with_part.n, with_part.embedded_bits, with_part.hausdorff_e3) == (
+            without.n, without.embedded_bits, without.hausdorff_e3
+        )
+
     def test_explicit_n(self):
         mesh = random_mesh(6, n_max=60, smooth=True)
         row = run_pipeline(mesh, "x", 4, 2, "ka", "kb")
@@ -98,6 +109,13 @@ class TestBenchCorpus:
         assert len(rows) == 1
         assert len(failures) == 1
         assert "bad.ply" in failures[0][0]
+
+    def test_one_partition_per_mesh_file(self, tmp_path, partition_calls):
+        for seed in range(2):
+            write_mesh_file(tmp_path / f"{seed}.off", random_mesh(seed, n_max=30))
+        rows, failures = bench_corpus(tmp_path, list(range(2, 10)), [None], "a", "b")
+        assert len(rows) == 16 and not failures
+        assert len(partition_calls) == 2
 
     def test_parallel_matches_serial(self, tmp_path):
         corpus = tmp_path / "c"

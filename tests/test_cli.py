@@ -183,6 +183,20 @@ class TestExitCodes:
         assert run("analyze", bad, "--m", 4) == 3
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, text", [
+        ("edges.off", "OFF\n3 1 -5\n0 0 0\n0.1 0 0\n0 0.1 0\n3 0 1 2\n"),
+        ("faces.ply", "ply\nformat ascii 1.0\nelement vertex 3\nproperty double x\n"
+                      "property double y\nproperty double z\nelement face 1\n"
+                      "property list vertex_indices\nend_header\n"
+                      "0 0 0\n0.1 0 0\n0 0.1 0\n3 0 1 2\n"),
+    ], ids=["negative OFF edge count", "PLY face list without types"])
+    def test_malformed_header(self, workdir, capsys, name, text):
+        bad = workdir / name
+        bad.write_text(text)
+        assert run("analyze", bad, "--m", 4) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: line ") and "Traceback" not in err
+
     def test_domain_error(self, workdir):
         big = workdir / "big.off"
         big.write_text("OFF\n1 0 0\n1.5 0 0\n")
@@ -281,6 +295,16 @@ class TestMetricsCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["snr_db"] == "inf"
         assert doc["hausdorff"] == 0
+
+    def test_vertex_count_mismatch_before_hausdorff(self, workdir, capsys, monkeypatch):
+        def not_computed(*args, **kwargs):
+            raise AssertionError("vertex counts are checked before any distance")
+
+        monkeypatch.setattr(cli, "hausdorff", not_computed)
+        smaller = workdir / "smaller.off"
+        write_mesh_file(smaller, Mesh(COW_VERTICES[:3], [[1, 2, 3]]))
+        assert run("metrics", workdir / "cow.off", smaller) == 3
+        assert "vertex count mismatch: 8 vs 3" in capsys.readouterr().err
 
 
 class TestBenchCommand:

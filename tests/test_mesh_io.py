@@ -52,7 +52,8 @@ class TestParseOff:
     @pytest.mark.parametrize("text", [
         "OFF\n-1 0 0\n",
         "OFF\n3 -2 0\n0 0 0\n0.1 0 0\n0 0.1 0\n",
-    ], ids=["-1 0 0", "3 -2 0"])
+        "OFF\n3 1 -5\n0 0 0\n0.1 0 0\n0 0.1 0\n3 0 1 2\n",
+    ], ids=["-1 0 0", "3 -2 0", "3 1 -5"])
     def test_negative_counts(self, text):
         with pytest.raises(MalformedHeaderError, match="line 2: negative counts"):
             parse_mesh(text, "off")
@@ -158,6 +159,17 @@ class TestParsePly:
         text = PLY_SMALL.replace(first_property, f"property\n{first_property}")
         lineno = text.splitlines().index("property") + 1
         with pytest.raises(MalformedHeaderError, match=f"line {lineno}: unsupported"):
+            parse_mesh(text, "ply")
+
+    @pytest.mark.parametrize("face_property", [
+        "property list vertex_indices",
+        "property list int vertex_indices",
+    ], ids=["no types", "one type"])
+    def test_face_list_property_needs_both_types(self, face_property):
+        text = PLY_SMALL.replace("property list uchar int vertex_indices", face_property)
+        lineno = text.splitlines().index(face_property) + 1
+        with pytest.raises(MalformedHeaderError,
+                           match=f"line {lineno}: unsupported face property"):
             parse_mesh(text, "ply")
 
     def test_negative_element_count(self):

@@ -4,6 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 from rdh3d import (
     Mesh,
@@ -16,11 +20,12 @@ from rdh3d import (
     quantize,
     snr,
 )
+from rdh3d import metrics
 from rdh3d.errors import DomainError
 from rdh3d.partition import partition
 
 from conftest import grid_mesh, random_mesh, signed_ints
-from oracles import brute_hausdorff
+from oracles import brute_hausdorff, kdtree_hausdorff
 
 
 class TestHausdorff:
@@ -85,6 +90,139 @@ class TestHausdorff:
 
     def test_takes_meshes(self, tetra_mesh):
         assert hausdorff(tetra_mesh, tetra_mesh) == 0.0
+
+    @pytest.mark.parametrize("method", ["kdtree", "brute"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, method, bad):
+        a = np.zeros((3, 3))
+        b = a + 0.5
+        b[1, 2] = bad
+        with pytest.raises(DomainError, match="finite"):
+            hausdorff(a, b, method=method)
+
+
+def quantized_pair(mesh, m):
+    return mesh.vertices, dequantize(quantize(mesh, m)).vertices
+
+
+def coarse_grid_pair(side, m=2):
+    """A grid finer than the quantization cell: many vertices land
+    nearer another vertex's copy than their own."""
+    return quantized_pair(grid_mesh(side, scale=0.05), m)
+
+
+@st.composite
+def equal_size_pairs(draw):
+    """Two (n, 3) point sets of one size, of the kinds where the pairing
+    bound is loose, tight or tied."""
+    kind = draw(st.sampled_from(["unrelated", "duplicated", "ties", "coarse", "single"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 60))
+    if kind == "unrelated":
+        return rng.uniform(-1, 1, (n, 3)), rng.uniform(-1, 1, (n, 3))
+    if kind == "duplicated":
+        # repeated points in both sets, partners a short step apart
+        a = rng.uniform(-1, 1, (n, 3))[rng.integers(0, max(1, n // 4), n)]
+        return a, a[rng.permutation(n)] + rng.normal(0, 1e-3, (n, 3))
+    if kind == "ties":
+        # lattice points moved by one shared vector: every pair distance
+        # equals the maximum, and so do many nearest-neighbour distances
+        a = rng.integers(-4, 5, (n, 3)) / 8.0
+        return a, a + rng.integers(-2, 3, 3) / 16.0
+    if kind == "coarse":
+        return coarse_grid_pair(draw(st.integers(3, 12)))
+    return rng.uniform(-1, 1, (1, 3)), rng.uniform(-1, 1, (1, 3))
+
+
+class TestPairedHausdorff:
+    """hausdorff(a, b) with |a| = |b| bounds every query by the partner
+    distance |a_i - b_i| and must still equal two full kd-tree queries."""
+
+    @pytest.mark.parametrize("m", range(2, 10))
+    @pytest.mark.parametrize("mesh", [grid_mesh(40), random_mesh(3, n_max=400)],
+                             ids=["grid", "random"])
+    def test_quantized_pairs_equal_two_trees(self, mesh, m):
+        a, b = quantized_pair(mesh, m)
+        assert hausdorff(a, b) == kdtree_hausdorff(a, b)
+        assert hausdorff(b, a) == kdtree_hausdorff(b, a)
+
+    @settings(max_examples=300, deadline=None)
+    @given(equal_size_pairs())
+    def test_equal_size_pairs_equal_two_trees(self, pair):
+        a, b = pair
+        assert hausdorff(a, b) == kdtree_hausdorff(a, b)
+        assert hausdorff(a, b) == pytest.approx(brute_hausdorff(a.tolist(), b.tolist()),
+                                                rel=1e-12)
+
+    def test_nearest_neighbour_not_the_partner(self):
+        a, b = coarse_grid_pair(30)
+        nearest = cKDTree(b).query(a, k=1)[1]
+        assert (nearest != np.arange(len(a))).mean() > 0.5
+        assert hausdorff(a, b) == kdtree_hausdorff(a, b)
+
+    def test_candidate_just_above_the_best(self):
+        # a0's partner is far but b2 lies 0.05 away, so the first search
+        # finds 0.05; a1's partner distance exceeds that by 1e-9 and is
+        # its nearest distance, so a1 must still be searched.
+        a = np.array([[0.0, 0, 0], [0.5, 0.5, 0.5], [0.05, 0, 0]])
+        b = np.array([[0.9, 0, 0], [0.55 + 1e-9, 0.5, 0.5], [0.05, 0, 0]])
+        directed = metrics._directed_paired(a, b, metrics._sq_dist(a, b))
+        assert directed == cKDTree(b).query(a, k=1)[0].max()
+        assert directed > 0.05
+
+    def test_unequal_sizes_take_the_two_tree_path(self, monkeypatch):
+        def no_pairing(*args):
+            raise AssertionError("unequal point sets have no pairing")
+
+        monkeypatch.setattr(metrics, "_directed_paired", no_pairing)
+        a, b = quantized_pair(grid_mesh(20), 4)
+        assert hausdorff(a, b[:-1]) == kdtree_hausdorff(a, b[:-1])
+        assert hausdorff(a[5:], b) == kdtree_hausdorff(a[5:], b)
+
+    @pytest.mark.parametrize("m", range(2, 10))
+    def test_quantized_pair_builds_no_tree(self, monkeypatch, m):
+        a, b = quantized_pair(grid_mesh(40), m)
+        expected = kdtree_hausdorff(a, b)
+
+        def no_tree(*args, **kwargs):
+            raise AssertionError("the pairing bound settles a quantized pair")
+
+        monkeypatch.setattr(metrics, "cKDTree", no_tree)
+        assert hausdorff(a, b) == expected
+
+    def test_loose_bound_falls_back_to_one_tree(self, monkeypatch):
+        built = []
+
+        def counting_tree(points):
+            built.append(len(points))
+            return cKDTree(points)
+
+        monkeypatch.setattr(metrics, "cKDTree", counting_tree)
+        rng = np.random.default_rng(4)
+        a, b = rng.uniform(-1, 1, (500, 3)), rng.uniform(-1, 1, (500, 3))
+        assert hausdorff(a, b) == kdtree_hausdorff(a, b)
+        assert built == [500, 500]
+
+    @pytest.mark.parametrize("pair", ["quantized", "offset"])
+    def test_distance_routines_agree(self, pair):
+        # The pruning compares pair distances from metrics._sq_dist with
+        # nearest distances from the same routine; the bit-identical
+        # result also needs cKDTree (and cdist) to round every distance
+        # the same way. Here each b_i is the nearest point of a_i, so the
+        # tree reports the pair distance itself.
+        rng = np.random.default_rng(9)
+        if pair == "quantized":
+            a, b = quantized_pair(grid_mesh(64), 6)
+        else:
+            a = rng.uniform(-1, 1, (4096, 3))
+            b = a + rng.normal(0, 1e-6, a.shape)
+        paired = np.sqrt(metrics._sq_dist(a, b))
+        tree_d, tree_i = cKDTree(b).query(a, k=1)
+        assert np.array_equal(tree_i, np.arange(len(a)))
+        assert np.array_equal(tree_d, paired)
+        cdist_d = np.concatenate([cdist(a[lo:lo + 512], b[lo:lo + 512]).diagonal()
+                                  for lo in range(0, len(a), 512)])
+        assert np.array_equal(cdist_d, paired)
 
 
 class TestSnr:
