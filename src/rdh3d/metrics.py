@@ -8,9 +8,9 @@ largest remaining p_i is at or below the best nearest-neighbour distance
 found so far, no further point can raise the maximum: the early break of
 Taha and Hanbury, "An Efficient Algorithm for Calculating the Exact
 Hausdorff Distance", IEEE TPAMI 37(11), 2015. A quantized mesh moves
-each vertex by less than sqrt(3) * 10^-m, so one or a few brute-force
-nearest-neighbour searches settle the exact value and no kd-tree is
-built.
+each vertex by less than sqrt(3) * 10^-m, so one brute-force
+nearest-neighbour search usually settles the exact value and no kd-tree
+is built.
 
 The SNR ratio ships in two flavors. The default ("mean") measures the
 modified coordinates against the original per-axis means in the
@@ -32,9 +32,6 @@ from scipy.spatial.distance import cdist
 from .errors import DomainError
 
 _BRUTE_CHUNK = 2048
-# Survivors of the first search that _directed_paired still searches by
-# brute force; more than this go to a kd-tree.
-_MAX_BRUTE_SEARCHES = 16
 
 
 @dataclass
@@ -82,9 +79,8 @@ def _directed_paired(a: np.ndarray, b: np.ndarray, pair_sq: np.ndarray) -> float
 
     The point with the largest pair_sq is searched against all of b (one
     N-vector of squared distances: 8 MiB at 1M points). Only points
-    whose pair_sq exceeds the best value found can raise it: up to
-    _MAX_BRUTE_SEARCHES of them are searched the same way, more go to one
-    kd-tree query.
+    whose pair_sq exceeds the best value found can raise it; if any
+    remain, they go to one kd-tree query.
 
     Soundness in floating point: the search for a_i includes b_i and
     computes its distance with the same _sq_dist operations as pair_sq
@@ -98,10 +94,8 @@ def _directed_paired(a: np.ndarray, b: np.ndarray, pair_sq: np.ndarray) -> float
     """
     best_sq = _sq_dist(a[np.argmax(pair_sq)], b).min()
     left = np.flatnonzero(pair_sq > best_sq)
-    if left.size > _MAX_BRUTE_SEARCHES:
+    if left.size:
         return max(np.sqrt(best_sq), cKDTree(b).query(a[left], k=1)[0].max())
-    for i in left:
-        best_sq = max(best_sq, _sq_dist(a[i], b).min())
     return np.sqrt(best_sq)
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,17 @@ class TestBenchCorpus:
         rows, failures = bench_corpus(tmp_path, list(range(2, 10)), [None], "a", "b")
         assert len(rows) == 16 and not failures
         assert len(partition_calls) == 2
+
+    def test_first_row_pays_for_the_partition(self, tmp_path, monkeypatch):
+        def slow_partition(*args):
+            time.sleep(0.2)
+            return partition(*args)
+
+        monkeypatch.setattr("rdh3d.bench.partition", slow_partition)
+        write_mesh_file(tmp_path / "0.off", random_mesh(0, n_max=30))
+        rows, failures = bench_corpus(tmp_path, [2, 3, 4], [None], "a", "b")
+        assert not failures
+        assert [row.t_analyze >= 0.2 for row in rows] == [True, False, False]
 
     def test_parallel_matches_serial(self, tmp_path):
         corpus = tmp_path / "c"
