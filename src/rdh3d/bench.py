@@ -11,11 +11,8 @@ continues.
 from __future__ import annotations
 
 import csv
-import functools
-import hashlib
 import logging
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -56,13 +53,12 @@ class BenchRow:
 CSV_FIELDS = [f.name for f in fields(BenchRow)]
 
 
-def default_payload(kw_pass: str, n_bits: int) -> np.ndarray:
+def default_payload(kw: KeyMaterial, n_bits: int) -> np.ndarray:
     """Deterministic pseudo-random payload bits derived from the hiding
-    passphrase under a nonce label distinct from the hiding stream."""
+    key Kw under a nonce label distinct from the hiding stream."""
     if n_bits == 0:
         return np.empty(0, dtype=np.uint8)
-    key = hashlib.sha256(kw_pass.encode("utf-8")).digest()
-    raw = chacha_stream(key, "payload", (n_bits + 7) // 8)
+    raw = chacha_stream(kw.key_bytes, "payload", (n_bits + 7) // 8)
     return np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:n_bits]
 
 
@@ -73,7 +69,8 @@ def run_pipeline(mesh: Mesh, mesh_id: str, m: int, n: int | None,
     """One full pipeline run; raises on any reversibility violation.
 
     part, when given, must be partition(mesh.n_vertices, mesh.faces): a
-    sweep over m hands in the one partition of its mesh.
+    sweep over m hands in the one partition of its mesh. hausdorff_method
+    is passed to `hausdorff`, whose only method is "kdtree".
     """
     ke = KeyMaterial.from_passphrase(ke_pass, KeyRole.ENCRYPT)
     kw = KeyMaterial.from_passphrase(kw_pass, KeyRole.HIDE)
@@ -88,7 +85,7 @@ def run_pipeline(mesh: Mesh, mesh_id: str, m: int, n: int | None,
     t2 = time.perf_counter()
     enc = encrypt_mesh(q, part, ke)
     t3 = time.perf_counter()
-    payload = default_payload(kw_pass, rep.capacity(n_eff))
+    payload = default_payload(kw, rep.capacity(n_eff))
     marked = embed(enc, rep, n_eff, payload, kw)
     t4 = time.perf_counter()
     extracted = extract(marked, kw)
@@ -132,7 +129,7 @@ def corpus_files(corpus_dir) -> list[Path]:
 
 
 def _bench_one_file(path: Path, m_values: list[int], n_values: list[int | None],
-                    ke_pass: str, kw_pass: str, hausdorff_method: str):
+                    ke_pass: str, kw_pass: str):
     rows, failures = [], []
     try:
         mesh = read_mesh_file(path)
@@ -144,8 +141,7 @@ def _bench_one_file(path: Path, m_values: list[int], n_values: list[int | None],
     for m in m_values:
         for n in n_values:
             try:
-                row = run_pipeline(mesh, path.name, m, n, ke_pass, kw_pass,
-                                   hausdorff_method, part)
+                row = run_pipeline(mesh, path.name, m, n, ke_pass, kw_pass, part=part)
             except Exception as exc:
                 failures.append((path.name, f"m={m} n={n}: {exc}"))
                 continue
@@ -156,23 +152,12 @@ def _bench_one_file(path: Path, m_values: list[int], n_values: list[int | None],
     return rows, failures
 
 
-def bench_corpus(corpus_dir, m_values, n_values, ke_pass: str, kw_pass: str,
-                 hausdorff_method: str = "kdtree", jobs: int = 1):
+def bench_corpus(corpus_dir, m_values, n_values, ke_pass: str, kw_pass: str):
     """Sweep every mesh file under corpus_dir; returns (rows, failures)."""
-    paths = corpus_files(corpus_dir)
-    bench_file = functools.partial(
-        _bench_one_file, m_values=m_values, n_values=n_values,
-        ke_pass=ke_pass, kw_pass=kw_pass, hausdorff_method=hausdorff_method,
-    )
-    workers = min(jobs, len(paths))
-    if workers > 1:
-        # fork starts every worker up front, so never ask for more than files
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(bench_file, paths))
-    else:
-        results = map(bench_file, paths)
     rows, failures = [], []
-    for file_rows, file_failures in results:
+    for path in corpus_files(corpus_dir):
+        file_rows, file_failures = _bench_one_file(path, m_values, n_values,
+                                                   ke_pass, kw_pass)
         rows.extend(file_rows)
         failures.extend(file_failures)
     for name, why in failures:

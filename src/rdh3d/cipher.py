@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
@@ -45,7 +45,7 @@ def chacha_stream(key: bytes, label: str, n_bytes: int) -> bytes:
 
 @dataclass(frozen=True)
 class KeyMaterial:
-    key_bytes: bytes
+    key_bytes: bytes = field(repr=False)  # reprs end up in logs and tracebacks
     role: KeyRole
 
     def __post_init__(self):

@@ -97,16 +97,16 @@ def cmd_embed(args) -> int:
     try:
         with open(args.report) as fh:
             rep = PredictionReport.from_json_dict(json.load(fh))
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise ConfigError(f"unreadable prediction report {args.report}: {exc!r}") from None
     n = choose_n(rep, args.n)
-    kw_pass = _passphrase(args.kw_pass, KW_ENV, "--kw-pass")
+    kw = _kw(args)
     if args.payload:
         with open(args.payload, "rb") as fh:
             payload = payload_to_bits(fh.read())
     else:
-        payload = default_payload(kw_pass, rep.capacity(n))
-    marked = embed(c, rep, n, payload, KeyMaterial.from_passphrase(kw_pass, KeyRole.HIDE))
+        payload = default_payload(kw, rep.capacity(n))
+    marked = embed(c, rep, n, payload, kw)
     write_container_file(args.out, marked)
     if args.export_off:
         write_mesh_file(args.export_off, container_mesh(marked), "off")
@@ -165,8 +165,6 @@ def _parse_int_range(text: str) -> list[int]:
 
 
 def cmd_bench(args) -> int:
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     m_values = _parse_int_range(args.m)
     n_values: list[int | None]
     if args.n.strip() == "auto":
@@ -175,10 +173,7 @@ def cmd_bench(args) -> int:
         n_values = list(_parse_int_range(args.n))
     ke_pass = _passphrase(args.ke_pass, KE_ENV, "--ke-pass")
     kw_pass = _passphrase(args.kw_pass, KW_ENV, "--kw-pass")
-    rows, failures = bench_corpus(
-        args.corpus, m_values, n_values, ke_pass, kw_pass,
-        hausdorff_method=args.method, jobs=args.jobs,
-    )
+    rows, failures = bench_corpus(args.corpus, m_values, n_values, ke_pass, kw_pass)
     with open(args.out, "w", newline="") as fh:
         write_csv(rows, fh)
     for m, bpv in mean_bpv_by_m(rows).items():
@@ -246,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mesh_a")
     p.add_argument("mesh_b")
     p.add_argument("--snr-noise-ref", choices=("mean", "original"), default="mean")
-    p.add_argument("--method", choices=("brute", "kdtree"), default="kdtree")
+    p.add_argument("--method", choices=("kdtree",), default="kdtree",
+                   help="hausdorff evaluation (kdtree is the only one)")
     p.add_argument("--container", default=None,
                    help="fill embedding fields from this container")
     add_format(p)
@@ -259,9 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", default="auto", help="'auto' or values, e.g. 16 or 1-32")
     p.add_argument("--ke-pass", default=None)
     p.add_argument("--kw-pass", default=None)
-    p.add_argument("--method", choices=("brute", "kdtree"), default="kdtree",
-                   help="hausdorff evaluation")
-    p.add_argument("--jobs", type=int, default=1, help="parallel mesh workers")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_bench)
     return parser

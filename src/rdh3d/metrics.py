@@ -10,7 +10,8 @@ Taha and Hanbury, "An Efficient Algorithm for Calculating the Exact
 Hausdorff Distance", IEEE TPAMI 37(11), 2015. A quantized mesh moves
 each vertex by less than sqrt(3) * 10^-m, so one brute-force
 nearest-neighbour search usually settles the exact value and no kd-tree
-is built.
+is built. Point sets of unequal size take one full kd-tree query per
+direction.
 
 The SNR ratio ships in two flavors. The default ("mean") measures the
 modified coordinates against the original per-axis means in the
@@ -26,12 +27,8 @@ import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from .errors import DomainError
-
-_BRUTE_CHUNK = 2048
 
 
 @dataclass
@@ -53,13 +50,13 @@ def _as_points(obj) -> np.ndarray:
     return np.asarray(pts, dtype=np.float64).reshape(-1, 3)
 
 
-def _directed(a: np.ndarray, b: np.ndarray) -> float:
-    """max over a of min over b of the Euclidean distance, chunked O(|a||b|)."""
-    worst = 0.0
-    for lo in range(0, a.shape[0], _BRUTE_CHUNK):
-        chunk = a[lo:lo + _BRUTE_CHUNK]
-        worst = max(worst, float(cdist(chunk, b).min(axis=1).max()))
-    return worst
+def cKDTree(points: np.ndarray):
+    """scipy's kd-tree over points. scipy is imported on the first call
+    only: most hausdorff calls settle from the pairing and build no tree,
+    and importing scipy costs more than every other import of rdh3d."""
+    from scipy.spatial import cKDTree as tree
+
+    return tree(points)
 
 
 def _sq_dist(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -100,32 +97,27 @@ def _directed_paired(a: np.ndarray, b: np.ndarray, pair_sq: np.ndarray) -> float
 
 
 def hausdorff(a, b, method: str = "kdtree") -> float:
-    """Symmetric Hausdorff distance between two point sets.
-
-    method="kdtree" answers through nearest-neighbor queries. When the
-    sets have equal size it first bounds each query by the partner
-    distance |a_i - b_i| (see the module docstring) and builds a tree
-    only for the points that bound cannot settle. method="brute" is
-    the chunked O(|a||b|) pairwise evaluation of the same value,
-    unusable on dense meshes.
+    """Symmetric Hausdorff distance between two point sets, answered by
+    nearest-neighbor queries. When the sets have equal size each query is
+    first bounded by the partner distance |a_i - b_i| (see the module
+    docstring), and a tree is built only for the points that bound cannot
+    settle. "kdtree" is the only method.
     """
+    if method != "kdtree":
+        raise ValueError(f"unknown hausdorff method {method!r}")
     a = _as_points(a)
     b = _as_points(b)
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise DomainError("hausdorff distance needs two nonempty point sets")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise DomainError("hausdorff distance needs finite coordinates")
-    if method == "brute":
-        return max(_directed(a, b), _directed(b, a))
-    if method == "kdtree":
-        if a.shape == b.shape:
-            pair_sq = _sq_dist(a, b)
-            return float(max(_directed_paired(a, b, pair_sq),
-                             _directed_paired(b, a, pair_sq)))
-        d_ab = cKDTree(b).query(a, k=1)[0].max()
-        d_ba = cKDTree(a).query(b, k=1)[0].max()
-        return float(max(d_ab, d_ba))
-    raise ValueError(f"unknown hausdorff method {method!r}")
+    if a.shape == b.shape:
+        pair_sq = _sq_dist(a, b)
+        return float(max(_directed_paired(a, b, pair_sq),
+                         _directed_paired(b, a, pair_sq)))
+    d_ab = cKDTree(b).query(a, k=1)[0].max()
+    d_ba = cKDTree(a).query(b, k=1)[0].max()
+    return float(max(d_ab, d_ba))
 
 
 def snr(original, modified, noise_ref: str = "mean") -> float:

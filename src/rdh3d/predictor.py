@@ -14,6 +14,7 @@ t >= n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,19 +26,24 @@ from .quantize import bit_length
 class PredictionReport:
     """Plaintext prediction analysis for one (mesh, m) pair.
 
-    ts[i] is min(t_x, t_y, t_z) for the i-th embedded vertex;
-    capacity_curve[n-1] is the total payload capacity 3*n*|{t >= n}| in
-    bits for each candidate embedding length n in 1..l.
+    ts[i] is min(t_x, t_y, t_z) for the i-th embedded vertex, in 0..l.
     """
 
-    ts: np.ndarray              # (K,) int64
-    capacity_curve: np.ndarray  # (l,) int64
+    ts: np.ndarray        # (K,) int64
     m: int
-    embedded: np.ndarray        # 1-based vertex ids, C order (context copy)
+    embedded: np.ndarray  # 1-based vertex ids, C order (context copy)
 
     @property
     def l(self) -> int:
         return bit_length(self.m)
+
+    @cached_property
+    def capacity_curve(self) -> np.ndarray:
+        """(l,) int64: capacity_curve[n-1] is the total payload capacity
+        3*n*|{t >= n}| in bits for each candidate embedding length n."""
+        hist = np.bincount(self.ts, minlength=self.l + 1)
+        ge = self.ts.size - np.cumsum(hist)[:-1]  # |{t >= n}| for n = 1..l
+        return 3 * np.arange(1, self.l + 1, dtype=np.int64) * ge
 
     def excluded_mask(self, n: int) -> np.ndarray:
         """Boolean mask over C order: True = prediction fails before n."""
@@ -62,7 +68,6 @@ class PredictionReport:
     def from_json_dict(cls, d: dict) -> "PredictionReport":
         rep = cls(
             ts=np.asarray(d["max_prefix_lengths"], dtype=np.int64),
-            capacity_curve=np.asarray(d["capacity_curve"], dtype=np.int64),
             m=int(d["m"]),
             embedded=np.asarray(d["embedded"], dtype=np.int64),
         )
@@ -70,12 +75,18 @@ class PredictionReport:
             raise ConfigError(
                 f"malformed prediction report: l={d['l']} contradicts m={rep.m}"
             )
-        if not (rep.ts.ndim == rep.embedded.ndim == rep.capacity_curve.ndim == 1
+        if not (rep.ts.ndim == rep.embedded.ndim == 1
                 and rep.ts.size == rep.embedded.size
-                and rep.capacity_curve.size == rep.l):
+                and ((rep.ts >= 0) & (rep.ts <= rep.l)).all()):
             raise ConfigError(
                 "malformed prediction report: expected flat lists with one t "
-                "per embedded vertex and one capacity per n in 1..l"
+                f"in 0..{rep.l} per embedded vertex"
+            )
+        if not np.array_equal(np.asarray(d["capacity_curve"], dtype=np.int64),
+                              rep.capacity_curve):
+            raise ConfigError(
+                "malformed prediction report: capacity_curve contradicts "
+                "max_prefix_lengths"
             )
         return rep
 
@@ -106,7 +117,8 @@ def predict_words(words: np.ndarray, part, l: int, n: int) -> np.ndarray:
 
 
 def analyze(q, part) -> PredictionReport:
-    """Per-vertex prefix lengths and the full capacity curve (plaintext side).
+    """Per-vertex prefix lengths, from which the report derives the
+    capacity curve (plaintext side).
 
     t = l - bit_length of the planes any axis mispredicts; empty rings
     give t = 0.
@@ -120,22 +132,13 @@ def analyze(q, part) -> PredictionReport:
             )
     l = q.l
     words = q.magnitudes
-    k_count = part.n_embedded
     wrong = np.bitwise_or.reduce(
         predict_words(words, part, l, l) ^ words[part.embedded - 1], axis=1
     )
     powers = np.int64(1) << np.arange(l, dtype=np.int64)
     ts = l - np.searchsorted(powers, wrong, side="right")
     ts[np.diff(part.ring_offsets) == 0] = 0
-
-    hist = np.bincount(ts, minlength=l + 1)
-    # count of vertices with t >= n, for n = 1..l
-    ge = k_count - np.cumsum(hist)[:-1]
-    ns = np.arange(1, l + 1, dtype=np.int64)
-    curve = 3 * ns * ge
-    return PredictionReport(
-        ts=ts, capacity_curve=curve, m=q.m, embedded=part.embedded.copy()
-    )
+    return PredictionReport(ts=ts, m=q.m, embedded=part.embedded.copy())
 
 
 def choose_n(report: PredictionReport, requested: int | None = None) -> int:
@@ -146,6 +149,4 @@ def choose_n(report: PredictionReport, requested: int | None = None) -> int:
                 f"embedding length n={requested} outside [1, {report.l}]"
             )
         return int(requested)
-    if report.capacity_curve.size == 0:
-        raise ConfigError("empty capacity curve")
     return int(np.argmax(report.capacity_curve)) + 1

@@ -12,36 +12,11 @@ from rdh3d.bench import (
     mean_bpv_by_m,
     run_pipeline,
 )
+from rdh3d.cipher import KeyMaterial, KeyRole
 from rdh3d.mesh_io import write_mesh_file
 from rdh3d.partition import partition
 
 from conftest import grid_mesh, random_mesh
-
-
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and maps
-    in this process, so no worker is ever started."""
-
-    def __init__(self, created, max_workers):
-        created.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-@pytest.fixture
-def pools(monkeypatch) -> list:
-    """max_workers of every pool bench_corpus creates during the test."""
-    created = []
-    monkeypatch.setattr("rdh3d.bench.ProcessPoolExecutor",
-                        lambda max_workers: RecordingPool(created, max_workers))
-    return created
 
 
 class TestRunPipeline:
@@ -89,16 +64,14 @@ class TestRunPipeline:
 
 
 def test_default_payload_deterministic_and_not_hiding_stream():
-    bits_a = default_payload("pass", 256)
-    bits_b = default_payload("pass", 256)
-    assert np.array_equal(bits_a, bits_b)
-    from rdh3d.cipher import KeyMaterial, KeyRole
-
     kw = KeyMaterial.from_passphrase("pass", KeyRole.HIDE)
+    bits_a = default_payload(kw, 256)
+    bits_b = default_payload(KeyMaterial.from_passphrase("pass", KeyRole.HIDE), 256)
+    assert np.array_equal(bits_a, bits_b)
     hiding = kw.keystream_bits(256)
     # if these matched, embedded slots would be all zeros
     assert not np.array_equal(bits_a, hiding)
-    assert default_payload("pass", 0).size == 0
+    assert default_payload(kw, 0).size == 0
 
 
 class TestBenchCorpus:
@@ -130,19 +103,6 @@ class TestBenchCorpus:
         assert not failures
         assert [row.t_analyze >= 0.2 for row in rows] == [True, False, False]
 
-    def test_parallel_matches_serial(self, tmp_path):
-        corpus = tmp_path / "c"
-        corpus.mkdir()
-        for seed in range(3):
-            write_mesh_file(corpus / f"{seed}.off", random_mesh(seed, n_max=30))
-        serial, _ = bench_corpus(corpus, [3], [None], "a", "b", jobs=1)
-        parallel, _ = bench_corpus(corpus, [3], [None], "a", "b", jobs=2)
-        key = lambda r: r.mesh_id
-        for s, p in zip(sorted(serial, key=key), sorted(parallel, key=key)):
-            assert (s.mesh_id, s.embedded_bits, s.bpv) == (
-                p.mesh_id, p.embedded_bits, p.bpv
-            )
-
 
 def test_mean_bpv_by_m():
     rows = [
@@ -151,22 +111,3 @@ def test_mean_bpv_by_m():
         BenchRow("c", 10, 5, 5, 3, 70, 7.0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
     ]
     assert mean_bpv_by_m(rows) == {4: 4.0, 5: 7.0}
-
-
-class TestCorpusWorkers:
-    @pytest.fixture
-    def corpus(self, tmp_path):
-        for seed in range(2):
-            write_mesh_file(tmp_path / f"mesh{seed}.off", random_mesh(seed, n_max=30))
-        return tmp_path
-
-    def test_pool_capped_at_file_count(self, corpus, pools):
-        rows, failures = bench_corpus(corpus, [3], [None], "a", "b", jobs=5000)
-        assert pools == [2]
-        assert len(rows) == 2 and not failures
-
-    def test_one_job_or_one_file_runs_inline(self, corpus, pools):
-        bench_corpus(corpus, [3], [None], "a", "b", jobs=1)
-        (corpus / "mesh1.off").unlink()
-        bench_corpus(corpus, [3], [None], "a", "b", jobs=8)
-        assert pools == []

@@ -93,6 +93,13 @@ class TestKeystream:
         with pytest.raises(ConfigError):
             KeyMaterial(b"short", KeyRole.ENCRYPT)
 
+    def test_repr_hides_key_bytes(self):
+        key = KeyMaterial.from_passphrase("x", KeyRole.ENCRYPT)
+        text = repr(key)
+        assert key.key_bytes.hex() not in text
+        assert repr(key.key_bytes) not in text
+        assert "ENCRYPT" in text
+
 
 def owner_container(q, key):
     return encrypt_mesh(q, partition(q.n_vertices, q.faces), key)

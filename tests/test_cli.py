@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -352,18 +356,31 @@ class TestBenchCommand:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 3
 
-    @pytest.mark.parametrize("jobs", [0, -3])
-    def test_jobs_below_one_rejected(self, tmp_path, capsys, monkeypatch, jobs):
-        def no_pool(max_workers):
-            raise AssertionError("no worker pool may be created")
 
-        monkeypatch.setattr("rdh3d.bench.ProcessPoolExecutor", no_pool)
-        write_mesh_file(tmp_path / "m.off", random_mesh(3, n_max=30))
-        out = tmp_path / "rows.csv"
-        assert run("bench", tmp_path, "--jobs", jobs, "--ke-pass", "a",
-                   "--kw-pass", "b", "--out", out) == 2
-        assert "--jobs" in capsys.readouterr().err
-        assert not out.exists()
+@pytest.mark.parametrize("argv", [
+    ["metrics", "cow.off", "cow.off", "--method", "brute"],
+    ["bench", ".", "--method", "kdtree", "--ke-pass", "a", "--kw-pass", "b"],
+    ["bench", ".", "--jobs", 2, "--ke-pass", "a", "--kw-pass", "b"],
+], ids=["metrics-method-brute", "bench-method", "bench-jobs"])
+def test_removed_options_exit_two(workdir, capsys, monkeypatch, argv):
+    monkeypatch.chdir(workdir)
+    assert run(*argv, "--out", "out") == 2
+    assert not (workdir / "out").exists()
+    err = capsys.readouterr().err
+    assert "invalid choice" in err or "unrecognized arguments" in err
+
+
+def test_cli_import_loads_neither_scipy_nor_multiprocessing():
+    # scipy is imported only when a kd-tree is built, and nothing starts
+    # worker processes, so every command starts without either
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys, rdh3d.cli; "
+            "print(sorted({'scipy', 'multiprocessing'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 # sha256 of every file of the 120x120 grid round trip at m=4; any change
@@ -454,6 +471,28 @@ class TestBadInputsExitTwo:
         enc, report = owner_files
         doc = json.loads(report.read_text())
         doc[key] = [doc[key]]
+        report.write_text(json.dumps(doc))
+        self.embed_with(capsys, enc, report)
+
+    @pytest.mark.parametrize("key", ["max_prefix_lengths", "capacity_curve", "embedded"])
+    def test_report_integer_beyond_int64(self, owner_files, capsys, key):
+        enc, report = owner_files
+        doc = json.loads(report.read_text())
+        doc[key][0] = 2**70
+        report.write_text(json.dumps(doc))
+        self.embed_with(capsys, enc, report)
+
+    @pytest.mark.parametrize("tamper", ["inflated", "zeroed", "raised_first"])
+    def test_report_curve_contradicts_ts(self, owner_files, capsys, tamper):
+        enc, report = owner_files
+        doc = json.loads(report.read_text())
+        curve = doc["capacity_curve"]
+        doc["capacity_curve"] = {
+            "inflated": [10 * c for c in curve],
+            "zeroed": [0] * len(curve),
+            "raised_first": [max(curve) + 1] + curve[1:],
+        }[tamper]
+        assert doc["capacity_curve"] != curve
         report.write_text(json.dumps(doc))
         self.embed_with(capsys, enc, report)
 

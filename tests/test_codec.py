@@ -72,11 +72,7 @@ class TestEmbed:
         part = partition(tetra_mesh.n_vertices, tetra_mesh.faces)
         enc = encrypt_mesh(q, part, ZeroKey())
         enc.magnitudes[0] = [0x0B48, 0x0B48, 0x0B48]
-        rep = PredictionReport(
-            ts=np.array([16]),
-            capacity_curve=np.array([3 * n for n in range(1, 17)]),
-            m=4, embedded=part.embedded.copy(),
-        )
+        rep = PredictionReport(ts=np.array([16]), m=4, embedded=part.embedded.copy())
         assert int(part.embedded[0]) == 1 and rep.capacity(4) == 12
         payload = np.array([1, 0, 1, 0] * 3, dtype=np.uint8)
         marked = embed(enc, rep, 4, payload, ZeroKey(KeyRole.HIDE))

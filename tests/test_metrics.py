@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from rdh3d import (
     Mesh,
@@ -60,8 +59,12 @@ class TestHausdorff:
         a = np.random.default_rng(5).uniform(-1, 1, size=(400, 3))
         b = a + 1e-4
         assert hausdorff(a, b, method="kdtree") == pytest.approx(
-            hausdorff(a, b, method="brute"), rel=1e-12
+            brute_hausdorff(a.tolist(), b.tolist()), rel=1e-12
         )
+
+    def test_kdtree_is_the_only_method(self):
+        with pytest.raises(ValueError, match="unknown hausdorff method 'brute'"):
+            hausdorff([[0, 0, 0]], [[1, 0, 0]], method="brute")
 
     def test_pipeline_distance_bound(self, ke, kw):
         # float-level distance between original and recovered mesh is
@@ -91,7 +94,7 @@ class TestHausdorff:
     def test_takes_meshes(self, tetra_mesh):
         assert hausdorff(tetra_mesh, tetra_mesh) == 0.0
 
-    @pytest.mark.parametrize("method", ["kdtree", "brute"])
+    @pytest.mark.parametrize("method", ["kdtree"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, method, bad):
         a = np.zeros((3, 3))
@@ -207,8 +210,8 @@ class TestPairedHausdorff:
     def test_distance_routines_agree(self, pair):
         # The pruning compares pair distances from metrics._sq_dist with
         # nearest distances from the same routine; the bit-identical
-        # result also needs cKDTree (and cdist) to round every distance
-        # the same way. Here each b_i is the nearest point of a_i, so the
+        # result also needs cKDTree to round every distance the same
+        # way. Here each b_i is the nearest point of a_i, so the
         # tree reports the pair distance itself.
         rng = np.random.default_rng(9)
         if pair == "quantized":
@@ -220,9 +223,6 @@ class TestPairedHausdorff:
         tree_d, tree_i = cKDTree(b).query(a, k=1)
         assert np.array_equal(tree_i, np.arange(len(a)))
         assert np.array_equal(tree_d, paired)
-        cdist_d = np.concatenate([cdist(a[lo:lo + 512], b[lo:lo + 512]).diagonal()
-                                  for lo in range(0, len(a), 512)])
-        assert np.array_equal(cdist_d, paired)
 
 
 class TestSnr:

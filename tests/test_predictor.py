@@ -222,6 +222,31 @@ class TestAnalyze:
         assert np.array_equal(back.capacity_curve, rep.capacity_curve)
         assert (back.m, back.l) == (rep.m, rep.l)
 
+    @pytest.mark.parametrize("tamper", ["inflated", "zeroed", "raised_first",
+                                        "short", "nested"])
+    def test_json_curve_contradicting_ts_rejected(self, tamper):
+        mesh = random_mesh(4, n_max=40, smooth=True)
+        doc = analyze(quantize(mesh, 4), partition(mesh.n_vertices, mesh.faces)).to_json_dict()
+        curve = doc["capacity_curve"]
+        assert max(curve) > 0
+        doc["capacity_curve"] = {
+            "inflated": [10 * c for c in curve],
+            "zeroed": [0] * len(curve),
+            "raised_first": [max(curve) + 1] + curve[1:],
+            "short": curve[:-1],
+            "nested": [curve],
+        }[tamper]
+        with pytest.raises(ConfigError, match="capacity_curve contradicts"):
+            PredictionReport.from_json_dict(doc)
+
+    @pytest.mark.parametrize("t", [-1, 17])
+    def test_json_t_outside_word_rejected(self, t):
+        mesh = random_mesh(4, n_max=40, smooth=True)
+        doc = analyze(quantize(mesh, 4), partition(mesh.n_vertices, mesh.faces)).to_json_dict()
+        doc["max_prefix_lengths"][0] = t
+        with pytest.raises(ConfigError, match="in 0..16"):
+            PredictionReport.from_json_dict(doc)
+
     @pytest.mark.parametrize("l", [8, 32, 64])
     def test_json_l_contradicting_m_rejected(self, l):
         mesh = random_mesh(4, n_max=40)
@@ -234,19 +259,16 @@ class TestAnalyze:
 
 class TestChooseN:
     def test_single_peak(self):
-        rep = PredictionReport(
-            ts=np.array([16] * 10), capacity_curve=np.zeros(32, dtype=np.int64),
-            m=5, embedded=np.arange(1, 11),
-        )
-        rep.capacity_curve[15] = 100
+        rep = PredictionReport(ts=np.array([16] * 10), m=5, embedded=np.arange(1, 11))
+        assert rep.capacity_curve.argmax() == 15
         assert choose_n(rep) == 16
 
     def test_all_equal_tie_breaks_small(self):
-        rep = PredictionReport(
-            ts=np.array([8]), capacity_curve=np.full(16, 5, dtype=np.int64),
-            m=4, embedded=np.array([1]),
-        )
-        assert choose_n(rep) == 1
+        # an all-zero curve, and a curve whose maximum 6 sits at n=1 and n=2
+        for ts in ([0], [1, 2]):
+            rep = PredictionReport(ts=np.array(ts), m=4, embedded=np.arange(1, len(ts) + 1))
+            assert rep.capacity_curve[0] == rep.capacity_curve.max()
+            assert choose_n(rep) == 1
 
     def test_requested_passthrough_and_validation(self):
         mesh = random_mesh(1, n_max=40)
