@@ -23,7 +23,6 @@ from .codec import embed, extract, recover
 from .errors import Rdh3dError
 from .mesh_io import FORMATS, Mesh, read_mesh_file
 from .metrics import embedding_rate, hausdorff, snr
-from .partition import Partition, partition
 from .predictor import analyze, choose_n
 from .quantize import dequantize, quantize
 
@@ -64,12 +63,11 @@ def default_payload(kw: KeyMaterial, n_bits: int) -> np.ndarray:
 
 def run_pipeline(mesh: Mesh, mesh_id: str, m: int, n: int | None,
                  ke_pass: str, kw_pass: str,
-                 hausdorff_method: str = "kdtree",
-                 part: Partition | None = None) -> BenchRow:
+                 hausdorff_method: str = "kdtree") -> BenchRow:
     """One full pipeline run; raises on any reversibility violation.
 
-    part, when given, must be partition(mesh.n_vertices, mesh.faces): a
-    sweep over m hands in the one partition of its mesh. hausdorff_method
+    The row that first reads `mesh.partition` derives it and counts it in
+    its t_analyze; later rows on the same Mesh reuse it. hausdorff_method
     is passed to `hausdorff`, whose only method is "kdtree".
     """
     ke = KeyMaterial.from_passphrase(ke_pass, KeyRole.ENCRYPT)
@@ -78,12 +76,10 @@ def run_pipeline(mesh: Mesh, mesh_id: str, m: int, n: int | None,
     t0 = time.perf_counter()
     q = quantize(mesh, m)
     t1 = time.perf_counter()
-    if part is None:
-        part = partition(mesh.n_vertices, mesh.faces)
-    rep = analyze(q, part)
+    rep = analyze(q, mesh.partition)
     n_eff = choose_n(rep, n)
     t2 = time.perf_counter()
-    enc = encrypt_mesh(q, part, ke)
+    enc = encrypt_mesh(q, mesh.partition, ke)
     t3 = time.perf_counter()
     payload = default_payload(kw, rep.capacity(n_eff))
     marked = embed(enc, rep, n_eff, payload, kw)
@@ -128,38 +124,21 @@ def corpus_files(corpus_dir) -> list[Path]:
     return sorted(p for p in root.rglob("*") if p.suffix.lower().lstrip(".") in FORMATS)
 
 
-def _bench_one_file(path: Path, m_values: list[int], n_values: list[int | None],
-                    ke_pass: str, kw_pass: str):
-    rows, failures = [], []
-    try:
-        mesh = read_mesh_file(path)
-    except Exception as exc:
-        return rows, [(path.name, f"parse failed: {exc}")]
-    t0 = time.perf_counter()
-    part = partition(mesh.n_vertices, mesh.faces)  # a function of the faces alone
-    t_partition = time.perf_counter() - t0
-    for m in m_values:
-        for n in n_values:
-            try:
-                row = run_pipeline(mesh, path.name, m, n, ke_pass, kw_pass, part=part)
-            except Exception as exc:
-                failures.append((path.name, f"m={m} n={n}: {exc}"))
-                continue
-            # the file's first row pays for the partition the others reuse
-            row.t_analyze += t_partition
-            t_partition = 0.0
-            rows.append(row)
-    return rows, failures
-
-
 def bench_corpus(corpus_dir, m_values, n_values, ke_pass: str, kw_pass: str):
     """Sweep every mesh file under corpus_dir; returns (rows, failures)."""
     rows, failures = [], []
     for path in corpus_files(corpus_dir):
-        file_rows, file_failures = _bench_one_file(path, m_values, n_values,
-                                                   ke_pass, kw_pass)
-        rows.extend(file_rows)
-        failures.extend(file_failures)
+        try:
+            mesh = read_mesh_file(path)
+        except Exception as exc:
+            failures.append((path.name, f"parse failed: {exc}"))
+            continue
+        for m in m_values:
+            for n in n_values:
+                try:
+                    rows.append(run_pipeline(mesh, path.name, m, n, ke_pass, kw_pass))
+                except Exception as exc:
+                    failures.append((path.name, f"m={m} n={n}: {exc}"))
     for name, why in failures:
         log.warning("%s: %s", name, why)
     return rows, failures

@@ -28,7 +28,6 @@ from .errors import (
 )
 from .mesh_io import FORMATS, format_from_path, read_mesh_file, write_mesh_file
 from .metrics import FidelityReport, embedding_rate, hausdorff, snr
-from .partition import partition
 from .predictor import PredictionReport, analyze, choose_n
 from .quantize import dequantize, quantize
 
@@ -71,9 +70,7 @@ def _emit(text: str, out_path):
 
 def cmd_analyze(args) -> int:
     mesh = read_mesh_file(args.mesh, args.format)
-    q = quantize(mesh, args.m)
-    part = partition(mesh.n_vertices, mesh.faces)
-    rep = analyze(q, part)
+    rep = analyze(quantize(mesh, args.m), mesh.partition)
     doc = rep.to_json_dict()
     doc["chosen_n"] = choose_n(rep, args.n)
     doc["n_vertices"] = mesh.n_vertices
@@ -84,8 +81,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_encrypt(args) -> int:
     mesh = read_mesh_file(args.mesh, args.format)
-    q = quantize(mesh, args.m)
-    c = encrypt_mesh(q, partition(mesh.n_vertices, mesh.faces), _ke(args))
+    c = encrypt_mesh(quantize(mesh, args.m), mesh.partition, _ke(args))
     write_container_file(args.out, c)
     if args.export_off:
         write_mesh_file(args.export_off, container_mesh(c), "off")

@@ -54,9 +54,8 @@ class MarkedContainer:
     excluded: np.ndarray    # (|C|,) uint8, 1 = excluded, C order
     magnitudes: np.ndarray  # (N, 3) int64 l-bit words, encrypted (C vertices may carry payload)
     faces: np.ndarray       # (M, 3) int64, 1-based
-    version: int = field(default=VERSION)
-    # Split of `faces` as derived by the reader or the owner; not
-    # serialized and ignored by ==. Replace it if `faces` changes.
+    # Split of `faces` as the reader or the owner hands it on, else derived
+    # here; not serialized, ignored by ==. Replace it if `faces` changes.
     partition: Partition | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -64,6 +63,8 @@ class MarkedContainer:
         self.excluded = np.asarray(self.excluded, dtype=np.uint8).reshape(-1)
         self.magnitudes = np.asarray(self.magnitudes, dtype=np.int64).reshape(-1, 3)
         self.faces = np.asarray(self.faces, dtype=np.int64).reshape(-1, 3)
+        if self.partition is None:
+            self.partition = compute_partition(self.n_vertices, self.faces)
 
     @property
     def l(self) -> int:
@@ -78,18 +79,15 @@ class MarkedContainer:
         return self.faces.shape[0]
 
     def checked_partition(self) -> Partition:
-        """The embedded/reference split of the face list: the one handed
-        on, else derived now. Raises ContainerError unless the excluded
-        bitmap covers exactly |C| vertices."""
-        part = self.partition
-        if part is None:
-            part = compute_partition(self.n_vertices, self.faces)
-        if part.n_embedded != self.excluded.size:
+        """The embedded/reference split of the face list. Raises
+        ContainerError unless the excluded bitmap covers exactly |C|
+        vertices."""
+        if self.partition.n_embedded != self.excluded.size:
             raise ContainerError(
                 f"excluded bitmap covers {self.excluded.size} vertices but the "
-                f"face list implies {part.n_embedded} embedded vertices"
+                f"face list implies {self.partition.n_embedded} embedded vertices"
             )
-        return part
+        return self.partition
 
     def capacity_bits(self) -> int:
         return 3 * self.n * int((self.excluded == 0).sum())
@@ -98,8 +96,8 @@ class MarkedContainer:
         if not isinstance(other, MarkedContainer):
             return NotImplemented
         return (
-            (self.m, self.n, self.payload_bits, self.version)
-            == (other.m, other.n, other.payload_bits, other.version)
+            (self.m, self.n, self.payload_bits)
+            == (other.m, other.n, other.payload_bits)
             and np.array_equal(self.signs, other.signs)
             and np.array_equal(self.excluded, other.excluded)
             and np.array_equal(self.magnitudes, other.magnitudes)
@@ -137,7 +135,7 @@ def write_container(c: MarkedContainer) -> bytes:
     if mags.size and (mags.min() < 0 or int(mags.max()) >> l):
         raise ContainerError("magnitude does not fit the declared word length")
     header = _HEADER.pack(
-        MAGIC, c.version, c.m, l, c.n, c.n_vertices, c.n_faces, c.payload_bits
+        MAGIC, VERSION, c.m, l, c.n, c.n_vertices, c.n_faces, c.payload_bits
     )
     parts = [
         header,
@@ -209,7 +207,7 @@ def read_container(data: bytes) -> MarkedContainer:
     return MarkedContainer(
         m=m, n=n, payload_bits=payload_bits, signs=signs,
         excluded=excluded, magnitudes=np.frombuffer(mag_raw, dtype=WORD_DTYPES[l]),
-        faces=faces, version=version, partition=part,
+        faces=faces, partition=part,
     )
 
 

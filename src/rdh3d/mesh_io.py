@@ -11,6 +11,7 @@ offending line.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,22 +23,34 @@ from .errors import (
     MeshParseError,
     NonTriangleFaceError,
 )
+from .partition import Partition, partition as compute_partition
 
 FORMATS = ("off", "obj", "ply")
 
 _PLY_FLOAT_TYPES = {"float", "double", "float32", "float64"}
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Mesh:
-    """Plaintext carrier: float coordinates plus 1-based triangle faces."""
+    """Plaintext carrier: float coordinates plus 1-based triangle faces.
+
+    Frozen, so that `partition`, derived from the faces on first read,
+    stays the split of these faces.
+    """
 
     vertices: np.ndarray  # (N, 3) float64
     faces: np.ndarray     # (M, 3) int64, 1-based
 
     def __post_init__(self):
-        self.vertices = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
-        self.faces = np.asarray(self.faces, dtype=np.int64).reshape(-1, 3)
+        object.__setattr__(
+            self, "vertices", np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3))
+        object.__setattr__(
+            self, "faces", np.asarray(self.faces, dtype=np.int64).reshape(-1, 3))
+
+    @cached_property
+    def partition(self) -> Partition:
+        """The embedded/reference split of the faces, derived once."""
+        return compute_partition(self.n_vertices, self.faces)
 
     @property
     def n_vertices(self) -> int:

@@ -67,11 +67,11 @@ class PredictionReport:
     @classmethod
     def from_json_dict(cls, d: dict) -> "PredictionReport":
         rep = cls(
-            ts=np.asarray(d["max_prefix_lengths"], dtype=np.int64),
-            m=int(d["m"]),
-            embedded=np.asarray(d["embedded"], dtype=np.int64),
+            ts=np.asarray(_json_ints(d, "max_prefix_lengths"), dtype=np.int64),
+            m=int(_json_ints(d, "m")),
+            embedded=np.asarray(_json_ints(d, "embedded"), dtype=np.int64),
         )
-        if int(d["l"]) != rep.l:
+        if int(_json_ints(d, "l")) != rep.l:
             raise ConfigError(
                 f"malformed prediction report: l={d['l']} contradicts m={rep.m}"
             )
@@ -82,13 +82,25 @@ class PredictionReport:
                 "malformed prediction report: expected flat lists with one t "
                 f"in 0..{rep.l} per embedded vertex"
             )
-        if not np.array_equal(np.asarray(d["capacity_curve"], dtype=np.int64),
+        if not np.array_equal(np.asarray(_json_ints(d, "capacity_curve"), dtype=np.int64),
                               rep.capacity_curve):
             raise ConfigError(
                 "malformed prediction report: capacity_curve contradicts "
                 "max_prefix_lengths"
             )
         return rep
+
+
+# JSON values that int() and numpy would silently turn into integers
+_NOT_INTS = frozenset((float, str, bool))
+
+
+def _json_ints(d: dict, key: str):
+    """d[key], refused if it or one of its list items is a float, string or bool."""
+    value = d[key]
+    if not _NOT_INTS.isdisjoint(map(type, value if type(value) is list else [value])):
+        raise ConfigError(f"malformed prediction report: {key} must hold JSON integers")
+    return value
 
 
 def predict_words(words: np.ndarray, part, l: int, n: int) -> np.ndarray:

@@ -13,7 +13,7 @@ from rdh3d.bench import (
     run_pipeline,
 )
 from rdh3d.cipher import KeyMaterial, KeyRole
-from rdh3d.mesh_io import write_mesh_file
+from rdh3d.mesh_io import read_mesh_file, write_mesh_file
 from rdh3d.partition import partition
 
 from conftest import grid_mesh, random_mesh
@@ -33,21 +33,16 @@ class TestRunPipeline:
                       "t_extract", "t_recover")
         )
 
-    def test_one_partition_per_row(self, partition_calls):
-        mesh = random_mesh(5, n_max=80, smooth=True)
+    def test_one_partition_per_mesh(self, tmp_path, partition_calls):
+        path = tmp_path / "a.off"
+        write_mesh_file(path, random_mesh(5, n_max=80, smooth=True))
+        mesh = read_mesh_file(path)
         for m in (2, 5, 9):
             run_pipeline(mesh, "x", m, None, "ka", "kb")
-        assert len(partition_calls) == 3
-
-    def test_given_partition_is_used(self, partition_calls):
-        mesh = random_mesh(5, n_max=80, smooth=True)
-        part = partition(mesh.n_vertices, mesh.faces)
-        with_part = run_pipeline(mesh, "x", 4, None, "ka", "kb", part=part)
-        assert partition_calls == []
-        without = run_pipeline(mesh, "x", 4, None, "ka", "kb")
-        assert (with_part.n, with_part.embedded_bits, with_part.hausdorff_e3) == (
-            without.n, without.embedded_bits, without.hausdorff_e3
-        )
+        assert len(partition_calls) == 1
+        # no cache outlives its Mesh: a second parse derives its own
+        run_pipeline(read_mesh_file(path), "x", 4, None, "ka", "kb")
+        assert len(partition_calls) == 2
 
     def test_explicit_n(self):
         mesh = random_mesh(6, n_max=60, smooth=True)
@@ -97,7 +92,7 @@ class TestBenchCorpus:
             time.sleep(0.2)
             return partition(*args)
 
-        monkeypatch.setattr("rdh3d.bench.partition", slow_partition)
+        monkeypatch.setattr("rdh3d.mesh_io.compute_partition", slow_partition)
         write_mesh_file(tmp_path / "0.off", random_mesh(0, n_max=30))
         rows, failures = bench_corpus(tmp_path, [2, 3, 4], [None], "a", "b")
         assert not failures

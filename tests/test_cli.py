@@ -496,6 +496,28 @@ class TestBadInputsExitTwo:
         report.write_text(json.dumps(doc))
         self.embed_with(capsys, enc, report)
 
+    @pytest.mark.parametrize("tamper", ["all", "m", "l", "ts", "embedded", "curve",
+                                        "bool_id"])
+    def test_report_non_integer_json(self, tmp_path, capsys, tamper):
+        mesh_path, report, enc = (tmp_path / name for name in ("g.off", "r.json", "e.rdh3d"))
+        write_mesh_file(mesh_path, grid_mesh(20))
+        assert run("analyze", mesh_path, "--m", 4, "--out", report) == 0
+        assert run("encrypt", mesh_path, "--m", 4, "--ke-pass", "a", "--out", enc) == 0
+        doc = json.loads(report.read_text())
+        tampered = {
+            "m": {"m": 4.7},
+            "l": {"l": 16.2},
+            "ts": {"max_prefix_lengths": [t + 0.9 for t in doc["max_prefix_lengths"]]},
+            "embedded": {"embedded": [str(i) for i in doc["embedded"]]},
+            "curve": {"capacity_curve": [float(c) for c in doc["capacity_curve"]]},
+            "bool_id": {"embedded": [True] + doc["embedded"][1:]},
+        }
+        assert doc["embedded"][0] == 1
+        for key in ("m", "l", "ts", "embedded") if tamper == "all" else (tamper,):
+            doc.update(tampered[key])
+        report.write_text(json.dumps(doc))
+        self.embed_with(capsys, enc, report)
+
     def test_report_l_contradicts_m(self, owner_files, capsys):
         enc, report = owner_files
         doc = json.loads(report.read_text())

@@ -235,6 +235,16 @@ class TestExtract:
         assert read == c
         assert np.array_equal(read.partition.ring_flat, part.ring_flat)
 
+    def test_container_without_partition_derives_it_once(self, ke, kw, partition_calls):
+        mesh = random_mesh(22, n_max=60, smooth=True)
+        q, part, rep, enc = pipeline_parts(mesh, 4, ke, kw)
+        c = embed(enc, rep, 1, rand_bits(rep.capacity(1)), kw)
+        partition_calls.clear()
+        bare = replace(c, partition=None)
+        assert np.array_equal(extract(bare, kw), extract(c, kw))
+        assert recover(bare, ke) == q
+        assert len(partition_calls) == 1
+
 
 class TestRecover:
     @pytest.mark.parametrize("seed", range(12))

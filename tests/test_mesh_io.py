@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import warnings
+from dataclasses import FrozenInstanceError
 from unittest import mock
 
 import numpy as np
@@ -16,6 +17,7 @@ from rdh3d.errors import (
     MeshParseError,
     NonTriangleFaceError,
 )
+from rdh3d.partition import partition
 
 from conftest import random_mesh
 
@@ -294,6 +296,22 @@ class TestOrderPreservation:
         )
         back = parse_mesh(write_mesh(mesh, "ply"), "ply")
         assert back == mesh
+
+
+class TestMeshPartition:
+    def test_fields_cannot_be_reassigned(self, tetra_mesh):
+        with pytest.raises(FrozenInstanceError):
+            tetra_mesh.faces = tetra_mesh.faces[:1]
+        with pytest.raises(FrozenInstanceError):
+            tetra_mesh.vertices = tetra_mesh.vertices[:1]
+
+    def test_partition_derived_once(self, cow_mesh, partition_calls):
+        part = cow_mesh.partition
+        assert cow_mesh.partition is part
+        assert len(partition_calls) == 1
+        assert np.array_equal(
+            part.embedded, partition(cow_mesh.n_vertices, cow_mesh.faces).embedded
+        )
 
 
 def test_unknown_format_rejected(tetra_mesh):

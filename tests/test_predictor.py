@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,27 @@ class TestAnalyze:
         assert np.array_equal(back.ts, rep.ts)
         assert np.array_equal(back.capacity_curve, rep.capacity_curve)
         assert (back.m, back.l) == (rep.m, rep.l)
+
+    def test_json_round_trip_without_faces(self):
+        mesh = Mesh(np.full((3, 3), 0.25), np.empty((0, 3)))
+        doc = json.loads(json.dumps(analyze(quantize(mesh, 4), mesh.partition).to_json_dict()))
+        assert doc["embedded"] == doc["max_prefix_lengths"] == []
+        back = PredictionReport.from_json_dict(doc)
+        assert (back.ts.size, back.embedded.size, back.m) == (0, 0, 4)
+
+    @pytest.mark.parametrize("key, value", [
+        ("m", 4.0), ("m", "4"), ("l", 16.0), ("l", True),
+        ("max_prefix_lengths", "tamper"), ("embedded", "tamper"),
+        ("capacity_curve", "tamper"),
+    ])
+    def test_json_non_integer_rejected(self, key, value):
+        mesh = random_mesh(4, n_max=40, smooth=True)
+        doc = analyze(quantize(mesh, 4), mesh.partition).to_json_dict()
+        if value == "tamper":
+            value = [float(doc[key][0]), *doc[key][1:]]
+        doc[key] = value
+        with pytest.raises(ConfigError, match=f"{key} must hold JSON integers"):
+            PredictionReport.from_json_dict(doc)
 
     @pytest.mark.parametrize("tamper", ["inflated", "zeroed", "raised_first",
                                         "short", "nested"])
