@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContainerError
-from .mesh_io import Mesh
+from .mesh_io import Mesh, read_only
 from .partition import Partition, partition as compute_partition
 from .quantize import M_MAX, M_MIN, WORD_DTYPES, bit_length
 
@@ -225,4 +225,4 @@ def container_mesh(c: MarkedContainer) -> Mesh:
     """Signed integer coordinates as a Mesh, for visual export of the
     encrypted/marked state (coordinates fit float64 exactly)."""
     signed = np.where(c.signs == 1, -1.0, 1.0) * c.magnitudes.astype(np.float64)
-    return Mesh(signed, c.faces.copy())
+    return Mesh(read_only(signed), read_only(c.faces.copy()))

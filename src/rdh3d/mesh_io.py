@@ -34,18 +34,18 @@ _PLY_FLOAT_TYPES = {"float", "double", "float32", "float64"}
 class Mesh:
     """Plaintext carrier: float coordinates plus 1-based triangle faces.
 
-    Frozen, so that `partition`, derived from the faces on first read,
-    stays the split of these faces.
+    Frozen, with read-only arrays, so that `partition`, derived from the
+    faces on first read, stays the split of these faces. A writable
+    array passed in is copied, so the caller's array stays writable and
+    cannot change the mesh; a read-only one is kept as it is.
     """
 
     vertices: np.ndarray  # (N, 3) float64
     faces: np.ndarray     # (M, 3) int64, 1-based
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "vertices", np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3))
-        object.__setattr__(
-            self, "faces", np.asarray(self.faces, dtype=np.int64).reshape(-1, 3))
+        object.__setattr__(self, "vertices", _frozen(self.vertices, np.float64))
+        object.__setattr__(self, "faces", _frozen(self.faces, np.int64))
 
     @cached_property
     def partition(self) -> Partition:
@@ -76,6 +76,24 @@ class Mesh:
         return np.array_equal(self.vertices, other.vertices) and np.array_equal(
             self.faces, other.faces
         )
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    """values as a read-only (-1, 3) array of dtype that no writable
+    array shares: copied only when it would share a writable one."""
+    arr = np.asarray(values, dtype=dtype).reshape(-1, 3)
+    if arr.flags.writeable:
+        if np.may_share_memory(arr, values):
+            arr = arr.copy()
+        arr.flags.writeable = False
+    return arr
+
+
+def read_only(arr: np.ndarray) -> np.ndarray:
+    """arr with its write flag cleared, for a fresh array that nothing
+    else holds: a Mesh keeps it without a copy."""
+    arr.flags.writeable = False
+    return arr
 
 
 def _check_format(fmt: str) -> str:
@@ -190,7 +208,7 @@ def _finish_mesh(vertices, face_rows):
                 )
     verts = np.array(vertices, dtype=np.float64).reshape(-1, 3)
     faces = np.array(face_rows, dtype=np.int64).reshape(-1, 4)[:, :3] + 1
-    return Mesh(verts, faces)
+    return Mesh(read_only(verts), read_only(faces))
 
 
 def _read_body(lines, elements) -> Mesh:
@@ -268,7 +286,7 @@ def _bulk_body(raw_lines, start, elements):
     idx = faces[:, 1:]
     if idx.size and (idx.min() < 0 or idx.max() >= n_verts):
         return None
-    return Mesh(verts, idx + 1)
+    return Mesh(read_only(verts), read_only(idx + 1))
 
 
 def _parse_off(text: str) -> Mesh:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .mesh_io import Mesh
+from .mesh_io import Mesh, read_only
 
 M_MIN, M_MAX = 2, 9
 
@@ -113,4 +113,4 @@ def dequantize(q: QuantizedMesh) -> Mesh:
     scale = float(10**q.m)
     coords = q.magnitudes.astype(np.float64) / scale
     coords = np.where(q.signs == 1, -coords, coords)
-    return Mesh(coords, q.faces.copy())
+    return Mesh(read_only(coords), read_only(q.faces.copy()))

@@ -2,13 +2,17 @@
 
 Everything here is deliberately written the slow, obvious way (pure
 Python loops, no shared helpers with the package) so a bug in the
-production code cannot hide in its own oracle.
+production code cannot hide in its own oracle. The one exception is
+`plane_cumsum_predict_words`, the earlier plane-by-plane numpy form of
+the prediction rule, which is fast enough to check rings of 65,536
+members and more.
 """
 
 from __future__ import annotations
 
 import struct
 
+import numpy as np
 from scipy.spatial import cKDTree
 
 
@@ -117,6 +121,27 @@ def brute_predict_bit(plane: int, ring_words) -> int:
     zeros = sum(1 for w in ring_words if ((int(w) >> plane) & 1) == 0)
     ones = len(ring_words) - zeros
     return 0 if zeros >= ones else 1
+
+
+def plane_cumsum_predict_words(words, part, l: int, n: int):
+    """The earlier vectorized form of `predictor.predict_words`, kept as
+    its reference: the three axes' rings laid end to end as 3K rings, one
+    int64 cumsum per bit plane, planes above the largest ring word
+    skipped. Returns the (K, 3) int64 top n bits of each majority word.
+    """
+    k_count = part.n_embedded
+    ring_words = words[part.ring_flat - 1].T.ravel()
+    shift = np.arange(3, dtype=np.int64)[:, None] * part.ring_flat.size
+    starts = (part.ring_offsets[:-1] + shift).ravel()
+    ends = (part.ring_offsets[1:] + shift).ravel()
+    sizes = ends - starts
+    top = int(ring_words.max()).bit_length() if ring_words.size else 0
+    pred = np.zeros(3 * k_count, dtype=np.int64)
+    cs = np.zeros(ring_words.size + 1, dtype=np.int64)
+    for u in range(l - n, min(l, top)):
+        np.cumsum((ring_words >> u) & 1, out=cs[1:])
+        pred |= (2 * (cs[ends] - cs[starts]) > sizes).astype(np.int64) << (u - (l - n))
+    return pred.reshape(3, k_count).T
 
 
 def brute_max_prefix_len(target: int, ring_words, l: int) -> int:

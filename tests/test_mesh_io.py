@@ -9,7 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdh3d import Mesh, mesh_io, parse_mesh, write_mesh
+from rdh3d import (
+    Mesh,
+    container_mesh,
+    dequantize,
+    encrypt_mesh,
+    mesh_io,
+    parse_mesh,
+    quantize,
+    write_mesh,
+)
 from rdh3d.errors import (
     CoordinateSyntaxError,
     FaceIndexError,
@@ -19,7 +28,7 @@ from rdh3d.errors import (
 )
 from rdh3d.partition import partition
 
-from conftest import random_mesh
+from conftest import grid_mesh, random_mesh
 
 
 class TestParseOff:
@@ -304,6 +313,48 @@ class TestMeshPartition:
             tetra_mesh.faces = tetra_mesh.faces[:1]
         with pytest.raises(FrozenInstanceError):
             tetra_mesh.vertices = tetra_mesh.vertices[:1]
+
+    def test_arrays_are_read_only(self):
+        mesh = grid_mesh(10)
+        embedded = mesh.partition.embedded.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            mesh.faces[:] = mesh.faces[::-1]
+        with pytest.raises(ValueError, match="read-only"):
+            mesh.vertices[0, 0] = 0.5
+        assert np.array_equal(mesh.partition.embedded, embedded)
+        assert np.array_equal(embedded, partition(mesh.n_vertices, mesh.faces).embedded)
+
+    def test_caller_arrays_stay_writable_and_apart(self):
+        verts = np.full((3, 3), 0.25)
+        faces = np.array([[1, 2, 3]])
+        mesh = Mesh(verts, faces)
+        assert verts.flags.writeable and faces.flags.writeable
+        verts[0, 0] = 0.5
+        faces[0] = [3, 2, 1]
+        assert mesh.vertices[0, 0] == 0.25
+        assert mesh.faces.tolist() == [[1, 2, 3]]
+
+    def test_read_only_arrays_are_kept(self):
+        verts = np.full((3, 3), 0.25)
+        faces = np.array([[1, 2, 3]])
+        verts.flags.writeable = faces.flags.writeable = False
+        mesh = Mesh(verts, faces)
+        assert np.shares_memory(mesh.vertices, verts)
+        assert np.shares_memory(mesh.faces, faces)
+
+    @pytest.mark.parametrize("make", ["bulk", "lines", "dequantize", "container_mesh"])
+    def test_package_meshes_are_read_only(self, make, tetra_mesh, ke):
+        if make == "bulk":
+            mesh = parse_mesh(write_mesh(tetra_mesh, "off"), "off")
+        elif make == "lines":
+            mesh = parse_mesh("# comment\n" + write_mesh(tetra_mesh, "off"), "off")
+        elif make == "dequantize":
+            mesh = dequantize(quantize(tetra_mesh, 4))
+        else:
+            mesh = container_mesh(
+                encrypt_mesh(quantize(tetra_mesh, 4), tetra_mesh.partition, ke))
+        assert not mesh.vertices.flags.writeable
+        assert not mesh.faces.flags.writeable
 
     def test_partition_derived_once(self, cow_mesh, partition_calls):
         part = cow_mesh.partition

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,21 +9,24 @@ import pytest
 from rdh3d import (
     Mesh,
     analyze,
+    bit_length,
     choose_n,
     encrypt_mesh,
+    predictor,
     quantize,
 )
 from rdh3d.errors import ConfigError
 from rdh3d.partition import partition
-from rdh3d.predictor import PredictionReport
+from rdh3d.predictor import PredictionReport, predict_words
 
-from conftest import empty_ring_mesh, fan_mesh, random_mesh, rings_of
+from conftest import empty_ring_mesh, fan_mesh, grid_mesh, random_mesh, rings_of
 from oracles import (
     brute_analyze,
     brute_choose_n,
     brute_max_prefix_len,
     brute_partition,
     brute_predict_bit,
+    plane_cumsum_predict_words,
 )
 
 
@@ -98,6 +102,133 @@ class TestPredictBit:
         ring = [int(w) for w in np.random.default_rng(3).integers(4000, 4400, 300)]
         for target in (4100, 4200, 4300, 8191):
             assert one_ring_t(target, ring, 4) == brute_max_prefix_len(target, ring, 16)
+
+
+# Ring sizes at the lane edges: 255 members fit uint8 lanes, 256 need
+# uint16, 65,535 fit them and 65,536 need uint32.
+LANE_EDGES = (255, 256, 65_535, 65_536)
+
+
+@pytest.fixture(scope="module")
+def fan_partitions():
+    return {spokes: fan_mesh(spokes).partition for spokes in LANE_EDGES}
+
+
+def random_words(n_vertices: int, l: int, seed: int) -> np.ndarray:
+    """Uniform l-bit words: each plane of a large ring counts near half."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 1 << l, size=(n_vertices, 3), dtype=np.int64)
+
+
+def fans(ring_sizes):
+    """(n_vertices, faces) of disjoint closed fans whose apexes are the
+    embedded vertices, in order, with rings of ring_sizes members; a size
+    of 0 is an apex in one degenerate face, with an empty ring."""
+    faces, apex = [], 1
+    for size in ring_sizes:
+        if size == 0:
+            faces.append([[apex] * 3])
+        else:
+            rim = np.arange(apex + 1, apex + size + 1)
+            faces.append(np.column_stack([np.full(size, apex), rim, np.roll(rim, -1)]))
+        apex += size + 1
+    return apex - 1, np.vstack(faces)
+
+
+def assert_matches_reference(words, part, l):
+    for n in (1, l):
+        got = predict_words(words, part, l, n)
+        assert got.dtype == np.int64 and got.shape == (part.n_embedded, 3)
+        assert np.array_equal(got, plane_cumsum_predict_words(words, part, l, n))
+
+
+class TestPredictWords:
+    @pytest.mark.parametrize("spokes", LANE_EDGES)
+    @pytest.mark.parametrize("m", [2, 4, 9])
+    def test_lane_edges(self, fan_partitions, spokes, m):
+        # Every rim word is equal, so each of its 1 bits is counted by all
+        # `spokes` members: the lane's maximum at 255 and 65,535. A lane
+        # one type too narrow wraps the count to 0 at 256 and 65,536.
+        part = fan_partitions[spokes]
+        assert part.embedded.tolist() == [1] and part.ring_flat.size == spokes
+        l = bit_length(m)
+        rim = np.array([(1 << l) - 1, 10**m - 1, 1 << (l - 1)])
+        words = np.zeros((spokes + 1, 3), dtype=np.int64)
+        words[1:] = rim
+        for n in (1, l):
+            got = predict_words(words, part, l, n)
+            assert got.tolist() == [(rim >> (l - n)).tolist()]
+        assert_matches_reference(random_words(spokes + 1, l, spokes), part, l)
+
+    def test_ring_longer_than_a_block(self):
+        spokes = 70_000
+        assert spokes > predictor._BLOCK
+        part = fan_mesh(spokes).partition
+        for m in (2, 9):
+            l = bit_length(m)
+            assert_matches_reference(random_words(spokes + 1, l, m), part, l)
+
+    def test_rings_across_blocks_with_empty_rings_at_the_edges(self):
+        # the first block is an empty ring, two rings that fill it
+        # exactly and two empty rings; a ring longer than a block is the
+        # second; the third opens and closes with an empty ring
+        block = predictor._BLOCK
+        sizes = [0, block // 4, block - block // 4, 0, 0, block + 5, 0, 3, 5, 0]
+        n_vertices, faces = fans(sizes)
+        part = partition(n_vertices, faces)
+        assert part.ring_offsets.tolist() == np.cumsum([0, *sizes]).tolist()
+        assert part.ring_offsets[3] == block
+        for m in (2, 4, 9):
+            l = bit_length(m)
+            assert_matches_reference(random_words(n_vertices, l, m), part, l)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
+    def test_small_blocks(self, monkeypatch, block):
+        # blocks of a few entries put every kind of ring, empty ones
+        # included, at a block edge
+        monkeypatch.setattr(predictor, "_BLOCK", block)
+        for mesh in (empty_ring_mesh(), random_mesh(4, n_max=60)):
+            for m in (2, 4, 9):
+                q = quantize(mesh, m)
+                assert_matches_reference(q.magnitudes, mesh.partition, q.l)
+
+    def test_no_faces(self):
+        mesh = Mesh(np.full((4, 3), 0.25), np.empty((0, 3), dtype=np.int64))
+        assert mesh.partition.n_embedded == 0
+        for m in (2, 4, 9):
+            q = quantize(mesh, m)
+            assert_matches_reference(q.magnitudes, mesh.partition, q.l)
+            assert analyze(q, mesh.partition).ts.size == 0
+
+    def test_only_empty_rings(self):
+        mesh = Mesh(np.full((3, 3), 0.25), np.array([[1, 1, 1], [3, 3, 3]]))
+        assert mesh.partition.embedded.tolist() == [1, 3]
+        assert mesh.partition.ring_flat.size == 0
+        q = quantize(mesh, 9)
+        assert predict_words(q.magnitudes, mesh.partition, q.l, q.l).tolist() == [[0] * 3] * 2
+        assert analyze(q, mesh.partition).ts.tolist() == [0, 0]
+
+
+def test_predict_words_memory_is_bounded(monkeypatch):
+    # About 240,000 ring entries, 30 blocks. Measured peaks at m=9:
+    # 2.5 MiB in blocks, 58.3 MiB in one block, 20.1 MiB for the
+    # per-plane reference.
+    bound = 8 * 2**20
+    mesh = grid_mesh(400)
+    q = quantize(mesh, 9)
+    part = mesh.partition
+
+    def peak():
+        tracemalloc.start()
+        try:
+            predict_words(q.magnitudes, part, q.l, q.l)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak() < bound
+    monkeypatch.setattr(predictor, "_BLOCK", part.ring_flat.size)
+    assert peak() > bound  # the bound tells blocks from one block
 
 
 class TestMaxPrefixLen:
