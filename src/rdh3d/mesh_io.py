@@ -3,13 +3,14 @@
 Vertex and face order are preserved exactly; coordinates are printed in
 shortest round-trip decimal form, so parse(write(mesh)) reproduces the
 numeric model bit for bit even though the text bytes may differ from the
-original file. A well-formed OFF or PLY body is converted by numpy in
-bulk; any other body is read line by line, so that an error names the
-offending line.
+original file. A well-formed OFF or PLY body is converted by numpy
+from the file's bytes, a chunk of rows at a time; any other body is read
+line by line, so that an error names the offending line.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -111,18 +112,22 @@ def parse_mesh(data: bytes | str, fmt: str) -> Mesh:
     indices, and non-triangle faces.
     """
     fmt = _check_format(fmt)
-    if isinstance(data, bytes):
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MeshParseError(f"not an ASCII mesh file: {exc}") from None
-    else:
-        text = data
-    if fmt == "off":
-        return _parse_off(text)
     if fmt == "obj":
-        return _parse_obj(text)
-    return _parse_ply(text)
+        return _parse_obj(_decoded(data))
+    read_header = _read_off_header if fmt == "off" else _read_ply_header
+    mesh = _bulk_body(data, read_header)
+    if mesh is None:
+        mesh = _read_body(*read_header(_decoded(data).splitlines()))
+    return mesh
+
+
+def _decoded(data: bytes | str) -> str:
+    if not isinstance(data, bytes):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MeshParseError(f"not an ASCII mesh file: {exc}") from None
 
 
 def write_mesh(mesh: Mesh, fmt: str) -> str:
@@ -231,66 +236,142 @@ def _read_body(lines, elements) -> Mesh:
     return _finish_mesh(rows["vertex"], rows["face"])
 
 
+# Rows per np.loadtxt call when a body is read in bulk.
+_CHUNK = 1 << 13
+
 # Per bulk-read element: the dtype and width of one row, and every
-# character a well-formed row may hold (its numbers and the spaces
-# between them; face rows hold integers only).
+# character a well-formed row may hold (its numbers, the spaces between
+# them and its line end; face rows hold integers only).
 _BLOCKS = {
-    "vertex": (np.float64, 3, b"0123456789+-.eE "),
-    "face": (np.int64, 4, b"0123456789+- "),
+    "vertex": (np.float64, 3, b"0123456789+-.eE \r\n"),
+    "face": (np.int64, 4, b"0123456789+- \r\n"),
 }
 
-
-def _load_block(lines, name):
-    """The (len(lines), width) array of the rows of one element, one row
-    per line, or None when the lines are not exactly that."""
-    dtype, width, chars = _BLOCKS[name]
-    if not lines:
-        return np.empty((0, width), dtype=dtype)
-    text = "".join(lines)
-    if not text.isascii() or text.encode("ascii").translate(None, chars):
-        return None
-    # loadtxt skips blank lines (and warns when all are), so a blank
-    # line shows as a short block.
-    if not lines[0].strip():
-        return None
-    try:
-        block = np.loadtxt(lines, dtype=dtype, ndmin=2, comments=None)
-    except ValueError:
-        return None
-    return block if block.shape == (len(lines), width) else None
+# A byte other than "\n" at which str.splitlines cuts a line, or a byte
+# that is not ASCII.
+_ODD_LINE_BYTE = re.compile(rb"[\r\x0b\x0c\x1c-\x1e\x80-\xff]")
 
 
-def _bulk_body(raw_lines, start, elements):
-    """The mesh of a well-formed body in raw_lines[start:], or None.
+class _HeadLines:
+    """The lines at the start of data as str without their ends, for a
+    header reader; `end` is the offset after the last line given.
 
-    Well formed: the vertex rows, then the triangle rows, one per line,
-    with no blank, comment, missing or trailing line, no character
-    outside _BLOCKS, and every face index in range. numpy converts such
-    a body in bulk to the mesh _read_body would return. Any other body
-    gives None and goes to _read_body, which reads it or raises the
-    error of its first bad line.
+    A line ends in "\n", "\r\n" or the end of data. The lines stop
+    before one that str.splitlines would cut elsewhere or that is not
+    ASCII, so a header that runs into such a line reads as truncated.
     """
+
+    def __init__(self, data: bytes):
+        self.data, self.end = data, 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> str:
+        start = self.end
+        stop = self.data.find(b"\n", start) + 1 or len(self.data)
+        line = self.data[start:stop].removesuffix(b"\n").removesuffix(b"\r")
+        if start == stop or _ODD_LINE_BYTE.search(line):
+            raise StopIteration
+        self.end = stop
+        return line.decode("ascii")
+
+
+def _lines_end(data: bytes, pos: int, rows: int, size: int):
+    """The offset after the next `rows` lines of data from pos, the last
+    of which may end at the end of data, or None when fewer are left.
+    Looks for them in a window of size bytes, doubled until it holds
+    them."""
+    while pos < len(data):
+        window = np.frombuffer(data, np.uint8, min(size, len(data) - pos), pos)
+        ends = np.flatnonzero(window == ord("\n"))
+        if ends.size >= rows:
+            return pos + int(ends[rows - 1]) + 1
+        if pos + window.size == len(data):
+            unended = window.size > (int(ends[-1]) + 1 if ends.size else 0)
+            return len(data) if ends.size + unended == rows else None
+        size *= 2
+    return None
+
+
+def _load_rows(data: bytes, pos: int, out: np.ndarray, name: str):
+    """Fill out with the rows of one element from the lines of data at
+    pos, one row per line and _CHUNK rows per np.loadtxt call; a face
+    row's count must be 3 and is dropped. The offset after the last
+    row, or None when the lines are not exactly such rows."""
+    dtype, width, chars = _BLOCKS[name]
+    row_bytes = 64  # a guess, then the last chunk's mean plus a margin
+    for done in range(0, len(out), _CHUNK):
+        rows = out[done:done + _CHUNK]
+        end = _lines_end(data, pos, len(rows), row_bytes * len(rows))
+        if end is None:
+            return None
+        chunk = data[pos:end]
+        # splitlines cuts lines where the line reader's does. loadtxt
+        # skips blank lines (and warns when all are), so lines that are
+        # not exactly len(rows) rows show as a block of another length.
+        if chunk.translate(None, chars) or chunk.isspace():
+            return None
+        try:
+            block = np.loadtxt(chunk.decode("ascii").splitlines(), dtype=dtype,
+                               ndmin=2, comments=None)
+        except ValueError:
+            return None
+        if block.shape != (len(rows), width) or (block[:, :-3] != 3).any():
+            return None
+        rows[:] = block[:, -3:]
+        row_bytes = (end - pos) // len(rows) + 8
+        pos = end
+    return pos
+
+
+def _bulk_body(data: bytes | str, read_header):
+    """The mesh of an OFF or PLY file whose body is well formed, or None.
+
+    read_header reads the header from the start of data. Well formed:
+    the vertex rows, then the triangle rows, one per line, with no
+    blank, comment, missing or trailing line, no character outside
+    _BLOCKS, and every face index in range. numpy converts such a body
+    into preallocated arrays, one chunk of rows at a time, and gives
+    the mesh _read_body would return. Any other file gives None and goes
+    to _read_body, which reads it or raises the error of its first bad
+    line. A header error gives None too: parse_mesh raises it again
+    after decoding the whole text, so a text that does not decode fails
+    as such first.
+    """
+    if isinstance(data, str):
+        if not data.isascii():
+            return None
+        data = data.encode("ascii")
+    head = _HeadLines(data)
+    try:
+        _, elements = read_header(head)
+    except MalformedHeaderError:
+        return None
     if [name for name, _ in elements] not in (["vertex"], ["vertex", "face"]):
         return None
     counts = dict(elements)
     n_verts, n_faces = counts["vertex"], counts.get("face", 0)
-    split, end = start + n_verts, start + n_verts + n_faces
-    if end > len(raw_lines):
+    # The shortest rows, "0 0 0\n" and "3 0 0 0\n", bound the counts
+    # before anything is allocated.
+    if 6 * n_verts + 8 * n_faces > len(data) - head.end + 1:
         return None
-    if any(line.strip() for line in raw_lines[end:]):
+    verts = np.empty((n_verts, 3), dtype=np.float64)
+    faces = np.empty((n_faces, 3), dtype=np.int64)
+    pos = _load_rows(data, head.end, verts, "vertex")
+    if pos is not None:
+        pos = _load_rows(data, pos, faces, "face")
+    if pos is None or data[pos:].strip():
         return None
-    verts = _load_block(raw_lines[start:split], "vertex")
-    faces = _load_block(raw_lines[split:end], "face")
-    if verts is None or faces is None or (faces[:, 0] != 3).any():
+    if faces.size and (faces.min() < 0 or faces.max() >= n_verts):
         return None
-    idx = faces[:, 1:]
-    if idx.size and (idx.min() < 0 or idx.max() >= n_verts):
-        return None
-    return Mesh(read_only(verts), read_only(idx + 1))
+    faces += 1
+    return Mesh(read_only(verts), read_only(faces))
 
 
-def _parse_off(text: str) -> Mesh:
-    raw_lines = text.splitlines()
+def _read_off_header(raw_lines):
+    """(lines, elements): the meaningful lines after an OFF header, and
+    the (name, count) elements it declares."""
     lines = _meaningful_lines(raw_lines)
     try:
         lineno, header = next(lines)
@@ -311,9 +392,7 @@ def _parse_off(text: str) -> Mesh:
         raise MalformedHeaderError(f"non-integer counts: {counts!r}", lineno) from None
     if min(n_verts, n_faces, n_edges) < 0:
         raise MalformedHeaderError(f"negative counts: {counts!r}", lineno)
-    elements = [("vertex", n_verts), ("face", n_faces)]
-    mesh = _bulk_body(raw_lines, lineno, elements)
-    return _read_body(lines, elements) if mesh is None else mesh
+    return lines, [("vertex", n_verts), ("face", n_faces)]
 
 
 _OBJ_IGNORED = {
@@ -362,8 +441,9 @@ def _parse_obj(text: str) -> Mesh:
     return _finish_mesh(vertices, face_rows)
 
 
-def _parse_ply(text: str) -> Mesh:
-    raw_lines = text.splitlines()
+def _read_ply_header(raw_lines):
+    """(lines, elements): the meaningful lines after a PLY header, and
+    the (name, count) elements it declares, in order."""
     lines = _meaningful_lines(raw_lines, skip_prefixes=("comment", "obj_info"))
     try:
         lineno, magic = next(lines)
@@ -442,9 +522,7 @@ def _parse_ply(text: str) -> Mesh:
         raise MalformedHeaderError(
             f"vertex properties must be exactly x, y, z; got {vertex_props}"
         )
-
-    mesh = _bulk_body(raw_lines, lineno, elements)
-    return _read_body(lines, elements) if mesh is None else mesh
+    return lines, elements
 
 
 def _vertex_rows(mesh: Mesh):

@@ -35,28 +35,61 @@ class Partition:
         return self.embedded.shape[0]
 
 
+# Low half of a packed pair code (u << 32) | v: the neighbour v.
+_LOW = 0xFFFFFFFF
+
+
 def _adjacency(n_vertices: int, faces0: np.ndarray):
     """CSR one-ring adjacency (0-based): sharing any face, self excluded.
 
-    Each directed pair (u, v) is encoded as u * N + v; sorting the codes
-    and keeping the first of each run of equal values is the dedup.
+    Each undirected edge of a face is packed into one uint64 code,
+    (min << 32) | max, which sorts by its first vertex, then its second.
+    Sorting the 3 codes per face and keeping the first of each run of
+    equal values is the dedup. The reversed codes (max << 32) | min go
+    into the second half of the same buffer, and one more sort gives
+    every vertex's neighbours, ascending, in one run. Ids must be below
+    2^32; each temporary is deleted as soon as it has been used.
     """
     if faces0.size == 0:
         off = np.zeros(n_vertices + 1, dtype=np.int64)
         return np.empty(0, dtype=np.int64), off
-    u = faces0[:, [0, 1, 0, 2, 1, 2]].ravel()
-    v = faces0[:, [1, 0, 2, 0, 2, 1]].ravel()
-    keep = u != v  # degenerate faces must not make a vertex its own neighbor
-    codes = np.sort(u[keep] * np.int64(n_vertices) + v[keep])
-    if codes.size:
-        fresh = np.empty(codes.size, dtype=bool)
-        fresh[0] = True
-        np.not_equal(codes[1:], codes[:-1], out=fresh[1:])
-        codes = codes[fresh]
-    u_sorted, v_sorted = np.divmod(codes, n_vertices)
+    ids = faces0.view(np.uint64)  # nonnegative, so the same values
+    n_faces = ids.shape[0]
+    codes = np.empty(3 * n_faces, dtype=np.uint64)
+    for i, (a, b) in enumerate(((0, 1), (0, 2), (1, 2))):
+        low = codes[i * n_faces:(i + 1) * n_faces]
+        np.minimum(ids[:, a], ids[:, b], out=low)
+        low <<= 32
+        high = np.maximum(ids[:, a], ids[:, b])
+        low |= high
+        del low, high
+    # degenerate faces must not make a vertex its own neighbor
+    degenerate = ((ids[:, 0] == ids[:, 1]) | (ids[:, 0] == ids[:, 2])
+                  | (ids[:, 1] == ids[:, 2]))
+    if degenerate.any():
+        codes = codes[(codes >> 32) != (codes & _LOW)]
+    del degenerate
+    codes.sort()
+    fresh = np.empty(codes.size, dtype=bool)
+    fresh[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=fresh[1:])
+    n_edges = int(np.count_nonzero(fresh))
+    pairs = np.empty(2 * n_edges, dtype=np.uint64)
+    forward, reverse = pairs[:n_edges], pairs[n_edges:]
+    forward[:] = codes[fresh]
+    del codes, fresh
+    np.bitwise_and(forward, _LOW, out=reverse)
+    reverse <<= 32
+    high = forward >> 32
+    reverse |= high
+    del high, forward, reverse
+    pairs.sort()
+    first = (pairs >> 32).view(np.int64)
     offsets = np.zeros(n_vertices + 1, dtype=np.int64)
-    np.cumsum(np.bincount(u_sorted, minlength=n_vertices), out=offsets[1:])
-    return v_sorted, offsets
+    np.cumsum(np.bincount(first, minlength=n_vertices), out=offsets[1:])
+    del first
+    pairs &= _LOW
+    return pairs.view(np.int64), offsets
 
 
 def _gather_ranges(flat, starts, lengths):
@@ -78,7 +111,11 @@ def partition(n_vertices: int, faces) -> Partition:
     unassigned.
     """
     n = int(n_vertices)
+    if n >= 2**32:
+        raise ValueError(f"{n} vertices: ids must fit in 32 bits")
     faces0 = np.asarray(faces, dtype=np.int64).reshape(-1, 3) - 1
+    if faces0.size and (faces0.min() < 0 or faces0.max() >= n):
+        raise ValueError(f"face ids must lie in 1..{n}")
     adj_flat, adj_off = _adjacency(n, faces0)
 
     # first-appearance order over the face stream: the earliest stream

@@ -74,15 +74,22 @@ def _exact_floor_scaled(values: np.ndarray, m: int) -> np.ndarray:
     5^m has at most 21 (5^9 < 2^21), so each half times 10^m is exact
     and 10^m needs no split. No product underflows once p >= 1, and
     below that the floor is 0 anyway. The true floor is floor(p), less 1
-    where p rounded up onto an integer (p integral and e < 0).
+    where p rounded up onto an integer (p integral and e < 0). The
+    operations run in this order, in place on three buffers.
     """
     scale = float(10**m)
     p = values * scale
     t = values * 134217729.0  # 2^27 + 1
-    v_hi = t - (t - values)
-    v_lo = values - v_hi
-    e = (v_hi * scale - p) + v_lo * scale
-    floor = np.floor(p)
+    # v_hi = t - (t - values); v_lo = values - v_hi, in t's buffer
+    v_hi = t - values
+    np.subtract(t, v_hi, out=v_hi)
+    v_lo = np.subtract(values, v_hi, out=t)
+    # e = (v_hi * scale - p) + v_lo * scale, in v_hi's buffer
+    e = np.multiply(v_hi, scale, out=v_hi)
+    e -= p
+    v_lo *= scale
+    e += v_lo
+    floor = np.floor(p, out=v_lo)
     floor -= (floor == p) & (e < 0)
     return floor.astype(np.int64)
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 from dataclasses import FrozenInstanceError
 from unittest import mock
@@ -567,3 +568,120 @@ class TestBulkBody:
                 assert _outcome(text, fmt) == expected
         else:
             assert _outcome(text, fmt) == expected
+
+
+def _bulk_outcome(data, fmt):
+    """(what parse_mesh makes of data, whether it read it in bulk)."""
+    line_reader = mesh_io._read_body
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return line_reader(*args)
+
+    with mock.patch.object(mesh_io, "_read_body", counting):
+        return _outcome(data, fmt), not calls
+
+
+def _small_mesh_text(fmt, n_verts, n_faces):
+    """A well-formed text of n_verts vertices and n_faces faces."""
+    rng = np.random.default_rng(n_verts * 31 + n_faces)
+    mesh = Mesh(rng.uniform(-0.9, 0.9, (n_verts, 3)),
+                rng.integers(1, n_verts + 1, (n_faces, 3)))
+    return mesh, write_mesh(mesh, fmt)
+
+
+class TestBulkChunks:
+    """The bulk reader cuts a body into chunks of _CHUNK rows; at 1, 2
+    and 3 rows every chunk edge, and the vertex/face split, falls
+    between rows of a small body, and the outcome stays the line
+    reader's."""
+
+    @pytest.fixture(params=[1, 2, 3], autouse=True)
+    def chunk(self, request, monkeypatch):
+        monkeypatch.setattr(mesh_io, "_CHUNK", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("name", TestBulkBody.CASES)
+    def test_edge_case(self, name):
+        text, bulk = TestBulkBody.CASES[name]
+        fmt = text.split(None, 1)[0].lower()
+        assert _bulk_outcome(text, fmt) == (_line_reader_outcome(text, fmt), bulk)
+
+    @pytest.mark.parametrize("fmt", ["off", "ply"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_mesh_round_trip(self, fmt, seed):
+        mesh = random_mesh(seed, n_max=40)
+        text = write_mesh(mesh, fmt)
+        for data in (text, text.encode()):
+            assert parse_mesh(data, fmt) == mesh
+            assert _bulk_outcome(data, fmt)[1]
+
+    @pytest.mark.parametrize("fmt", ["off", "ply"])
+    @pytest.mark.parametrize("edit", [
+        lambda t: t.replace("\n", "\r\n"),       # CRLF body
+        lambda t: t.rstrip("\n"),                 # no final newline
+        lambda t: t.replace("\n", "\r\n").rstrip("\r\n"),
+        lambda t: t + "\n  \n\r\n \n",           # trailing blank lines
+    ], ids=["crlf", "no final newline", "crlf, no final newline", "trailing blank lines"])
+    def test_line_ends(self, fmt, edit):
+        mesh, text = _small_mesh_text(fmt, 5, 7)
+        text = edit(text)
+        assert _bulk_outcome(text, fmt) == (_line_reader_outcome(text, fmt), True)
+        assert parse_mesh(text.encode(), fmt) == mesh
+
+    @pytest.mark.parametrize("fmt", ["off", "ply"])
+    def test_chunk_edge_on_the_vertex_face_split(self, fmt, chunk):
+        # 6 vertices: the vertex block ends on a chunk edge at 1, 2 and 3 rows
+        mesh, text = _small_mesh_text(fmt, 6, chunk + 1)
+        assert _bulk_outcome(text, fmt) == (_line_reader_outcome(text, fmt), True)
+        assert parse_mesh(text, fmt) == mesh
+        lines = text.split("\n")
+        split = lines.index("3 %d %d %d" % tuple(mesh.faces[0] - 1))  # first face row
+        for inserted in ("", "  ", "0 0 0", "3 0 1 2"):
+            edited = "\n".join(lines[:split] + [inserted] + lines[split:])
+            outcome = _line_reader_outcome(edited, fmt)
+            assert _bulk_outcome(edited, fmt) == (outcome, False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=body_texts(), chunk_rows=st.integers(1, 3))
+def test_small_chunks_agree_with_line_reader(case, chunk_rows):
+    fmt, text, bulk = case
+    with mock.patch.object(mesh_io, "_CHUNK", chunk_rows):
+        outcome, read_in_bulk = _bulk_outcome(text, fmt)
+    assert outcome == _line_reader_outcome(text, fmt)
+    assert read_in_bulk or not bulk
+
+
+@pytest.mark.parametrize("text", [
+    "OFF\n1000000000000 0 0\n0 0 0\n",
+    "OFF\n1 1000000000000 0\n0 0 0\n3 0 0 0\n",
+    PLY_SMALL.replace("element vertex 3", "element vertex 1000000000000"),
+], ids=["vertices", "faces", "ply"])
+def test_huge_header_count_rejected_without_allocation(text):
+    fmt = text.split(None, 1)[0].lower()
+    tracemalloc.start()
+    try:
+        with pytest.raises(MeshParseError):
+            parse_mesh(text.encode(), fmt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_parse_memory_is_bounded():
+    # A 90,000-vertex full-precision OFF of 8.5 MiB. Measured peaks
+    # beyond its bytes: 8.2 MiB in chunks of 8,192 rows, against 47.3
+    # MiB when the whole text was decoded and split into lines.
+    mesh = grid_mesh(300)
+    data = write_mesh(mesh, "off").encode()
+    tracemalloc.start()
+    try:
+        parsed = parse_mesh(data, "off")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed == mesh
+    assert peak < 20 * 2**20

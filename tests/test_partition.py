@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -146,6 +148,39 @@ def test_accepts_face_list_without_a_mesh():
     part = partition(4, [[1, 2, 3]])
     assert part.embedded.tolist() == [1]
     assert part.unassigned.tolist() == [4]
+
+
+@pytest.mark.parametrize("n", [2**32, 2**40])
+def test_ids_beyond_32_bits_rejected_without_allocation(n):
+    # pair codes pack two ids into one 64-bit word
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="32 bits"):
+            partition(n, [[1, 2, 3]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("faces", [[[1, 2, 0]], [[1, 2, 5]], [[-3, 1, 2]]])
+def test_face_ids_outside_the_vertices_rejected(faces):
+    with pytest.raises(ValueError, match="1..4"):
+        partition(4, faces)
+
+
+def test_partition_memory_is_bounded():
+    # 90,000 vertices, 178,802 faces. Measured peaks: 15.2 MiB with
+    # packed undirected pair codes, 37.9 MiB with six directed u*N+v
+    # codes per face split by divmod.
+    mesh = grid_mesh(300)
+    tracemalloc.start()
+    try:
+        partition(mesh.n_vertices, mesh.faces)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
 
 
 # ---------------------------------------------------------------------------
