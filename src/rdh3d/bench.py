@@ -67,7 +67,7 @@ def run_pipeline(mesh: Mesh, mesh_id: str, m: int, n: int | None,
     """One full pipeline run; raises on any reversibility violation.
 
     The row that first reads `mesh.partition` derives it and counts it in
-    its t_analyze; later rows on the same Mesh reuse it. hausdorff_method
+    its t_quantize; later rows on the same Mesh reuse it. hausdorff_method
     is passed to `hausdorff`, whose only method is "kdtree".
     """
     ke = KeyMaterial.from_passphrase(ke_pass, KeyRole.ENCRYPT)
@@ -76,10 +76,10 @@ def run_pipeline(mesh: Mesh, mesh_id: str, m: int, n: int | None,
     t0 = time.perf_counter()
     q = quantize(mesh, m)
     t1 = time.perf_counter()
-    rep = analyze(q, mesh.partition)
+    rep = analyze(q)
     n_eff = choose_n(rep, n)
     t2 = time.perf_counter()
-    enc = encrypt_mesh(q, mesh.partition, ke)
+    enc = encrypt_mesh(q, ke)
     t3 = time.perf_counter()
     payload = default_payload(kw, rep.capacity(n_eff))
     marked = embed(enc, rep, n_eff, payload, kw)

@@ -24,7 +24,7 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 
 from .container import MarkedContainer
 from .errors import ConfigError
-from .partition import Partition
+from .mesh_io import read_only
 from .quantize import WORD_DTYPES, QuantizedMesh
 
 
@@ -87,16 +87,16 @@ def stream_words(key: KeyMaterial, n_words: int, l: int) -> np.ndarray:
     return np.frombuffer(raw, dtype=WORD_DTYPES[l]).astype(np.int64)
 
 
-def encrypt_mesh(q: QuantizedMesh, part: Partition, ke: KeyMaterial) -> MarkedContainer:
-    """The owner's container: magnitudes XORed with the Ke stream, signs
-    and faces as they are, `part` (the partition of q.faces) carried on.
-    No payload yet: every embedded vertex is marked excluded."""
+def encrypt_mesh(q: QuantizedMesh, ke: KeyMaterial) -> MarkedContainer:
+    """The owner's container: magnitudes XORed with the Ke stream, signs,
+    faces and partition shared with q. No payload yet: every embedded
+    vertex is marked excluded."""
     _require_role(ke, KeyRole.ENCRYPT, "mesh encryption")
     words = stream_words(ke, 3 * q.n_vertices, q.l).reshape(-1, 3)
     return MarkedContainer(
-        m=q.m, n=1, payload_bits=0, signs=q.signs.copy(),
-        excluded=np.ones(part.n_embedded, dtype=np.uint8),
-        magnitudes=q.magnitudes ^ words, faces=q.faces.copy(), partition=part,
+        m=q.m, n=1, payload_bits=0, signs=q.signs,
+        excluded=read_only(np.ones(q.partition.n_embedded, dtype=np.uint8)),
+        magnitudes=read_only(q.magnitudes ^ words), faces=q.faces, partition=q.partition,
     )
 
 
@@ -105,4 +105,4 @@ def decrypt_mesh(c: MarkedContainer, ke: KeyMaterial) -> QuantizedMesh:
     the payload slots comes back exact."""
     _require_role(ke, KeyRole.ENCRYPT, "mesh decryption")
     words = stream_words(ke, 3 * c.n_vertices, c.l).reshape(-1, 3)
-    return QuantizedMesh(c.magnitudes ^ words, c.signs.copy(), c.m, c.faces.copy())
+    return QuantizedMesh(read_only(c.magnitudes ^ words), c.signs, c.m, c.faces, c.partition)

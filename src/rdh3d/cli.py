@@ -70,7 +70,7 @@ def _emit(text: str, out_path):
 
 def cmd_analyze(args) -> int:
     mesh = read_mesh_file(args.mesh, args.format)
-    rep = analyze(quantize(mesh, args.m), mesh.partition)
+    rep = analyze(quantize(mesh, args.m))
     doc = rep.to_json_dict()
     doc["chosen_n"] = choose_n(rep, args.n)
     doc["n_vertices"] = mesh.n_vertices
@@ -81,7 +81,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_encrypt(args) -> int:
     mesh = read_mesh_file(args.mesh, args.format)
-    c = encrypt_mesh(quantize(mesh, args.m), mesh.partition, _ke(args))
+    c = encrypt_mesh(quantize(mesh, args.m), _ke(args))
     write_container_file(args.out, c)
     if args.export_off:
         write_mesh_file(args.export_off, container_mesh(c), "off")

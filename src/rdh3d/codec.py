@@ -19,7 +19,8 @@ import numpy as np
 
 from .cipher import KeyMaterial, KeyRole, _require_role, decrypt_mesh
 from .container import MarkedContainer
-from .errors import CapacityError, ConfigError, ContainerError
+from .errors import CapacityError, ConfigError
+from .mesh_io import read_only
 from .predictor import PredictionReport, predict_words
 from .quantize import QuantizedMesh
 
@@ -55,7 +56,7 @@ def embed(c: MarkedContainer, rep: PredictionReport, n: int,
         raise ConfigError(
             f"prediction report was made for m={rep.m}, mesh has m={c.m}"
         )
-    part = c.checked_partition()
+    part = c.partition
     if rep.ts.size != part.n_embedded:
         raise ConfigError("prediction report does not match the partition")
     if not np.array_equal(rep.embedded, part.embedded):
@@ -95,8 +96,8 @@ def embed(c: MarkedContainer, rep: PredictionReport, n: int,
 
     return MarkedContainer(
         m=c.m, n=n, payload_bits=int(payload.size),
-        signs=c.signs.copy(), excluded=excluded.astype(np.uint8),
-        magnitudes=mags, faces=c.faces.copy(), partition=part,
+        signs=c.signs, excluded=read_only(excluded.astype(np.uint8)),
+        magnitudes=read_only(mags), faces=c.faces, partition=part,
     )
 
 
@@ -109,18 +110,10 @@ def extract(c: MarkedContainer, kw: KeyMaterial) -> np.ndarray:
     the scheme separable).
     """
     _require_role(kw, KeyRole.HIDE, "payload extraction")
-    part = c.checked_partition()
-    payload_bits = c.payload_bits
-    if payload_bits > c.capacity_bits():
-        raise ContainerError(
-            f"declared payload of {payload_bits} bits exceeds capacity"
-        )
-    included0 = (part.embedded - 1)[c.excluded == 0]
-    if payload_bits == 0:
-        return np.empty(0, dtype=np.uint8)
+    included0 = (c.partition.embedded - 1)[c.excluded == 0]
     vals = c.magnitudes[included0] >> (c.l - c.n)
-    bits = _words_to_groups(vals, c.n)[:payload_bits]
-    return bits ^ kw.keystream_bits(payload_bits)
+    bits = _words_to_groups(vals, c.n)[:c.payload_bits]
+    return bits ^ kw.keystream_bits(c.payload_bits)
 
 
 def recover(c: MarkedContainer, ke: KeyMaterial) -> QuantizedMesh:
@@ -134,18 +127,18 @@ def recover(c: MarkedContainer, ke: KeyMaterial) -> QuantizedMesh:
     reached n.
     """
     _require_role(ke, KeyRole.ENCRYPT, "mesh recovery")
-    part = c.checked_partition()
     dec = decrypt_mesh(c, ke)
 
     included = c.excluded == 0
     if not included.any():
         return dec
     l, n = c.l, c.n
-    pred = predict_words(dec.magnitudes, part, l, n)[included]
-    targets0 = (part.embedded - 1)[included]
+    pred = predict_words(dec.magnitudes, c.partition, l, n)[included]
+    targets0 = (c.partition.embedded - 1)[included]
     low_mask = (1 << (l - n)) - 1
-    dec.magnitudes[targets0] = (dec.magnitudes[targets0] & low_mask) | (pred << (l - n))
-    return dec
+    mags = dec.magnitudes.copy()
+    mags[targets0] = (mags[targets0] & low_mask) | (pred << (l - n))
+    return QuantizedMesh(read_only(mags), dec.signs, dec.m, dec.faces, dec.partition)
 
 
 def payload_to_bits(data: bytes) -> np.ndarray:

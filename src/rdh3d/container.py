@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContainerError
-from .mesh_io import Mesh, read_only
+from .mesh_io import Mesh, _frozen, read_only
 from .partition import Partition, partition as compute_partition
 from .quantize import M_MAX, M_MIN, WORD_DTYPES, bit_length
 
@@ -45,8 +45,12 @@ VERSION = 1
 _HEADER = struct.Struct("<4sBBBBIIQ")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MarkedContainer:
+    """Frozen, with read-only arrays (see Mesh). Construction checks that
+    the excluded bitmap covers exactly |C| vertices and that the payload
+    fits the capacity, so every container in memory is consistent."""
+
     m: int
     n: int
     payload_bits: int
@@ -55,16 +59,25 @@ class MarkedContainer:
     magnitudes: np.ndarray  # (N, 3) int64 l-bit words, encrypted (C vertices may carry payload)
     faces: np.ndarray       # (M, 3) int64, 1-based
     # Split of `faces` as the reader or the owner hands it on, else derived
-    # here; not serialized, ignored by ==. Replace it if `faces` changes.
+    # here; not serialized, ignored by ==.
     partition: Partition | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.signs = np.asarray(self.signs, dtype=np.uint8).reshape(-1, 3)
-        self.excluded = np.asarray(self.excluded, dtype=np.uint8).reshape(-1)
-        self.magnitudes = np.asarray(self.magnitudes, dtype=np.int64).reshape(-1, 3)
-        self.faces = np.asarray(self.faces, dtype=np.int64).reshape(-1, 3)
+        object.__setattr__(self, "signs", _frozen(self.signs, np.uint8))
+        object.__setattr__(self, "excluded", _frozen(self.excluded, np.uint8, -1))
+        object.__setattr__(self, "magnitudes", _frozen(self.magnitudes, np.int64))
+        object.__setattr__(self, "faces", _frozen(self.faces, np.int64))
         if self.partition is None:
-            self.partition = compute_partition(self.n_vertices, self.faces)
+            object.__setattr__(self, "partition", compute_partition(self.n_vertices, self.faces))
+        if self.partition.n_embedded != self.excluded.size:
+            raise ContainerError(
+                f"excluded bitmap covers {self.excluded.size} vertices but the "
+                f"face list implies {self.partition.n_embedded} embedded vertices"
+            )
+        if self.payload_bits > (capacity := self.capacity_bits()):
+            raise ContainerError(
+                f"declared payload of {self.payload_bits} bits exceeds capacity {capacity}"
+            )
 
     @property
     def l(self) -> int:
@@ -77,17 +90,6 @@ class MarkedContainer:
     @property
     def n_faces(self) -> int:
         return self.faces.shape[0]
-
-    def checked_partition(self) -> Partition:
-        """The embedded/reference split of the face list. Raises
-        ContainerError unless the excluded bitmap covers exactly |C|
-        vertices."""
-        if self.partition.n_embedded != self.excluded.size:
-            raise ContainerError(
-                f"excluded bitmap covers {self.excluded.size} vertices but the "
-                f"face list implies {self.partition.n_embedded} embedded vertices"
-            )
-        return self.partition
 
     def capacity_bits(self) -> int:
         return 3 * self.n * int((self.excluded == 0).sum())
@@ -114,7 +116,7 @@ def _unpack_bitmap(raw: bytes, n_bits: int, what: str) -> np.ndarray:
     bits = np.unpackbits(data)
     if bits[n_bits:].any():
         raise ContainerError(f"nonzero padding bits in {what} bitmap")
-    return bits[:n_bits]
+    return read_only(bits[:n_bits])
 
 
 def _word_length(m: int, n: int) -> int:
@@ -179,15 +181,11 @@ def read_container(data: bytes) -> MarkedContainer:
     pos += mag_bytes
     face_raw = data[pos:pos + face_bytes]
 
-    faces = (
-        np.frombuffer(face_raw, dtype="<u4").astype(np.int64).reshape(-1, 3)
-        if face_bytes
-        else np.empty((0, 3), dtype=np.int64)
-    )
+    faces = read_only(np.frombuffer(face_raw, dtype="<u4").astype(np.int64).reshape(-1, 3))
     if faces.size and (faces.min() < 1 or faces.max() > n_verts):
         raise ContainerError("face index out of range (corrupt face table)")
 
-    signs = _unpack_bitmap(sign_raw, 3 * n_verts, "sign").reshape(-1, 3)
+    signs = _unpack_bitmap(sign_raw, 3 * n_verts, "sign")
 
     part = compute_partition(n_verts, faces)
     k_count = part.n_embedded
@@ -196,17 +194,10 @@ def read_container(data: bytes) -> MarkedContainer:
             f"excluded bitmap holds {excl_bytes} bytes but the face list "
             f"implies {k_count} embedded vertices"
         )
-    excluded = _unpack_bitmap(excl_raw, k_count, "excluded")
-
-    capacity = 3 * n * int((excluded == 0).sum())
-    if payload_bits > capacity:
-        raise ContainerError(
-            f"declared payload of {payload_bits} bits exceeds capacity {capacity}"
-        )
-
     return MarkedContainer(
         m=m, n=n, payload_bits=payload_bits, signs=signs,
-        excluded=excluded, magnitudes=np.frombuffer(mag_raw, dtype=WORD_DTYPES[l]),
+        excluded=_unpack_bitmap(excl_raw, k_count, "excluded"),
+        magnitudes=np.frombuffer(mag_raw, dtype=WORD_DTYPES[l]),
         faces=faces, partition=part,
     )
 
@@ -225,4 +216,4 @@ def container_mesh(c: MarkedContainer) -> Mesh:
     """Signed integer coordinates as a Mesh, for visual export of the
     encrypted/marked state (coordinates fit float64 exactly)."""
     signed = np.where(c.signs == 1, -1.0, 1.0) * c.magnitudes.astype(np.float64)
-    return Mesh(read_only(signed), read_only(c.faces.copy()))
+    return Mesh(read_only(signed), c.faces)

@@ -24,7 +24,6 @@ from .errors import (
     MeshParseError,
     NonTriangleFaceError,
 )
-from .partition import Partition, partition as compute_partition
 
 FORMATS = ("off", "obj", "ply")
 
@@ -49,9 +48,10 @@ class Mesh:
         object.__setattr__(self, "faces", _frozen(self.faces, np.int64))
 
     @cached_property
-    def partition(self) -> Partition:
+    def partition(self):
         """The embedded/reference split of the faces, derived once."""
-        return compute_partition(self.n_vertices, self.faces)
+        from .partition import partition  # imported here: partition imports _frozen
+        return partition(self.n_vertices, self.faces)
 
     @property
     def n_vertices(self) -> int:
@@ -79,10 +79,10 @@ class Mesh:
         )
 
 
-def _frozen(values, dtype) -> np.ndarray:
-    """values as a read-only (-1, 3) array of dtype that no writable
+def _frozen(values, dtype, shape=(-1, 3)) -> np.ndarray:
+    """values as a read-only array of dtype and shape that no writable
     array shares: copied only when it would share a writable one."""
-    arr = np.asarray(values, dtype=dtype).reshape(-1, 3)
+    arr = np.asarray(values, dtype=dtype).reshape(shape)
     if arr.flags.writeable:
         if np.may_share_memory(arr, values):
             arr = arr.copy()
@@ -92,7 +92,7 @@ def _frozen(values, dtype) -> np.ndarray:
 
 def read_only(arr: np.ndarray) -> np.ndarray:
     """arr with its write flag cleared, for a fresh array that nothing
-    else holds: a Mesh keeps it without a copy."""
+    else holds: a Mesh or another frozen value keeps it without a copy."""
     arr.flags.writeable = False
     return arr
 

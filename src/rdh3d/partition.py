@@ -10,18 +10,20 @@ vertices are adjacent and every C ring lies entirely in R.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .mesh_io import _frozen, read_only
 
-@dataclass
+
+@dataclass(frozen=True)
 class Partition:
     """Deterministic function of the face list; all vertex ids 1-based.
 
     Rings are stored flattened: ring of embedded[i] is
     ring_flat[ring_offsets[i]:ring_offsets[i+1]], deduplicated and
-    sorted ascending.
+    sorted ascending. Frozen, with read-only 1-D int64 arrays, like Mesh.
     """
 
     embedded: np.ndarray      # (K,) traversal order
@@ -29,6 +31,10 @@ class Partition:
     unassigned: np.ndarray    # vertices in no face, sorted ascending
     ring_flat: np.ndarray     # concatenated rings, C-major
     ring_offsets: np.ndarray  # (K+1,)
+
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _frozen(getattr(self, f.name), np.int64, -1))
 
     @property
     def n_embedded(self) -> int:
@@ -151,9 +157,9 @@ def partition(n_vertices: int, faces) -> Partition:
     np.cumsum(lengths, out=ring_offsets[1:])
 
     return Partition(
-        embedded=emb + 1,
-        reference=np.nonzero(status == IN_R)[0].astype(np.int64) + 1,
-        unassigned=np.nonzero(~in_any_face)[0].astype(np.int64) + 1,
-        ring_flat=ring_flat + 1,
-        ring_offsets=ring_offsets,
+        embedded=read_only(emb + 1),
+        reference=read_only(np.nonzero(status == IN_R)[0].astype(np.int64) + 1),
+        unassigned=read_only(np.nonzero(~in_any_face)[0].astype(np.int64) + 1),
+        ring_flat=read_only(ring_flat + 1),
+        ring_offsets=read_only(ring_offsets),
     )

@@ -22,6 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError
+from .mesh_io import _frozen, read_only
 from .quantize import WORD_DTYPES, bit_length
 
 # Ring entries counted at once. It bounds the working memory of
@@ -30,16 +31,22 @@ from .quantize import WORD_DTYPES, bit_length
 _BLOCK = 8192
 
 
-@dataclass
+@dataclass(frozen=True)
 class PredictionReport:
     """Plaintext prediction analysis for one (mesh, m) pair.
 
     ts[i] is min(t_x, t_y, t_z) for the i-th embedded vertex, in 0..l.
+    Frozen, with read-only arrays (see Mesh), so `capacity_curve`, derived
+    on first read, stays the curve of `ts`.
     """
 
     ts: np.ndarray        # (K,) int64
     m: int
-    embedded: np.ndarray  # 1-based vertex ids, C order (context copy)
+    embedded: np.ndarray  # 1-based vertex ids, C order (shared with the partition)
+
+    def __post_init__(self):
+        object.__setattr__(self, "ts", _frozen(self.ts, np.int64, -1))
+        object.__setattr__(self, "embedded", _frozen(self.embedded, np.int64, -1))
 
     @property
     def l(self) -> int:
@@ -51,7 +58,7 @@ class PredictionReport:
         3*n*|{t >= n}| in bits for each candidate embedding length n."""
         hist = np.bincount(self.ts, minlength=self.l + 1)
         ge = self.ts.size - np.cumsum(hist)[:-1]  # |{t >= n}| for n = 1..l
-        return 3 * np.arange(1, self.l + 1, dtype=np.int64) * ge
+        return read_only(3 * np.arange(1, self.l + 1, dtype=np.int64) * ge)
 
     def excluded_mask(self, n: int) -> np.ndarray:
         """Boolean mask over C order: True = prediction fails before n."""
@@ -74,22 +81,22 @@ class PredictionReport:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PredictionReport":
-        rep = cls(
-            ts=np.asarray(_json_ints(d, "max_prefix_lengths"), dtype=np.int64),
-            m=int(_json_ints(d, "m")),
-            embedded=np.asarray(_json_ints(d, "embedded"), dtype=np.int64),
-        )
-        if int(_json_ints(d, "l")) != rep.l:
+        ts = np.asarray(_json_ints(d, "max_prefix_lengths"), dtype=np.int64)
+        m = int(_json_ints(d, "m"))
+        embedded = np.asarray(_json_ints(d, "embedded"), dtype=np.int64)
+        l = bit_length(m)
+        if int(_json_ints(d, "l")) != l:
             raise ConfigError(
-                f"malformed prediction report: l={d['l']} contradicts m={rep.m}"
+                f"malformed prediction report: l={d['l']} contradicts m={m}"
             )
-        if not (rep.ts.ndim == rep.embedded.ndim == 1
-                and rep.ts.size == rep.embedded.size
-                and ((rep.ts >= 0) & (rep.ts <= rep.l)).all()):
+        # checked before construction, which would flatten a nested list
+        if not (ts.ndim == embedded.ndim == 1 and ts.size == embedded.size
+                and ((ts >= 0) & (ts <= l)).all()):
             raise ConfigError(
                 "malformed prediction report: expected flat lists with one t "
-                f"in 0..{rep.l} per embedded vertex"
+                f"in 0..{l} per embedded vertex"
             )
+        rep = cls(ts=read_only(ts), m=m, embedded=read_only(embedded))
         if not np.array_equal(np.asarray(_json_ints(d, "capacity_curve"), dtype=np.int64),
                               rep.capacity_curve):
             raise ConfigError(
@@ -155,20 +162,14 @@ def _majority_bytes(ring_words: np.ndarray, offsets: np.ndarray, l: int) -> np.n
     return np.packbits(counts > (sizes // 2).astype(lane)[:, None], axis=1)
 
 
-def analyze(q, part) -> PredictionReport:
+def analyze(q) -> PredictionReport:
     """Per-vertex prefix lengths, from which the report derives the
-    capacity curve (plaintext side).
+    capacity curve (plaintext side), over the split q.partition.
 
     t = l - bit_length of the planes any axis mispredicts; empty rings
     give t = 0.
     """
-    n_vertices = q.n_vertices
-    for ids in (part.embedded, part.ring_flat):
-        if ids.size and int(ids.max()) > n_vertices:
-            raise ConfigError(
-                f"partition refers to vertex {int(ids.max())} but the mesh has "
-                f"{n_vertices} vertices; it was made for another mesh"
-            )
+    part = q.partition
     l = q.l
     words = q.magnitudes
     x = predict_words(words, part, l, l) ^ words[part.embedded - 1]
@@ -176,7 +177,7 @@ def analyze(q, part) -> PredictionReport:
     powers = np.int64(1) << np.arange(l, dtype=np.int64)
     ts = l - np.searchsorted(powers, wrong, side="right")
     ts[np.diff(part.ring_offsets) == 0] = 0
-    return PredictionReport(ts=ts, m=q.m, embedded=part.embedded.copy())
+    return PredictionReport(ts=read_only(ts), m=q.m, embedded=part.embedded)
 
 
 def choose_n(report: PredictionReport, requested: int | None = None) -> int:

@@ -9,12 +9,13 @@ container header.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .mesh_io import Mesh, read_only
+from .mesh_io import Mesh, _frozen, read_only
+from .partition import Partition, partition as compute_partition
 
 M_MIN, M_MAX = 2, 9
 
@@ -32,17 +33,24 @@ def bit_length(m: int) -> int:
     raise ConfigError(f"precision m={m} outside supported range [1, 9]")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class QuantizedMesh:
+    """Sign-magnitude form of a Mesh, frozen with read-only arrays like
+    Mesh. `partition`, the split of `faces`, is handed on by `quantize`
+    or `decrypt_mesh`, else derived here; == ignores it."""
+
     magnitudes: np.ndarray  # (N, 3) int64, each < 10^m
     signs: np.ndarray       # (N, 3) uint8, 1 = negative
     m: int
-    faces: np.ndarray       # (M, 3) int64, 1-based, copied from the source Mesh
+    faces: np.ndarray       # (M, 3) int64, 1-based, shared with the source Mesh
+    partition: Partition | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.magnitudes = np.asarray(self.magnitudes, dtype=np.int64).reshape(-1, 3)
-        self.signs = np.asarray(self.signs, dtype=np.uint8).reshape(-1, 3)
-        self.faces = np.asarray(self.faces, dtype=np.int64).reshape(-1, 3)
+        object.__setattr__(self, "magnitudes", _frozen(self.magnitudes, np.int64))
+        object.__setattr__(self, "signs", _frozen(self.signs, np.uint8))
+        object.__setattr__(self, "faces", _frozen(self.faces, np.int64))
+        if self.partition is None:
+            object.__setattr__(self, "partition", compute_partition(self.n_vertices, self.faces))
 
     @property
     def l(self) -> int:
@@ -112,7 +120,7 @@ def quantize(mesh, m: int) -> QuantizedMesh:
     flat = np.abs(verts).ravel()
     mags = _exact_floor_scaled(flat, m).reshape(verts.shape)
     signs = (verts < 0).astype(np.uint8)
-    return QuantizedMesh(mags, signs, m, mesh.faces.copy())
+    return QuantizedMesh(read_only(mags), read_only(signs), m, mesh.faces, mesh.partition)
 
 
 def dequantize(q: QuantizedMesh) -> Mesh:
@@ -120,4 +128,4 @@ def dequantize(q: QuantizedMesh) -> Mesh:
     scale = float(10**q.m)
     coords = q.magnitudes.astype(np.float64) / scale
     coords = np.where(q.signs == 1, -coords, coords)
-    return Mesh(read_only(coords), read_only(q.faces.copy()))
+    return Mesh(read_only(coords), q.faces)

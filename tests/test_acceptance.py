@@ -38,7 +38,6 @@ from rdh3d import (
     write_mesh,
 )
 from rdh3d.errors import ContainerError
-from rdh3d.partition import partition
 
 from conftest import grid_mesh, random_mesh, signed_ints
 from oracles import brute_analyze, brute_choose_n, brute_partition
@@ -69,9 +68,8 @@ def reversibility_sweep():
         mesh = random_mesh(1000 + i, n_min=4, n_max=500)
         m = 2 + i % 8
         q = quantize(mesh, m)
-        part = partition(mesh.n_vertices, mesh.faces)
-        rep = analyze(q, part)
-        enc = encrypt_mesh(q, part, KE)
+        rep = analyze(q)
+        enc = encrypt_mesh(q, KE)
         for n in range(1, q.l + 1):
             cap = rep.capacity(n)
             payload = payload_bits(cap, seed=i * 100 + n)
@@ -126,13 +124,12 @@ def test_criterion_2_zero_extraction_error(reversibility_sweep):
 def test_criterion_3_separability():
     mesh = random_mesh(77, n_min=100, n_max=200, smooth=True)
     q = quantize(mesh, 5)
-    part = partition(mesh.n_vertices, mesh.faces)
-    rep = analyze(q, part)
+    rep = analyze(q)
     n = choose_n(rep)
     cap = rep.capacity(n)
     payload = payload_bits(cap, seed=3)
     assert payload.size >= 128
-    data = write_container(embed(encrypt_mesh(q, part, KE), rep, n, payload, KW))
+    data = write_container(embed(encrypt_mesh(q, KE), rep, n, payload, KW))
 
     extract_ok = np.array_equal(extract(read_container(data), KW), payload)
     recover_ok = recover(read_container(data), KE) == q
@@ -167,9 +164,8 @@ def test_criterion_4_capacity_law():
         mesh = random_mesh(300 + seed, n_min=4, n_max=50, smooth=bool(seed % 2))
         m = 2 + seed % 8
         q = quantize(mesh, m)
-        part = partition(mesh.n_vertices, mesh.faces)
-        rep = analyze(q, part)
-        enc = encrypt_mesh(q, part, KE)
+        rep = analyze(q)
+        enc = encrypt_mesh(q, KE)
         emb, _, rings, _ = brute_partition(mesh.n_vertices, mesh.faces)
         ts, _ = brute_analyze(q.magnitudes.tolist(), emb, rings, q.l)
         for n in range(1, q.l + 1):
@@ -201,7 +197,7 @@ def test_criterion_5_capacity_curve_shape():
     mesh = grid_mesh(32)  # 1024 vertices
     assert mesh.n_vertices >= 1000
     q = quantize(mesh, 5)
-    rep = analyze(q, partition(mesh.n_vertices, mesh.faces))
+    rep = analyze(q)
     curve = rep.capacity_curve
     t_max = int(rep.ts.max())
     peak = int(np.argmax(curve)) + 1
@@ -223,11 +219,10 @@ def test_criterion_6_fidelity_trends_with_m():
     hausdorffs, snrs = [], []
     for m in range(2, 10):
         q = quantize(mesh, m)
-        part = partition(mesh.n_vertices, mesh.faces)
-        rep = analyze(q, part)
+        rep = analyze(q)
         n = choose_n(rep)
         payload = payload_bits(rep.capacity(n), seed=m)
-        c = embed(encrypt_mesh(q, part, KE), rep, n, payload, KW)
+        c = embed(encrypt_mesh(q, KE), rep, n, payload, KW)
         rec = dequantize(recover(c, KE))
         hausdorffs.append(hausdorff(mesh.vertices, rec.vertices))
         snrs.append(snr(mesh, rec, noise_ref="original"))
@@ -248,11 +243,10 @@ def test_criterion_7_dense_mesh_performance():
     assert mesh.n_vertices >= 100_000
     m = 4
     q = quantize(mesh, m)
-    part = partition(mesh.n_vertices, mesh.faces)
-    rep = analyze(q, part)
+    rep = analyze(q)
     n = choose_n(rep)
     payload = payload_bits(rep.capacity(n), seed=7)
-    data = write_container(embed(encrypt_mesh(q, part, KE), rep, n, payload, KW))
+    data = write_container(embed(encrypt_mesh(q, KE), rep, n, payload, KW))
     c = read_container(data)
     got = extract(c, KW)
     rec = recover(c, KE)
@@ -276,8 +270,7 @@ def test_criterion_8_oracle_equivalence():
         mesh = random_mesh(500 + seed, n_min=4, n_max=50, smooth=bool(seed % 3))
         m = 2 + seed % 8
         q = quantize(mesh, m)
-        part = partition(mesh.n_vertices, mesh.faces)
-        rep = analyze(q, part)
+        rep = analyze(q)
         emb, _, rings, _ = brute_partition(mesh.n_vertices, mesh.faces)
         ts, curve = brute_analyze(q.magnitudes.tolist(), emb, rings, q.l)
         meshes += 1

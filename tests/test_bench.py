@@ -92,11 +92,11 @@ class TestBenchCorpus:
             time.sleep(0.2)
             return partition(*args)
 
-        monkeypatch.setattr("rdh3d.mesh_io.compute_partition", slow_partition)
+        monkeypatch.setattr("rdh3d.partition.partition", slow_partition)
         write_mesh_file(tmp_path / "0.off", random_mesh(0, n_max=30))
         rows, failures = bench_corpus(tmp_path, [2, 3, 4], [None], "a", "b")
         assert not failures
-        assert [row.t_analyze >= 0.2 for row in rows] == [True, False, False]
+        assert [row.t_quantize >= 0.2 for row in rows] == [True, False, False]
 
 
 def test_mean_bpv_by_m():

@@ -18,7 +18,6 @@ from rdh3d import (
 )
 from rdh3d.cipher import stream_words
 from rdh3d.errors import ConfigError
-from rdh3d.partition import partition
 
 from conftest import ZeroKey, grid_mesh, random_mesh
 from oracles import chacha20_block, chacha20_keystream, keystream_bits
@@ -101,37 +100,31 @@ class TestKeystream:
         assert "ENCRYPT" in text
 
 
-def owner_container(q, key):
-    return encrypt_mesh(q, partition(q.n_vertices, q.faces), key)
-
-
 class TestMeshEncryption:
     def test_zero_stream_is_identity(self, tetra_mesh):
         q = quantize(tetra_mesh, 4)
-        enc = owner_container(q, ZeroKey())
+        enc = encrypt_mesh(q, ZeroKey())
         assert np.array_equal(enc.magnitudes, q.magnitudes)
         assert decrypt_mesh(enc, ZeroKey()) == q
 
     def test_involution(self, tetra_mesh, ke):
         q = quantize(tetra_mesh, 4)
-        part = partition(q.n_vertices, q.faces)
-        enc = encrypt_mesh(q, part, ke)
+        enc = encrypt_mesh(q, ke)
         assert decrypt_mesh(enc, ke) == q
-        assert encrypt_mesh(decrypt_mesh(enc, ke), part, ke) == enc
+        assert encrypt_mesh(decrypt_mesh(enc, ke), ke) == enc
 
     def test_owner_container_carries_no_payload(self, ke):
         q = quantize(grid_mesh(12), 4)
-        part = partition(q.n_vertices, q.faces)
-        enc = encrypt_mesh(q, part, ke)
+        enc = encrypt_mesh(q, ke)
         assert (enc.n, enc.payload_bits, enc.capacity_bits()) == (1, 0, 0)
-        assert enc.excluded.size == part.n_embedded > 0
+        assert enc.excluded.size == q.partition.n_embedded > 0
         assert (enc.excluded == 1).all()
-        assert enc.partition is part
+        assert enc.partition is q.partition
 
     def test_tetrahedron_against_reference_stream(self, tetra_mesh):
         q = quantize(tetra_mesh, 4)
         ke = KeyMaterial.from_passphrase("k", KeyRole.ENCRYPT)
-        enc = owner_container(q, ke)
+        enc = encrypt_mesh(q, ke)
         key = hashlib.sha256(b"k").digest()
         nonce = hashlib.sha256(b"encrypt").digest()[:12]
         raw = chacha20_keystream(key, nonce, 0, 3 * q.n_vertices * (q.l // 8))
@@ -146,29 +139,32 @@ class TestMeshEncryption:
         mesh = random_mesh(3, n_max=50)
         q = quantize(mesh, 5)
         before = [q.magnitudes.copy(), q.signs.copy(), q.faces.copy()]
-        enc = owner_container(q, ke)
+        enc = encrypt_mesh(q, ke)
         assert all(np.array_equal(a, b) for a, b in
                    zip(before, [q.magnitudes, q.signs, q.faces]))
-        assert np.array_equal(enc.signs, q.signs)
-        assert np.array_equal(enc.faces, q.faces)
         assert (enc.m, enc.l) == (q.m, q.l)
         dec = decrypt_mesh(enc, ke)
+        # signs and faces are shared, read-only; only the magnitudes are new
         for a, b in ((enc, q), (dec, enc)):
-            for name in ("magnitudes", "signs", "faces"):
-                assert not np.shares_memory(getattr(a, name), getattr(b, name))
+            assert np.shares_memory(a.signs, b.signs)
+            assert np.shares_memory(a.faces, b.faces)
+            assert a.partition is b.partition
+            assert not np.shares_memory(a.magnitudes, b.magnitudes)
+            for arr in (a.magnitudes, a.signs, a.faces):
+                assert not arr.flags.writeable
 
     def test_ciphertext_fits_word_length(self, ke):
         mesh = random_mesh(8, n_max=50)
         for m in (2, 4, 9):
             q = quantize(mesh, m)
-            enc = owner_container(q, ke)
+            enc = encrypt_mesh(q, ke)
             assert int(enc.magnitudes.max()) < 2**q.l
 
     def test_wrong_key_differs_statistically(self, tetra_mesh):
         q = quantize(tetra_mesh, 5)  # 4 * 3 * 32 = 384 magnitude bits
         right = KeyMaterial.from_passphrase("right", KeyRole.ENCRYPT)
         wrong = KeyMaterial.from_passphrase("wrong", KeyRole.ENCRYPT)
-        enc = owner_container(q, right)
+        enc = encrypt_mesh(q, right)
         dec = decrypt_mesh(enc, wrong)
         xor = dec.magnitudes ^ q.magnitudes
         flipped = sum(int(w).bit_count() for w in xor.ravel())
@@ -177,23 +173,23 @@ class TestMeshEncryption:
     def test_role_checks(self, tetra_mesh, ke, kw):
         q = quantize(tetra_mesh, 4)
         with pytest.raises(ConfigError, match="role"):
-            owner_container(q, kw)
+            encrypt_mesh(q, kw)
         with pytest.raises(ConfigError, match="role"):
-            decrypt_mesh(owner_container(q, ke), kw)
+            decrypt_mesh(encrypt_mesh(q, ke), kw)
 
 
 def embed_payload(bits, key):
     """Embed `bits` into a smooth grid mesh at m=4 with the capacity-optimal n,
     under an all-zero encryption stream."""
     q = quantize(grid_mesh(20), 4)
-    rep = analyze(q, partition(q.n_vertices, q.faces))
-    return embed(owner_container(q, ZeroKey()), rep, choose_n(rep), bits, key)
+    rep = analyze(q)
+    return embed(encrypt_mesh(q, ZeroKey()), rep, choose_n(rep), bits, key)
 
 
 def raw_slots(c):
     """The n-MSB slot bits of a marked container, read back with plain
     integer shifts: included embedded vertices in C order, x/y/z, MSB first."""
-    emb = c.checked_partition().embedded.tolist()
+    emb = c.partition.embedded.tolist()
     out = []
     for v, excluded in zip(emb, c.excluded.tolist()):
         if not excluded:

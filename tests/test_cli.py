@@ -25,7 +25,6 @@ from rdh3d import cli
 from rdh3d.cli import main
 from rdh3d.container import container_mesh
 from rdh3d.mesh_io import write_mesh, write_mesh_file
-from rdh3d.partition import partition
 
 from conftest import COW_FACES, COW_VERTICES, cow_off_text, grid_mesh, random_mesh
 
@@ -259,7 +258,7 @@ def test_library_encrypt_is_cli_encrypt(tmp_path, m):
     assert run("encrypt", mesh_path, "--m", m, "--ke-pass", "alpha", "--out", enc) == 0
     q = quantize(parse_mesh(mesh_path.read_text(), "off"), m)
     ke = KeyMaterial.from_passphrase("alpha", KeyRole.ENCRYPT)
-    c = encrypt_mesh(q, partition(q.n_vertices, q.faces), ke)
+    c = encrypt_mesh(q, ke)
     assert c == read_container_file(enc)
     assert write_container(c) == enc.read_bytes()
 

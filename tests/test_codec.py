@@ -19,23 +19,23 @@ from rdh3d import (
     embed,
     encrypt_mesh,
     extract,
+    parse_mesh,
     quantize,
     read_container,
     recover,
     write_container,
+    write_mesh,
 )
 from rdh3d.codec import bits_to_payload, payload_to_bits
-from rdh3d.partition import partition
 
 from conftest import ZeroKey, empty_ring_mesh, fan_mesh, grid_mesh, random_mesh
 
 
 def pipeline_parts(mesh, m, ke, kw):
     q = quantize(mesh, m)
-    part = partition(mesh.n_vertices, mesh.faces)
-    rep = analyze(q, part)
-    enc = encrypt_mesh(q, part, ke)
-    return q, part, rep, enc
+    rep = analyze(q)
+    enc = encrypt_mesh(q, ke)
+    return q, q.partition, rep, enc
 
 
 def rand_bits(count, seed=0):
@@ -69,10 +69,12 @@ class TestEmbed:
         from rdh3d.predictor import PredictionReport
 
         q = quantize(tetra_mesh, 4)
-        part = partition(tetra_mesh.n_vertices, tetra_mesh.faces)
-        enc = encrypt_mesh(q, part, ZeroKey())
-        enc.magnitudes[0] = [0x0B48, 0x0B48, 0x0B48]
-        rep = PredictionReport(ts=np.array([16]), m=4, embedded=part.embedded.copy())
+        part = q.partition
+        enc = encrypt_mesh(q, ZeroKey())
+        mags = enc.magnitudes.copy()
+        mags[0] = [0x0B48, 0x0B48, 0x0B48]
+        enc = replace(enc, magnitudes=mags)
+        rep = PredictionReport(ts=np.array([16]), m=4, embedded=part.embedded)
         assert int(part.embedded[0]) == 1 and rep.capacity(4) == 12
         payload = np.array([1, 0, 1, 0] * 3, dtype=np.uint8)
         marked = embed(enc, rep, 4, payload, ZeroKey(KeyRole.HIDE))
@@ -122,7 +124,7 @@ class TestEmbed:
         q, part, rep, enc = pipeline_parts(tetra_mesh, 4, ke, kw)
         q5 = quantize(tetra_mesh, 5)
         with pytest.raises(ConfigError):
-            embed(encrypt_mesh(q5, part, ke), rep, 1, rand_bits(0), kw)
+            embed(encrypt_mesh(q5, ke), rep, 1, rand_bits(0), kw)
 
     def test_role_check(self, tetra_mesh, ke, kw):
         q, part, rep, enc = pipeline_parts(tetra_mesh, 4, ke, kw)
@@ -207,9 +209,9 @@ class TestExtract:
     def test_corrupt_excluded_bitmap_detected(self, tetra_mesh, ke, kw):
         q, part, rep, enc = pipeline_parts(tetra_mesh, 4, ke, kw)
         c = embed(enc, rep, 1, rand_bits(3), kw)
-        c.excluded = np.zeros(5, dtype=np.uint8)  # wrong size for |C|=1
-        with pytest.raises(ContainerError):
-            extract(c, kw)
+        # checked once, at construction: wrong size for |C|=1
+        with pytest.raises(ContainerError, match="excluded bitmap covers 5"):
+            replace(c, excluded=np.zeros(5, dtype=np.uint8))
 
     def test_report_for_another_mesh_rejected(self, tetra_mesh, ke, kw):
         # relabeling 1 <-> 2 keeps N and |C| = 1 but embeds vertex 2
@@ -271,9 +273,9 @@ class TestRecover:
     def test_corrupt_excluded_bitmap_detected(self, tetra_mesh, ke, kw):
         q, part, rep, enc = pipeline_parts(tetra_mesh, 4, ke, kw)
         c = embed(enc, rep, 1, rand_bits(3), kw)
-        c.excluded = np.zeros(5, dtype=np.uint8)  # wrong size for |C|=1
-        with pytest.raises(ContainerError):
-            recover(c, ke)
+        # checked once, at construction: wrong size for |C|=1
+        with pytest.raises(ContainerError, match="excluded bitmap covers 0"):
+            replace(c, excluded=np.zeros(0, dtype=np.uint8))
 
     def test_all_excluded_is_plain_decryption(self, ke, kw):
         mesh = random_mesh(33, n_max=60, smooth=False)
@@ -375,3 +377,28 @@ class TestPayloadBytes:
     def test_msb_first(self):
         assert payload_to_bits(b"\x80").tolist() == [1, 0, 0, 0, 0, 0, 0, 0]
         assert payload_to_bits(b"\x01").tolist() == [0, 0, 0, 0, 0, 0, 0, 1]
+
+
+def test_pipeline_shares_the_parsed_faces_read_only(ke, kw):
+    """parse -> quantize -> encrypt -> embed -> recover -> dequantize copies
+    no face list, and every array of every form is read-only."""
+    mesh = parse_mesh(write_mesh(grid_mesh(12), "off"), "off")
+    q = quantize(mesh, 4)
+    rep = analyze(q)
+    enc = encrypt_mesh(q, ke)
+    n = choose_n(rep)
+    marked = embed(enc, rep, n, rand_bits(rep.capacity(n)), kw)
+    rec = recover(marked, ke)
+    assert rec == q
+    out = dequantize(rec)
+    for form in (q, enc, marked, rec, out):
+        assert np.shares_memory(form.faces, mesh.faces)
+    for form in (q, enc, marked, rec):
+        assert form.partition is mesh.partition
+    arrays = [mesh.vertices, mesh.faces, out.vertices, out.faces,
+              rep.ts, rep.embedded, rep.capacity_curve,
+              *(getattr(f, a) for f in (q, enc, marked, rec)
+                for a in ("magnitudes", "signs", "faces")),
+              enc.excluded, marked.excluded,
+              *(getattr(mesh.partition, a) for a in ("embedded", "ring_flat", "ring_offsets"))]
+    assert not any(arr.flags.writeable for arr in arrays)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import struct
 import tracemalloc
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -149,42 +151,56 @@ class TestRejection:
 
     def test_payload_over_capacity_rejected(self):
         c = make_container(5)
-        c.payload_bits = c.capacity_bits() + 1
-        data = write_container(c)
+        with pytest.raises(ContainerError, match="exceeds capacity"):
+            replace(c, payload_bits=c.capacity_bits() + 1)
+        data = bytearray(write_container(c))
+        struct.pack_into("<Q", data, 16, c.capacity_bits() + 1)
         with pytest.raises(ContainerError, match="capacity"):
-            read_container(data)
+            read_container(bytes(data))
 
     def test_excluded_bitmap_length_mismatch(self):
         c = make_container(6)
-        grown = MarkedContainer(
-            m=c.m, n=c.n, payload_bits=0, signs=c.signs,
-            excluded=np.zeros(c.excluded.size + 8, dtype=np.uint8),
-            magnitudes=c.magnitudes, faces=c.faces,
-        )
         with pytest.raises(ContainerError, match="embedded"):
-            read_container(write_container(grown))
+            replace(c, excluded=np.zeros(c.excluded.size + 8, dtype=np.uint8))
+        data = write_container(c)
+        at = 24 + (3 * c.n_vertices + 7) // 8  # the excluded bitmap
+        with pytest.raises(ContainerError, match="embedded"):
+            read_container(data[:at] + bytes(1) + data[at:])
 
     def test_face_index_out_of_range(self):
         c = make_container(7)
-        c.faces = c.faces.copy()
-        c.faces[0, 0] = c.n_vertices + 5
+        data = bytearray(write_container(c))
+        struct.pack_into("<I", data, len(data) - 12 * c.n_faces, c.n_vertices + 5)
         with pytest.raises(ContainerError, match="face index"):
-            read_container(write_container(c))
+            read_container(bytes(data))
 
     def test_magnitude_too_wide_refused_on_write(self):
         c = make_container(8)
-        c.magnitudes = c.magnitudes.copy()
-        c.magnitudes[0, 0] = np.uint64(2**c.l)
+        mags = c.magnitudes.copy()
+        mags[0, 0] = 2**c.l
         with pytest.raises(ContainerError, match="word length"):
-            write_container(c)
+            write_container(replace(c, magnitudes=mags))
 
 
     def test_negative_magnitude_refused_on_write(self):
         c = make_container(8)
-        c.magnitudes = c.magnitudes.copy()
-        c.magnitudes[0, 0] = -1
+        mags = c.magnitudes.copy()
+        mags[0, 0] = -1
         with pytest.raises(ContainerError, match="word length"):
-            write_container(c)
+            write_container(replace(c, magnitudes=mags))
+
+
+def test_arrays_are_read_only():
+    c = make_container(11)
+    assert c.excluded.size > 0
+    for name in ("signs", "excluded", "magnitudes", "faces"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(c, name)[0] = 0
+        with pytest.raises(FrozenInstanceError):
+            setattr(c, name, getattr(c, name)[:1])
+    back = read_container(write_container(c))
+    assert all(not getattr(back, name).flags.writeable
+               for name in ("signs", "excluded", "magnitudes", "faces"))
 
 
 def test_header_layout():

@@ -325,6 +325,19 @@ class TestMeshPartition:
         assert np.array_equal(mesh.partition.embedded, embedded)
         assert np.array_equal(embedded, partition(mesh.n_vertices, mesh.faces).embedded)
 
+    def test_partition_arrays_are_read_only(self):
+        # an edit would silently change the next analyze
+        mesh = grid_mesh(20)
+        part = mesh.partition
+        for arr in (part.embedded, part.reference, part.unassigned,
+                    part.ring_flat, part.ring_offsets):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            part.embedded[0] = 5
+        with pytest.raises(FrozenInstanceError):
+            part.embedded = part.embedded[:1]
+        assert np.array_equal(part.embedded, partition(mesh.n_vertices, mesh.faces).embedded)
+
     def test_caller_arrays_stay_writable_and_apart(self):
         verts = np.full((3, 3), 0.25)
         faces = np.array([[1, 2, 3]])
@@ -353,7 +366,7 @@ class TestMeshPartition:
             mesh = dequantize(quantize(tetra_mesh, 4))
         else:
             mesh = container_mesh(
-                encrypt_mesh(quantize(tetra_mesh, 4), tetra_mesh.partition, ke))
+                encrypt_mesh(quantize(tetra_mesh, 4), ke))
         assert not mesh.vertices.flags.writeable
         assert not mesh.faces.flags.writeable
 

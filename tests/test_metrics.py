@@ -21,7 +21,6 @@ from rdh3d import (
 )
 from rdh3d import metrics
 from rdh3d.errors import DomainError
-from rdh3d.partition import partition
 
 from conftest import grid_mesh, random_mesh, signed_ints
 from oracles import brute_hausdorff, kdtree_hausdorff
@@ -74,11 +73,10 @@ class TestHausdorff:
         mesh = random_mesh(17, n_max=120, smooth=True)
         m = 4
         q = quantize(mesh, m)
-        part = partition(mesh.n_vertices, mesh.faces)
-        rep = analyze(q, part)
+        rep = analyze(q)
         n = choose_n(rep)
         payload = np.random.default_rng(0).integers(0, 2, rep.capacity(n)).astype(np.uint8)
-        c = embed(encrypt_mesh(q, part, ke), rep, n, payload, kw)
+        c = embed(encrypt_mesh(q, ke), rep, n, payload, kw)
         rec = recover(c, ke)
         assert rec == q
         # integer level: exactly zero

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import tracemalloc
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ def one_ring_t(target, ring, m):
     assert q.magnitudes[:, 0].tolist() == [target, *ring]
     part = partition(mesh.n_vertices, mesh.faces)
     assert part.embedded.tolist() == [1]
-    return int(analyze(q, part).ts[0])
+    return int(analyze(q).ts[0])
 
 
 class TestPredictBit:
@@ -198,7 +199,7 @@ class TestPredictWords:
         for m in (2, 4, 9):
             q = quantize(mesh, m)
             assert_matches_reference(q.magnitudes, mesh.partition, q.l)
-            assert analyze(q, mesh.partition).ts.size == 0
+            assert analyze(q).ts.size == 0
 
     def test_only_empty_rings(self):
         mesh = Mesh(np.full((3, 3), 0.25), np.array([[1, 1, 1], [3, 3, 3]]))
@@ -206,7 +207,7 @@ class TestPredictWords:
         assert mesh.partition.ring_flat.size == 0
         q = quantize(mesh, 9)
         assert predict_words(q.magnitudes, mesh.partition, q.l, q.l).tolist() == [[0] * 3] * 2
-        assert analyze(q, mesh.partition).ts.tolist() == [0, 0]
+        assert analyze(q).ts.tolist() == [0, 0]
 
 
 def test_predict_words_memory_is_bounded(monkeypatch):
@@ -269,7 +270,7 @@ class TestAnalyze:
         mesh = Mesh(verts, faces)
         q = quantize(mesh, 4)
         part = partition(mesh.n_vertices, mesh.faces)
-        rep = analyze(q, part)
+        rep = analyze(q)
         k = part.n_embedded
         degenerate = {f[0] for f in mesh.faces.tolist() if len(set(f)) == 1}
         if not degenerate & set(part.embedded.tolist()):
@@ -281,7 +282,7 @@ class TestAnalyze:
         mesh = random_mesh(5, n_max=100)
         q = quantize(mesh, 5)
         part = partition(mesh.n_vertices, mesh.faces)
-        rep = analyze(q, part)
+        rep = analyze(q)
         k = part.n_embedded
         prev = -1
         for n in range(1, q.l + 1):
@@ -293,7 +294,7 @@ class TestAnalyze:
     def test_curve_zero_past_max_t(self):
         mesh = random_mesh(9, n_max=100)
         q = quantize(mesh, 4)
-        rep = analyze(q, partition(mesh.n_vertices, mesh.faces))
+        rep = analyze(q)
         if rep.ts.size:
             t_max = int(rep.ts.max())
             assert (rep.capacity_curve[t_max:] == 0).all()
@@ -301,10 +302,9 @@ class TestAnalyze:
     def test_unchanged_by_encryption(self, ke):
         mesh = random_mesh(2, n_max=60)
         q = quantize(mesh, 4)
-        part = partition(mesh.n_vertices, mesh.faces)
-        before = analyze(q, part)
-        encrypt_mesh(q, part, ke)  # must not mutate q
-        after = analyze(q, part)
+        before = analyze(q)
+        encrypt_mesh(q, ke)  # must not mutate q
+        after = analyze(q)
         assert np.array_equal(before.ts, after.ts)
         assert np.array_equal(before.capacity_curve, after.capacity_curve)
 
@@ -313,8 +313,7 @@ class TestAnalyze:
     def test_matches_brute_force(self, seed, m):
         mesh = random_mesh(seed, n_min=4, n_max=30)
         q = quantize(mesh, m)
-        part = partition(mesh.n_vertices, mesh.faces)
-        rep = analyze(q, part)
+        rep = analyze(q)
         emb, _, rings, _ = brute_partition(mesh.n_vertices, mesh.faces)
         ts, curve = brute_analyze(q.magnitudes.tolist(), emb, rings, q.l)
         assert rep.ts.tolist() == ts
@@ -325,31 +324,16 @@ class TestAnalyze:
     @pytest.mark.parametrize("m", [2, 4, 6, 9])
     def test_edge_meshes_match_brute_force(self, mesh, m):
         q = quantize(mesh, m)
-        part = partition(mesh.n_vertices, mesh.faces)
         emb, _, rings, _ = brute_partition(mesh.n_vertices, mesh.faces)
         ts, curve = brute_analyze(q.magnitudes.tolist(), emb, rings, q.l)
-        rep = analyze(q, part)
+        rep = analyze(q)
         assert rep.ts.tolist() == ts
         assert rep.capacity_curve.tolist() == curve
-
-    def test_partition_of_another_mesh_rejected(self):
-        # embedded vertex 4 does not exist in a 3-vertex mesh
-        q = quantize(Mesh(np.full((3, 3), 0.25), np.array([[1, 2, 3]])), 4)
-        with pytest.raises(ConfigError, match="another mesh"):
-            analyze(q, partition(4, [[4, 1, 2]]))
-
-    def test_partition_with_foreign_ring_ids_rejected(self):
-        # embedded vertices 1 and 2 exist, but their rings name 4, 5, 6
-        q = quantize(Mesh(np.full((3, 3), 0.25), np.array([[1, 2, 3]])), 4)
-        part = partition(6, [[1, 4, 5], [2, 3, 6]])
-        assert int(part.embedded.max()) <= 3 < int(part.ring_flat.max())
-        with pytest.raises(ConfigError, match="another mesh"):
-            analyze(q, part)
 
     def test_json_round_trip(self):
         mesh = random_mesh(4, n_max=40)
         q = quantize(mesh, 3)
-        rep = analyze(q, partition(mesh.n_vertices, mesh.faces))
+        rep = analyze(q)
         back = PredictionReport.from_json_dict(rep.to_json_dict())
         assert np.array_equal(back.ts, rep.ts)
         assert np.array_equal(back.capacity_curve, rep.capacity_curve)
@@ -357,7 +341,7 @@ class TestAnalyze:
 
     def test_json_round_trip_without_faces(self):
         mesh = Mesh(np.full((3, 3), 0.25), np.empty((0, 3)))
-        doc = json.loads(json.dumps(analyze(quantize(mesh, 4), mesh.partition).to_json_dict()))
+        doc = json.loads(json.dumps(analyze(quantize(mesh, 4)).to_json_dict()))
         assert doc["embedded"] == doc["max_prefix_lengths"] == []
         back = PredictionReport.from_json_dict(doc)
         assert (back.ts.size, back.embedded.size, back.m) == (0, 0, 4)
@@ -369,7 +353,7 @@ class TestAnalyze:
     ])
     def test_json_non_integer_rejected(self, key, value):
         mesh = random_mesh(4, n_max=40, smooth=True)
-        doc = analyze(quantize(mesh, 4), mesh.partition).to_json_dict()
+        doc = analyze(quantize(mesh, 4)).to_json_dict()
         if value == "tamper":
             value = [float(doc[key][0]), *doc[key][1:]]
         doc[key] = value
@@ -380,7 +364,7 @@ class TestAnalyze:
                                         "short", "nested"])
     def test_json_curve_contradicting_ts_rejected(self, tamper):
         mesh = random_mesh(4, n_max=40, smooth=True)
-        doc = analyze(quantize(mesh, 4), partition(mesh.n_vertices, mesh.faces)).to_json_dict()
+        doc = analyze(quantize(mesh, 4)).to_json_dict()
         curve = doc["capacity_curve"]
         assert max(curve) > 0
         doc["capacity_curve"] = {
@@ -393,10 +377,32 @@ class TestAnalyze:
         with pytest.raises(ConfigError, match="capacity_curve contradicts"):
             PredictionReport.from_json_dict(doc)
 
+    @pytest.mark.parametrize("key", ["max_prefix_lengths", "embedded"])
+    @pytest.mark.parametrize("shape", ["nested", "scalar"])
+    def test_json_lists_that_are_not_flat_rejected(self, key, shape):
+        mesh = random_mesh(4, n_max=40, smooth=True)
+        doc = analyze(quantize(mesh, 4)).to_json_dict()
+        doc[key] = [doc[key]] if shape == "nested" else doc[key][0]
+        with pytest.raises(ConfigError, match="expected flat lists"):
+            PredictionReport.from_json_dict(doc)
+
+    def test_arrays_are_read_only(self):
+        # editing ts after the curve was derived would write a report that
+        # from_json_dict rejects
+        rep = analyze(quantize(grid_mesh(20), 4))
+        curve = rep.capacity_curve
+        for arr in (rep.ts, rep.embedded, curve):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[:] = 0
+        with pytest.raises(FrozenInstanceError):
+            rep.ts = rep.ts[:1]
+        back = PredictionReport.from_json_dict(rep.to_json_dict())
+        assert np.array_equal(back.capacity_curve, curve)
+
     @pytest.mark.parametrize("t", [-1, 17])
     def test_json_t_outside_word_rejected(self, t):
         mesh = random_mesh(4, n_max=40, smooth=True)
-        doc = analyze(quantize(mesh, 4), partition(mesh.n_vertices, mesh.faces)).to_json_dict()
+        doc = analyze(quantize(mesh, 4)).to_json_dict()
         doc["max_prefix_lengths"][0] = t
         with pytest.raises(ConfigError, match="in 0..16"):
             PredictionReport.from_json_dict(doc)
@@ -404,7 +410,7 @@ class TestAnalyze:
     @pytest.mark.parametrize("l", [8, 32, 64])
     def test_json_l_contradicting_m_rejected(self, l):
         mesh = random_mesh(4, n_max=40)
-        doc = analyze(quantize(mesh, 4), partition(mesh.n_vertices, mesh.faces)).to_json_dict()
+        doc = analyze(quantize(mesh, 4)).to_json_dict()
         assert doc["l"] == 16
         doc["l"] = l
         with pytest.raises(ConfigError, match="contradicts m=4"):
@@ -427,7 +433,7 @@ class TestChooseN:
     def test_requested_passthrough_and_validation(self):
         mesh = random_mesh(1, n_max=40)
         q = quantize(mesh, 4)
-        rep = analyze(q, partition(mesh.n_vertices, mesh.faces))
+        rep = analyze(q)
         assert choose_n(rep, 7) == 7
         with pytest.raises(ConfigError):
             choose_n(rep, 0)
@@ -438,7 +444,7 @@ class TestChooseN:
     def test_matches_linear_scan(self, seed):
         mesh = random_mesh(seed, n_max=60)
         q = quantize(mesh, 5)
-        rep = analyze(q, partition(mesh.n_vertices, mesh.faces))
+        rep = analyze(q)
         assert choose_n(rep) == brute_choose_n(rep.capacity_curve.tolist())
 
 
@@ -448,7 +454,7 @@ def test_recoverability_guarantee():
     mesh = random_mesh(21, n_max=80, smooth=True)
     q = quantize(mesh, 4)
     part = partition(mesh.n_vertices, mesh.faces)
-    rep = analyze(q, part)
+    rep = analyze(q)
     rings = rings_of(part)
     for i, cv in enumerate(part.embedded.tolist()):
         t = int(rep.ts[i])
