@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContainerError
-from .mesh_io import Mesh, _frozen, read_only
+from .mesh_io import Frozen, Mesh, array, read_only
 from .partition import Partition, partition as compute_partition
 from .quantize import M_MAX, M_MIN, WORD_DTYPES, bit_length
 
@@ -46,27 +46,31 @@ _HEADER = struct.Struct("<4sBBBBIIQ")
 
 
 @dataclass(frozen=True, eq=False)
-class MarkedContainer:
-    """Frozen, with read-only arrays (see Mesh). Construction checks that
-    the excluded bitmap covers exactly |C| vertices and that the payload
-    fits the capacity, so every container in memory is consistent."""
+class MarkedContainer(Frozen):
+    """Frozen, with read-only arrays (see Frozen). Construction checks
+    that the face ids lie in 1..N, that there is one sign per magnitude
+    word, that the excluded bitmap covers exactly |C| vertices and that
+    the payload fits the capacity, so every container in memory is
+    consistent."""
 
     m: int
     n: int
     payload_bits: int
-    signs: np.ndarray       # (N, 3) uint8
-    excluded: np.ndarray    # (|C|,) uint8, 1 = excluded, C order
-    magnitudes: np.ndarray  # (N, 3) int64 l-bit words, encrypted (C vertices may carry payload)
-    faces: np.ndarray       # (M, 3) int64, 1-based
+    signs: np.ndarray = array(np.uint8)         # (N, 3)
+    excluded: np.ndarray = array(np.uint8, -1)  # (|C|,), 1 = excluded, C order
+    magnitudes: np.ndarray = array(np.int64)    # (N, 3) l-bit words, encrypted or marked
+    faces: np.ndarray = array(np.int64)         # (M, 3), 1-based
     # Split of `faces` as the reader or the owner hands it on, else derived
     # here; not serialized, ignored by ==.
-    partition: Partition | None = field(default=None, repr=False)
+    partition: Partition | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "signs", _frozen(self.signs, np.uint8))
-        object.__setattr__(self, "excluded", _frozen(self.excluded, np.uint8, -1))
-        object.__setattr__(self, "magnitudes", _frozen(self.magnitudes, np.int64))
-        object.__setattr__(self, "faces", _frozen(self.faces, np.int64))
+        super().__post_init__()
+        _check_face_ids(self.faces, self.n_vertices)
+        if self.signs.shape != self.magnitudes.shape:
+            raise ContainerError(
+                f"{self.signs.shape[0]} sign rows for {self.n_vertices} vertices"
+            )
         if self.partition is None:
             object.__setattr__(self, "partition", compute_partition(self.n_vertices, self.faces))
         if self.partition.n_embedded != self.excluded.size:
@@ -94,17 +98,10 @@ class MarkedContainer:
     def capacity_bits(self) -> int:
         return 3 * self.n * int((self.excluded == 0).sum())
 
-    def __eq__(self, other):
-        if not isinstance(other, MarkedContainer):
-            return NotImplemented
-        return (
-            (self.m, self.n, self.payload_bits)
-            == (other.m, other.n, other.payload_bits)
-            and np.array_equal(self.signs, other.signs)
-            and np.array_equal(self.excluded, other.excluded)
-            and np.array_equal(self.magnitudes, other.magnitudes)
-            and np.array_equal(self.faces, other.faces)
-        )
+
+def _check_face_ids(faces: np.ndarray, n_vertices: int):
+    if faces.size and (faces.min() < 1 or faces.max() > n_vertices):
+        raise ContainerError("face index out of range (corrupt face table)")
 
 
 def _pack_bitmap(bits: np.ndarray) -> bytes:
@@ -182,8 +179,7 @@ def read_container(data: bytes) -> MarkedContainer:
     face_raw = data[pos:pos + face_bytes]
 
     faces = read_only(np.frombuffer(face_raw, dtype="<u4").astype(np.int64).reshape(-1, 3))
-    if faces.size and (faces.min() < 1 or faces.max() > n_verts):
-        raise ContainerError("face index out of range (corrupt face table)")
+    _check_face_ids(faces, n_verts)  # before the partition, which would raise ValueError
 
     signs = _unpack_bitmap(sign_raw, 3 * n_verts, "sign")
 

@@ -11,7 +11,7 @@ line by line, so that an error names the offending line.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -30,27 +30,67 @@ FORMATS = ("off", "obj", "ply")
 _PLY_FLOAT_TYPES = {"float", "double", "float32", "float64"}
 
 
-@dataclass(frozen=True, eq=False)
-class Mesh:
-    """Plaintext carrier: float coordinates plus 1-based triangle faces.
+def _frozen(values, dtype, shape) -> np.ndarray:
+    """values as a read-only array of dtype and shape that no writable
+    array shares: copied only when it would share a writable one."""
+    arr = np.asarray(values, dtype=dtype).reshape(shape)
+    if arr.flags.writeable:
+        if np.may_share_memory(arr, values):
+            arr = arr.copy()
+        arr.flags.writeable = False
+    return arr
 
-    Frozen, with read-only arrays, so that `partition`, derived from the
-    faces on first read, stays the split of these faces. A writable
-    array passed in is copied, so the caller's array stays writable and
-    cannot change the mesh; a read-only one is kept as it is.
+
+def read_only(arr: np.ndarray) -> np.ndarray:
+    """arr with its write flag cleared, for a fresh array that nothing
+    else holds: a Frozen value keeps it without a copy."""
+    arr.flags.writeable = False
+    return arr
+
+
+def array(dtype, shape=(-1, 3)):
+    """A Frozen field that holds a read-only array of dtype and shape."""
+    return field(metadata={"array": (dtype, shape)})
+
+
+class Frozen:
+    """The rule of every pipeline value, for a frozen dataclass with
+    eq=False: each `array()` field is kept read-only, so the value can be
+    neither reassigned nor edited in place. A writable array passed in
+    is copied, so the caller's array stays writable and cannot change
+    the value; a read-only one is kept as it is. Two values of one type
+    are equal when every compared field is; a value is not hashable.
     """
 
-    vertices: np.ndarray  # (N, 3) float64
-    faces: np.ndarray     # (M, 3) int64, 1-based
-
     def __post_init__(self):
-        object.__setattr__(self, "vertices", _frozen(self.vertices, np.float64))
-        object.__setattr__(self, "faces", _frozen(self.faces, np.int64))
+        for f in fields(self):
+            if spec := f.metadata.get("array"):
+                object.__setattr__(self, f.name, _frozen(getattr(self, f.name), *spec))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self) if f.compare)
+
+    __hash__ = None
+
+
+@dataclass(frozen=True, eq=False)
+class Mesh(Frozen):
+    """Plaintext carrier: float coordinates plus 1-based triangle faces.
+
+    Frozen, with read-only arrays (see Frozen), so that `partition`,
+    derived from the faces on first read, stays the split of these faces.
+    """
+
+    vertices: np.ndarray = array(np.float64)  # (N, 3)
+    faces: np.ndarray = array(np.int64)       # (M, 3), 1-based
 
     @cached_property
     def partition(self):
         """The embedded/reference split of the faces, derived once."""
-        from .partition import partition  # imported here: partition imports _frozen
+        from .partition import partition  # imported here: partition imports Frozen
         return partition(self.n_vertices, self.faces)
 
     @property
@@ -70,31 +110,6 @@ class Mesh:
                     f"face index out of range: {lo if lo < 1 else hi} "
                     f"(valid range 1..{self.n_vertices})"
                 )
-
-    def __eq__(self, other):
-        if not isinstance(other, Mesh):
-            return NotImplemented
-        return np.array_equal(self.vertices, other.vertices) and np.array_equal(
-            self.faces, other.faces
-        )
-
-
-def _frozen(values, dtype, shape=(-1, 3)) -> np.ndarray:
-    """values as a read-only array of dtype and shape that no writable
-    array shares: copied only when it would share a writable one."""
-    arr = np.asarray(values, dtype=dtype).reshape(shape)
-    if arr.flags.writeable:
-        if np.may_share_memory(arr, values):
-            arr = arr.copy()
-        arr.flags.writeable = False
-    return arr
-
-
-def read_only(arr: np.ndarray) -> np.ndarray:
-    """arr with its write flag cleared, for a fresh array that nothing
-    else holds: a Mesh or another frozen value keeps it without a copy."""
-    arr.flags.writeable = False
-    return arr
 
 
 def _check_format(fmt: str) -> str:

@@ -10,31 +10,27 @@ vertices are adjacent and every C ring lies entirely in R.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh_io import _frozen, read_only
+from .mesh_io import Frozen, array, read_only
 
 
-@dataclass(frozen=True)
-class Partition:
+@dataclass(frozen=True, eq=False)
+class Partition(Frozen):
     """Deterministic function of the face list; all vertex ids 1-based.
 
     Rings are stored flattened: ring of embedded[i] is
     ring_flat[ring_offsets[i]:ring_offsets[i+1]], deduplicated and
-    sorted ascending. Frozen, with read-only 1-D int64 arrays, like Mesh.
+    sorted ascending. Frozen, with read-only 1-D int64 arrays (see Frozen).
     """
 
-    embedded: np.ndarray      # (K,) traversal order
-    reference: np.ndarray     # sorted ascending
-    unassigned: np.ndarray    # vertices in no face, sorted ascending
-    ring_flat: np.ndarray     # concatenated rings, C-major
-    ring_offsets: np.ndarray  # (K+1,)
-
-    def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, _frozen(getattr(self, f.name), np.int64, -1))
+    embedded: np.ndarray = array(np.int64, -1)      # (K,) traversal order
+    reference: np.ndarray = array(np.int64, -1)     # sorted ascending
+    unassigned: np.ndarray = array(np.int64, -1)    # vertices in no face, sorted ascending
+    ring_flat: np.ndarray = array(np.int64, -1)     # concatenated rings, C-major
+    ring_offsets: np.ndarray = array(np.int64, -1)  # (K+1,)
 
     @property
     def n_embedded(self) -> int:

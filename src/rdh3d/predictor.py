@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError
-from .mesh_io import _frozen, read_only
+from .mesh_io import Frozen, array, read_only
 from .quantize import WORD_DTYPES, bit_length
 
 # Ring entries counted at once. It bounds the working memory of
@@ -31,22 +31,18 @@ from .quantize import WORD_DTYPES, bit_length
 _BLOCK = 8192
 
 
-@dataclass(frozen=True)
-class PredictionReport:
+@dataclass(frozen=True, eq=False)
+class PredictionReport(Frozen):
     """Plaintext prediction analysis for one (mesh, m) pair.
 
     ts[i] is min(t_x, t_y, t_z) for the i-th embedded vertex, in 0..l.
-    Frozen, with read-only arrays (see Mesh), so `capacity_curve`, derived
-    on first read, stays the curve of `ts`.
+    Frozen, with read-only arrays (see Frozen), so `capacity_curve`,
+    derived on first read, stays the curve of `ts`.
     """
 
-    ts: np.ndarray        # (K,) int64
+    ts: np.ndarray = array(np.int64, -1)        # (K,)
     m: int
-    embedded: np.ndarray  # 1-based vertex ids, C order (shared with the partition)
-
-    def __post_init__(self):
-        object.__setattr__(self, "ts", _frozen(self.ts, np.int64, -1))
-        object.__setattr__(self, "embedded", _frozen(self.embedded, np.int64, -1))
+    embedded: np.ndarray = array(np.int64, -1)  # 1-based ids, C order: the partition's own
 
     @property
     def l(self) -> int:

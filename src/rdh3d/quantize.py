@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .mesh_io import Mesh, _frozen, read_only
+from .mesh_io import Frozen, Mesh, array, read_only
 from .partition import Partition, partition as compute_partition
 
 M_MIN, M_MAX = 2, 9
@@ -34,21 +34,22 @@ def bit_length(m: int) -> int:
 
 
 @dataclass(frozen=True, eq=False)
-class QuantizedMesh:
-    """Sign-magnitude form of a Mesh, frozen with read-only arrays like
-    Mesh. `partition`, the split of `faces`, is handed on by `quantize`
-    or `decrypt_mesh`, else derived here; == ignores it."""
+class QuantizedMesh(Frozen):
+    """Sign-magnitude form of a Mesh, frozen with read-only arrays (see
+    Frozen). `partition`, the split of `faces`, is handed on by
+    `quantize`, `decrypt_mesh` or `recover`, else derived here; ==
+    ignores it."""
 
-    magnitudes: np.ndarray  # (N, 3) int64, each < 10^m
-    signs: np.ndarray       # (N, 3) uint8, 1 = negative
+    magnitudes: np.ndarray = array(np.int64)  # (N, 3), each < 10^m
+    signs: np.ndarray = array(np.uint8)       # (N, 3), 1 = negative
     m: int
-    faces: np.ndarray       # (M, 3) int64, 1-based, shared with the source Mesh
-    partition: Partition | None = field(default=None, repr=False)
+    faces: np.ndarray = array(np.int64)       # (M, 3), 1-based, shared with the source Mesh
+    partition: Partition | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "magnitudes", _frozen(self.magnitudes, np.int64))
-        object.__setattr__(self, "signs", _frozen(self.signs, np.uint8))
-        object.__setattr__(self, "faces", _frozen(self.faces, np.int64))
+        super().__post_init__()
+        if self.signs.shape != self.magnitudes.shape:
+            raise ValueError(f"{self.signs.shape[0]} sign rows for {self.n_vertices} vertices")
         if self.partition is None:
             object.__setattr__(self, "partition", compute_partition(self.n_vertices, self.faces))
 
@@ -59,16 +60,6 @@ class QuantizedMesh:
     @property
     def n_vertices(self) -> int:
         return self.magnitudes.shape[0]
-
-    def __eq__(self, other):
-        if not isinstance(other, QuantizedMesh):
-            return NotImplemented
-        return (
-            self.m == other.m
-            and np.array_equal(self.magnitudes, other.magnitudes)
-            and np.array_equal(self.signs, other.signs)
-            and np.array_equal(self.faces, other.faces)
-        )
 
 
 def _exact_floor_scaled(values: np.ndarray, m: int) -> np.ndarray:

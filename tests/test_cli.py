@@ -227,6 +227,17 @@ class TestExitCodes:
         assert run("recover", truncated, "--ke-pass", "a",
                    "--out", workdir / "r.off") == 5
 
+    def test_corrupt_face_table_exits_5(self, workdir, capsys):
+        enc = workdir / "enc.rdh3d"
+        assert run("encrypt", workdir / "cow.off", "--m", 4, "--ke-pass", "a",
+                   "--out", enc) == 0
+        bad = workdir / "bad.rdh3d"
+        bad.write_bytes(enc.read_bytes()[:-4] + (len(COW_VERTICES) + 1).to_bytes(4, "little"))
+        capsys.readouterr()
+        assert run("recover", bad, "--ke-pass", "a", "--out", workdir / "r.off") == 5
+        assert capsys.readouterr().err == (
+            "error: face index out of range (corrupt face table)\n")
+
     def test_report_for_another_mesh(self, workdir):
         # same vertices and |C| = 1, but vertex labels 1 and 2 swapped in
         # the faces: the report's embedded vertex is 2, the container's 1

@@ -174,6 +174,22 @@ class TestRejection:
         with pytest.raises(ContainerError, match="face index"):
             read_container(bytes(data))
 
+    @pytest.mark.parametrize("bad_id", [0, -1, "N+1"])
+    def test_face_index_out_of_range_at_construction(self, bad_id):
+        c = make_container(7)
+        faces = c.faces.copy()
+        faces[0, 1] = c.n_vertices + 1 if bad_id == "N+1" else bad_id
+        error = r"^face index out of range \(corrupt face table\)$"
+        with pytest.raises(ContainerError, match=error):
+            MarkedContainer(c.m, c.n, c.payload_bits, c.signs, c.excluded, c.magnitudes, faces)
+        with pytest.raises(ContainerError, match=error):
+            replace(c, faces=faces)  # the handed-on partition is not trusted
+
+    def test_sign_rows_must_match_magnitude_rows(self):
+        c = make_container(9)
+        with pytest.raises(ContainerError, match=f"{c.n_vertices + 5} sign rows"):
+            replace(c, signs=np.zeros((c.n_vertices + 5, 3), dtype=np.uint8))
+
     def test_magnitude_too_wide_refused_on_write(self):
         c = make_container(8)
         mags = c.magnitudes.copy()

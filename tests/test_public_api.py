@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import typing
 from pathlib import Path
 
+import numpy as np
+
 import rdh3d
+from rdh3d.mesh_io import Frozen
 
 PACKAGE_DIR = Path(rdh3d.__file__).parent
 
@@ -86,3 +90,23 @@ def test_every_dataclass_field_is_read_by_the_package():
     ]
     unread = [f for f in fields if f.rsplit(".", 1)[1] not in read and f not in UNREAD_FIELDS]
     assert fields and unread == [], f"dataclass fields read by no module of the package: {unread}"
+
+
+def test_every_array_field_follows_the_value_rule():
+    """An exported dataclass with an array field is a Frozen value, and
+    each array field is declared with array(), so that it is read-only
+    and compared like the arrays of every other value."""
+    array_fields = {
+        export: [f for f in dataclasses.fields(cls)
+                 if typing.get_type_hints(cls)[f.name] is np.ndarray]
+        for export in rdh3d.__all__
+        if dataclasses.is_dataclass(cls := getattr(rdh3d, export))
+    }
+    values = {export: fields for export, fields in array_fields.items() if fields}
+    assert {"Mesh", "Partition", "QuantizedMesh", "MarkedContainer",
+            "PredictionReport"} <= values.keys()
+    not_frozen = [v for v in values if not issubclass(getattr(rdh3d, v), Frozen)]
+    undeclared = [f"{v}.{f.name}" for v, fields in values.items()
+                  for f in fields if "array" not in f.metadata]
+    assert not_frozen == [], f"values that do not subclass Frozen: {not_frozen}"
+    assert undeclared == [], f"array fields declared without array(): {undeclared}"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdh3d import Mesh, bit_length, dequantize, quantize
+from rdh3d import Mesh, QuantizedMesh, bit_length, dequantize, quantize
 from rdh3d.errors import ConfigError, DomainError
 
 from conftest import signed_ints
@@ -50,6 +50,11 @@ class TestQuantize:
         assert q.magnitudes[0].tolist() == [29, 998, 0]
         q2 = quantize(one_vertex_mesh(0.03), 2)
         assert q2.magnitudes[0, 0] == 2
+
+    def test_sign_rows_must_match_magnitude_rows(self, tetra_mesh):
+        q = quantize(tetra_mesh, 4)
+        with pytest.raises(ValueError, match="3 sign rows for 4 vertices"):
+            QuantizedMesh(q.magnitudes, q.signs[:3], q.m, q.faces)
 
     def test_faces_copied(self, tetra_mesh):
         q = quantize(tetra_mesh, 4)
