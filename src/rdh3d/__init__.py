@@ -5,7 +5,7 @@ faces)`; it is not re-exported here, so `rdh3d.partition` stays the
 submodule.
 """
 
-from .cipher import KeyMaterial, KeyRole, decrypt_mesh, encrypt_mesh
+from .cipher import KeyMaterial, KeyRole, encrypt_mesh
 from .codec import embed, extract, recover
 from .container import (
     MarkedContainer,
@@ -50,7 +50,6 @@ __all__ = [
     "bit_length",
     "choose_n",
     "container_mesh",
-    "decrypt_mesh",
     "dequantize",
     "embed",
     "embedding_rate",

@@ -2,7 +2,8 @@
 
 `encrypt_mesh` gives the owner's MarkedContainer, the only encrypted
 form of a mesh; `decrypt_mesh` XORs any container back, payload slots
-unrestored (`codec.recover` re-predicts them).
+unrestored. `codec.recover` XORs the same `stream_words` itself and
+re-predicts those slots.
 
 Key material is derived as sha256(passphrase); the stream nonce is
 sha256(role label) truncated to 96 bits with the block counter starting

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cipher import KeyMaterial, KeyRole, _require_role, decrypt_mesh, stream_words
+from .cipher import KeyMaterial, KeyRole, _require_role, stream_words
 from .container import MarkedContainer
 from .errors import CapacityError, ConfigError
 from .mesh_io import read_only
@@ -127,17 +127,16 @@ def recover(c: MarkedContainer, ke: KeyMaterial) -> QuantizedMesh:
     reached n.
     """
     _require_role(ke, KeyRole.ENCRYPT, "mesh recovery")
-    included = c.excluded == 0
-    if not included.any():
-        return decrypt_mesh(c, ke)
     l, n = c.l, c.n
     # decrypted into the fresh stream array, spliced, and only then frozen
     mags = stream_words(ke, 3 * c.n_vertices, l).reshape(-1, 3)
     mags ^= c.magnitudes
-    pred = predict_words(mags, c.partition, l, n)[included]
-    targets0 = (c.partition.embedded - 1)[included]
-    low_mask = (1 << (l - n)) - 1
-    mags[targets0] = (mags[targets0] & low_mask) | (pred << (l - n))
+    included = c.excluded == 0
+    if included.any():
+        pred = predict_words(mags, c.partition, l, n)[included]
+        targets0 = (c.partition.embedded - 1)[included]
+        low_mask = (1 << (l - n)) - 1
+        mags[targets0] = (mags[targets0] & low_mask) | (pred << (l - n))
     return QuantizedMesh(read_only(mags), c.signs, c.m, c.faces, c.partition)
 
 

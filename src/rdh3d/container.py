@@ -50,8 +50,8 @@ class MarkedContainer(Frozen):
     """Frozen, with read-only arrays (see Frozen). Construction checks
     that the face ids lie in 1..N, that there is one sign per magnitude
     word, that the excluded bitmap covers exactly |C| vertices and that
-    the payload fits the capacity, so every container in memory is
-    consistent."""
+    the payload fits the capacity. A handed-on partition is kept as it
+    is once the face ids pass: it is trusted to be the split of `faces`."""
 
     m: int
     n: int

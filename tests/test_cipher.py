@@ -10,13 +10,12 @@ from rdh3d import (
     KeyRole,
     analyze,
     choose_n,
-    decrypt_mesh,
     embed,
     encrypt_mesh,
     extract,
     quantize,
 )
-from rdh3d.cipher import stream_words
+from rdh3d.cipher import decrypt_mesh, stream_words
 from rdh3d.errors import ConfigError
 
 from conftest import ZeroKey, grid_mesh, random_mesh

@@ -14,7 +14,6 @@ from rdh3d import (
     Mesh,
     analyze,
     choose_n,
-    decrypt_mesh,
     dequantize,
     embed,
     encrypt_mesh,
@@ -26,6 +25,7 @@ from rdh3d import (
     write_container,
     write_mesh,
 )
+from rdh3d.cipher import decrypt_mesh
 from rdh3d.codec import bits_to_payload, payload_to_bits
 
 from conftest import ZeroKey, empty_ring_mesh, fan_mesh, grid_mesh, random_mesh

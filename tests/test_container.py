@@ -183,7 +183,7 @@ class TestRejection:
         with pytest.raises(ContainerError, match=error):
             MarkedContainer(c.m, c.n, c.payload_bits, c.signs, c.excluded, c.magnitudes, faces)
         with pytest.raises(ContainerError, match=error):
-            replace(c, faces=faces)  # the handed-on partition is not trusted
+            replace(c, faces=faces)  # face ids are checked before the partition is kept
 
     def test_sign_rows_must_match_magnitude_rows(self):
         c = make_container(9)

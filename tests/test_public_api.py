@@ -108,5 +108,8 @@ def test_every_array_field_follows_the_value_rule():
     not_frozen = [v for v in values if not issubclass(getattr(rdh3d, v), Frozen)]
     undeclared = [f"{v}.{f.name}" for v, fields in values.items()
                   for f in fields if "array" not in f.metadata]
+    own_equality = [v for v in values if getattr(rdh3d, v).__eq__ is not Frozen.__eq__
+                    or getattr(rdh3d, v).__hash__ is not None]
     assert not_frozen == [], f"values that do not subclass Frozen: {not_frozen}"
     assert undeclared == [], f"array fields declared without array(): {undeclared}"
+    assert own_equality == [], f"values that do not use Frozen's equality: {own_equality}"
