@@ -66,8 +66,9 @@ def run_pipeline(mesh: Mesh, mesh_id: str, m: int, n: int | None,
                  hausdorff_method: str = "kdtree") -> BenchRow:
     """One full pipeline run; raises on any reversibility violation.
 
-    The row that first reads `mesh.partition` derives it and counts it in
-    its t_quantize; later rows on the same Mesh reuse it. hausdorff_method
+    `analyze` reads the split of the mesh's faces, so the first row on a
+    Mesh derives it and counts it in its t_analyze; later rows on the
+    same Mesh share its face array and reuse the split. hausdorff_method
     is passed to `hausdorff`, whose only method is "kdtree".
     """
     ke = KeyMaterial.from_passphrase(ke_pass, KeyRole.ENCRYPT)

@@ -89,15 +89,15 @@ def stream_words(key: KeyMaterial, n_words: int, l: int) -> np.ndarray:
 
 
 def encrypt_mesh(q: QuantizedMesh, ke: KeyMaterial) -> MarkedContainer:
-    """The owner's container: magnitudes XORed with the Ke stream, signs,
-    faces and partition shared with q. No payload yet: every embedded
-    vertex is marked excluded."""
+    """The owner's container: magnitudes XORed with the Ke stream, signs
+    and faces shared with q, and so its partition too. No payload yet:
+    every embedded vertex is marked excluded."""
     _require_role(ke, KeyRole.ENCRYPT, "mesh encryption")
     words = stream_words(ke, 3 * q.n_vertices, q.l).reshape(-1, 3)
     return MarkedContainer(
         m=q.m, n=1, payload_bits=0, signs=q.signs,
         excluded=read_only(np.ones(q.partition.n_embedded, dtype=np.uint8)),
-        magnitudes=read_only(q.magnitudes ^ words), faces=q.faces, partition=q.partition,
+        magnitudes=read_only(q.magnitudes ^ words), faces=q.faces,
     )
 
 
@@ -106,4 +106,4 @@ def decrypt_mesh(c: MarkedContainer, ke: KeyMaterial) -> QuantizedMesh:
     the payload slots comes back exact."""
     _require_role(ke, KeyRole.ENCRYPT, "mesh decryption")
     words = stream_words(ke, 3 * c.n_vertices, c.l).reshape(-1, 3)
-    return QuantizedMesh(read_only(c.magnitudes ^ words), c.signs, c.m, c.faces, c.partition)
+    return QuantizedMesh(read_only(c.magnitudes ^ words), c.signs, c.m, c.faces)

@@ -97,17 +97,17 @@ def embed(c: MarkedContainer, rep: PredictionReport, n: int,
     return MarkedContainer(
         m=c.m, n=n, payload_bits=int(payload.size),
         signs=c.signs, excluded=read_only(excluded.astype(np.uint8)),
-        magnitudes=read_only(mags), faces=c.faces, partition=part,
+        magnitudes=read_only(mags), faces=c.faces,
     )
 
 
 def extract(c: MarkedContainer, kw: KeyMaterial) -> np.ndarray:
     """Read the payload back out of a marked container; needs Kw only.
 
-    The embedded set comes from the face list (the partition handed on
-    by the reader or the owner), excluded vertices are skipped via the
-    header bitmap, and no mesh decryption happens (this is what makes
-    the scheme separable).
+    The embedded set comes from the face list (the container's
+    partition, derived once per face array), excluded vertices are
+    skipped via the header bitmap, and no mesh decryption happens (this
+    is what makes the scheme separable).
     """
     _require_role(kw, KeyRole.HIDE, "payload extraction")
     included0 = (c.partition.embedded - 1)[c.excluded == 0]
@@ -137,7 +137,7 @@ def recover(c: MarkedContainer, ke: KeyMaterial) -> QuantizedMesh:
         targets0 = (c.partition.embedded - 1)[included]
         low_mask = (1 << (l - n)) - 1
         mags[targets0] = (mags[targets0] & low_mask) | (pred << (l - n))
-    return QuantizedMesh(read_only(mags), c.signs, c.m, c.faces, c.partition)
+    return QuantizedMesh(read_only(mags), c.signs, c.m, c.faces)
 
 
 def payload_to_bits(data: bytes) -> np.ndarray:

@@ -20,23 +20,22 @@ Layout (all header integers little-endian):
     then       faces, M triples of u32 little-endian, 1-based
 
 |C| is not stored: it is a deterministic function of the face list, so
-the reader derives the partition once, treats any size disagreement with
-the excluded bitmap as corruption, and hands the partition on with the
-container (`MarkedContainer.partition`, never serialized) so extraction,
-recovery and embedding do not derive it again. Bitmap padding bits must
-be zero.
+the reader derives the partition of the faces it read and treats any
+size disagreement with the excluded bitmap as corruption. The split is
+never serialized: `MarkedContainer.partition` is derived from the face
+array once (see `mesh_io.Faced`), and extraction, recovery and
+embedding read that one. Bitmap padding bits must be zero.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContainerError
-from .mesh_io import Frozen, Mesh, array, read_only
-from .partition import Partition, partition as compute_partition
+from .mesh_io import Faced, Mesh, array, read_only, split_of
 from .quantize import M_MAX, M_MIN, WORD_DTYPES, bit_length
 
 MAGIC = b"RDH3"
@@ -46,12 +45,11 @@ _HEADER = struct.Struct("<4sBBBBIIQ")
 
 
 @dataclass(frozen=True, eq=False)
-class MarkedContainer(Frozen):
+class MarkedContainer(Faced):
     """Frozen, with read-only arrays (see Frozen). Construction checks
     that the face ids lie in 1..N, that there is one sign per magnitude
-    word, that the excluded bitmap covers exactly |C| vertices and that
-    the payload fits the capacity. A handed-on partition is kept as it
-    is once the face ids pass: it is trusted to be the split of `faces`."""
+    word, that the excluded bitmap covers exactly |C| vertices of the
+    split of `faces` (see Faced) and that the payload fits the capacity."""
 
     m: int
     n: int
@@ -60,9 +58,6 @@ class MarkedContainer(Frozen):
     excluded: np.ndarray = array(np.uint8, -1)  # (|C|,), 1 = excluded, C order
     magnitudes: np.ndarray = array(np.int64)    # (N, 3) l-bit words, encrypted or marked
     faces: np.ndarray = array(np.int64)         # (M, 3), 1-based
-    # Split of `faces` as the reader or the owner hands it on, else derived
-    # here; not serialized, ignored by ==.
-    partition: Partition | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
@@ -71,12 +66,10 @@ class MarkedContainer(Frozen):
             raise ContainerError(
                 f"{self.signs.shape[0]} sign rows for {self.n_vertices} vertices"
             )
-        if self.partition is None:
-            object.__setattr__(self, "partition", compute_partition(self.n_vertices, self.faces))
-        if self.partition.n_embedded != self.excluded.size:
+        if (k_count := self.partition.n_embedded) != self.excluded.size:
             raise ContainerError(
                 f"excluded bitmap covers {self.excluded.size} vertices but the "
-                f"face list implies {self.partition.n_embedded} embedded vertices"
+                f"face list implies {k_count} embedded vertices"
             )
         if self.payload_bits > (capacity := self.capacity_bits()):
             raise ContainerError(
@@ -90,10 +83,6 @@ class MarkedContainer(Frozen):
     @property
     def n_vertices(self) -> int:
         return self.magnitudes.shape[0]
-
-    @property
-    def n_faces(self) -> int:
-        return self.faces.shape[0]
 
     def capacity_bits(self) -> int:
         return 3 * self.n * int((self.excluded == 0).sum())
@@ -183,8 +172,7 @@ def read_container(data: bytes) -> MarkedContainer:
 
     signs = _unpack_bitmap(sign_raw, 3 * n_verts, "sign")
 
-    part = compute_partition(n_verts, faces)
-    k_count = part.n_embedded
+    k_count = split_of(faces, n_verts).n_embedded
     if excl_bytes != (k_count + 7) // 8:
         raise ContainerError(
             f"excluded bitmap holds {excl_bytes} bytes but the face list "
@@ -194,7 +182,7 @@ def read_container(data: bytes) -> MarkedContainer:
         m=m, n=n, payload_bits=payload_bits, signs=signs,
         excluded=_unpack_bitmap(excl_raw, k_count, "excluded"),
         magnitudes=np.frombuffer(mag_raw, dtype=WORD_DTYPES[l]),
-        faces=faces, partition=part,
+        faces=faces,
     )
 
 

@@ -11,8 +11,8 @@ line by line, so that an error names the offending line.
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 
 import numpy as np
 
@@ -30,36 +30,58 @@ FORMATS = ("off", "obj", "ply")
 _PLY_FLOAT_TYPES = {"float", "double", "float32", "float64"}
 
 
-def _frozen(values, dtype, shape) -> np.ndarray:
-    """values as a read-only array of dtype and shape that no writable
-    array shares: copied only when it would share a writable one."""
-    arr = np.asarray(values, dtype=dtype).reshape(shape)
-    if arr.flags.writeable:
+def _fixed(arr: np.ndarray) -> bool:
+    """Whether arr is read-only down to memory that nothing can write:
+    the bytes behind np.frombuffer, or a read-only array that owns its
+    data."""
+    while not arr.flags.writeable:
+        base = arr.base
+        if base is None:
+            return True
+        if type(base) is not np.ndarray:
+            return type(base) is bytes
+        arr = base
+    return False
+
+
+def _frozen(values, dtype, row) -> np.ndarray:
+    """values as a read-only array of dtype and shape (-1, *row) that no
+    writable array shares. An array that is read-only down to its memory
+    (see _fixed) is kept, as the same object when its dtype and shape
+    match; an array that shares other memory is copied."""
+    if (type(values) is np.ndarray and values.dtype == dtype
+            and values.shape[1:] == row and _fixed(values)):
+        return values
+    arr = np.asarray(values, dtype=dtype).reshape(-1, *row)
+    if not _fixed(arr):
         if np.may_share_memory(arr, values):
             arr = arr.copy()
-        arr.flags.writeable = False
+        read_only(arr)
     return arr
 
 
 def read_only(arr: np.ndarray) -> np.ndarray:
-    """arr with its write flag cleared, for a fresh array that nothing
-    else holds: a Frozen value keeps it without a copy."""
-    arr.flags.writeable = False
+    """arr with its write flag cleared, and its owner's if it is a view,
+    for a fresh array that nothing else holds: a Frozen value keeps it
+    as the same object, without a copy."""
+    owner = arr
+    while type(owner) is np.ndarray:
+        owner.flags.writeable = False
+        owner = owner.base
     return arr
 
 
 def array(dtype, shape=(-1, 3)):
-    """A Frozen field that holds a read-only array of dtype and shape."""
-    return field(metadata={"array": (dtype, shape)})
+    """A Frozen field: a read-only array of dtype and shape -1 or (-1, 3)."""
+    return field(metadata={"array": (np.dtype(dtype), () if shape == -1 else shape[1:])})
 
 
 class Frozen:
     """The rule of every pipeline value, for a frozen dataclass with
     eq=False: each `array()` field is kept read-only, so the value can be
-    neither reassigned nor edited in place. A writable array passed in
-    is copied, so the caller's array stays writable and cannot change
-    the value; a read-only one is kept as it is. Two values of one type
-    are equal when every compared field is; a value is not hashable.
+    neither reassigned nor edited in place, and a caller can change no
+    value through an array it still holds (see _frozen). Two values of
+    one type are equal when every field is; a value is not hashable.
     """
 
     def __post_init__(self):
@@ -71,35 +93,52 @@ class Frozen:
         if type(other) is not type(self):
             return NotImplemented
         return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
-                   for f in fields(self) if f.compare)
+                   for f in fields(self))
 
     __hash__ = None
 
 
-@dataclass(frozen=True, eq=False)
-class Mesh(Frozen):
-    """Plaintext carrier: float coordinates plus 1-based triangle faces.
+_splits: dict = {}  # (id(faces), n_vertices) -> Partition, while the faces live
 
-    Frozen, with read-only arrays (see Frozen), so that `partition`,
-    derived from the faces on first read, stays the split of these faces.
-    """
 
-    vertices: np.ndarray = array(np.float64)  # (N, 3)
-    faces: np.ndarray = array(np.int64)       # (M, 3), 1-based
-
-    @cached_property
-    def partition(self):
-        """The embedded/reference split of the faces, derived once."""
+def split_of(faces: np.ndarray, n_vertices: int):
+    """The split (`partition.partition`) of a Frozen value's face array,
+    derived once per array object: that array is read-only down to its
+    memory (see _frozen), so one object always holds the same faces."""
+    key = (id(faces), n_vertices)
+    part = _splits.get(key)
+    if part is None:
         from .partition import partition  # imported here: partition imports Frozen
-        return partition(self.n_vertices, self.faces)
+        part = _splits[key] = partition(n_vertices, faces)
+        weakref.finalize(faces, _splits.pop, key, None)
+    return part
+
+
+class Faced(Frozen):
+    """A Frozen value over 1-based triangle `faces` on `n_vertices`
+    vertices; every value that holds the same face array shares its split."""
 
     @property
-    def n_vertices(self) -> int:
-        return self.vertices.shape[0]
+    def partition(self):
+        """The embedded/reference split of the faces (see split_of)."""
+        return split_of(self.faces, self.n_vertices)
 
     @property
     def n_faces(self) -> int:
         return self.faces.shape[0]
+
+
+@dataclass(frozen=True, eq=False)
+class Mesh(Faced):
+    """Plaintext carrier: float coordinates plus 1-based triangle faces.
+    Frozen, with read-only arrays (see Frozen)."""
+
+    vertices: np.ndarray = array(np.float64)  # (N, 3)
+    faces: np.ndarray = array(np.int64)       # (M, 3), 1-based
+
+    @property
+    def n_vertices(self) -> int:
+        return self.vertices.shape[0]
 
     def validate(self):
         if self.faces.size:

@@ -9,13 +9,12 @@ container header.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .mesh_io import Frozen, Mesh, array, read_only
-from .partition import Partition, partition as compute_partition
+from .mesh_io import Faced, Mesh, array, read_only
 
 M_MIN, M_MAX = 2, 9
 
@@ -34,24 +33,19 @@ def bit_length(m: int) -> int:
 
 
 @dataclass(frozen=True, eq=False)
-class QuantizedMesh(Frozen):
+class QuantizedMesh(Faced):
     """Sign-magnitude form of a Mesh, frozen with read-only arrays (see
-    Frozen). `partition`, the split of `faces`, is handed on by
-    `quantize`, `decrypt_mesh` or `recover`, else derived here; ==
-    ignores it."""
+    Frozen), sharing the Mesh's face array and so its split (see Faced)."""
 
     magnitudes: np.ndarray = array(np.int64)  # (N, 3), each < 10^m
     signs: np.ndarray = array(np.uint8)       # (N, 3), 1 = negative
     m: int
     faces: np.ndarray = array(np.int64)       # (M, 3), 1-based, shared with the source Mesh
-    partition: Partition | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
         if self.signs.shape != self.magnitudes.shape:
             raise ValueError(f"{self.signs.shape[0]} sign rows for {self.n_vertices} vertices")
-        if self.partition is None:
-            object.__setattr__(self, "partition", compute_partition(self.n_vertices, self.faces))
 
     @property
     def l(self) -> int:
@@ -111,7 +105,7 @@ def quantize(mesh, m: int) -> QuantizedMesh:
     flat = np.abs(verts).ravel()
     mags = _exact_floor_scaled(flat, m).reshape(verts.shape)
     signs = (verts < 0).astype(np.uint8)
-    return QuantizedMesh(read_only(mags), read_only(signs), m, mesh.faces, mesh.partition)
+    return QuantizedMesh(read_only(mags), read_only(signs), m, mesh.faces)
 
 
 def dequantize(q: QuantizedMesh) -> Mesh:

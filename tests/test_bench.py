@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import gc
 import time
 
 import numpy as np
 import pytest
 
+from rdh3d import mesh_io
 from rdh3d.bench import (
     BenchRow,
     bench_corpus,
@@ -81,11 +83,18 @@ class TestBenchCorpus:
         assert "bad.ply" in failures[0][0]
 
     def test_one_partition_per_mesh_file(self, tmp_path, partition_calls):
-        for seed in range(2):
+        for seed in range(3):
             write_mesh_file(tmp_path / f"{seed}.off", random_mesh(seed, n_max=30))
+        gc.collect()
+        splits_before = set(mesh_io._splits)
         rows, failures = bench_corpus(tmp_path, list(range(2, 10)), [None], "a", "b")
-        assert len(rows) == 16 and not failures
-        assert len(partition_calls) == 2
+        assert len(rows) == 24 and not failures
+        assert len(partition_calls) == 3
+        # each mesh's split goes with its faces, once the recorded
+        # partition() arguments let go of them
+        partition_calls.clear()
+        gc.collect()
+        assert set(mesh_io._splits) <= splits_before
 
     def test_first_row_pays_for_the_partition(self, tmp_path, monkeypatch):
         def slow_partition(*args):
@@ -96,7 +105,7 @@ class TestBenchCorpus:
         write_mesh_file(tmp_path / "0.off", random_mesh(0, n_max=30))
         rows, failures = bench_corpus(tmp_path, [2, 3, 4], [None], "a", "b")
         assert not failures
-        assert [row.t_quantize >= 0.2 for row in rows] == [True, False, False]
+        assert [row.t_analyze >= 0.2 for row in rows] == [True, False, False]
 
 
 def test_mean_bpv_by_m():

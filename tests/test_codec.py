@@ -180,13 +180,21 @@ class TestExtract:
             c = embed(enc, rep, n, payload, kw)
             assert np.array_equal(extract(c, kw), payload)
 
-    def test_no_decryption_needed(self, tetra_mesh, ke, kw):
-        # extraction must work on the container alone with Kw
-        q, part, rep, enc = pipeline_parts(tetra_mesh, 4, ke, kw)
-        n = max(1, int(rep.ts[0]))
-        payload = rand_bits(rep.capacity(n), seed=5)
-        data = write_container(embed(enc, rep, n, payload, kw))
-        assert np.array_equal(extract(read_container(data), kw), payload)
+    def test_no_decryption_needed(self, tetra_mesh, ke, kw, partition_calls):
+        # extraction must work on the container alone with Kw; a re-read
+        # container derives its split once, for its checks, extraction
+        # and recovery alike
+        for mesh in (tetra_mesh, random_mesh(21, n_max=60, smooth=True)):
+            q, part, rep, enc = pipeline_parts(mesh, 4, ke, kw)
+            n = max(1, int(rep.ts[0]))
+            payload = rand_bits(rep.capacity(n), seed=5)
+            c = embed(enc, rep, n, payload, kw)
+            partition_calls.clear()
+            read = read_container(write_container(c))
+            assert read == c and read.partition == part
+            assert np.array_equal(extract(read, kw), payload)
+            assert recover(read, ke) == recover(c, ke) == q
+            assert len(partition_calls) == 1
 
     def test_three_bit_hand_trace(self, tetra_mesh, kw):
         # n=1 with zero hiding stream: extracted bit k is
@@ -223,29 +231,6 @@ class TestExtract:
         assert other_rep.embedded.tolist() != rep.embedded.tolist()
         with pytest.raises(ConfigError, match="another mesh"):
             embed(enc, other_rep, 1, rand_bits(0), kw)
-
-    def test_partition_handed_on_and_ignored_by_eq(self, ke, kw):
-        mesh = random_mesh(21, n_max=60, smooth=True)
-        q, part, rep, enc = pipeline_parts(mesh, 4, ke, kw)
-        c = embed(enc, rep, 1, rand_bits(rep.capacity(1)), kw)
-        assert c.partition is part
-        bare = replace(c, partition=None)
-        assert bare == c
-        assert np.array_equal(extract(bare, kw), extract(c, kw))
-        assert recover(bare, ke) == recover(c, ke) == q
-        read = read_container(write_container(c))
-        assert read == c
-        assert np.array_equal(read.partition.ring_flat, part.ring_flat)
-
-    def test_container_without_partition_derives_it_once(self, ke, kw, partition_calls):
-        mesh = random_mesh(22, n_max=60, smooth=True)
-        q, part, rep, enc = pipeline_parts(mesh, 4, ke, kw)
-        c = embed(enc, rep, 1, rand_bits(rep.capacity(1)), kw)
-        partition_calls.clear()
-        bare = replace(c, partition=None)
-        assert np.array_equal(extract(bare, kw), extract(c, kw))
-        assert recover(bare, ke) == q
-        assert len(partition_calls) == 1
 
 
 class TestRecover:

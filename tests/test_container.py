@@ -12,6 +12,7 @@ from rdh3d import (
     MarkedContainer,
     Mesh,
     container_mesh,
+    encrypt_mesh,
     quantize,
     read_container,
     write_container,
@@ -19,7 +20,7 @@ from rdh3d import (
 from rdh3d.container import MAGIC
 from rdh3d.partition import partition
 
-from conftest import random_mesh
+from conftest import grid_mesh, random_mesh
 
 
 def make_container(seed: int, m: int = 4, payload_fill: float = 0.5) -> MarkedContainer:
@@ -204,6 +205,30 @@ class TestRejection:
         mags[0, 0] = -1
         with pytest.raises(ContainerError, match="word length"):
             write_container(replace(c, magnitudes=mags))
+
+
+class TestNewFacesNewSplit:
+    """A container's split is always the one of its own faces, however
+    they were swapped in."""
+
+    @pytest.fixture
+    def enc(self, ke):
+        return encrypt_mesh(quantize(grid_mesh(10), 4), ke)
+
+    def test_split_of_another_size_rejected(self, enc):
+        rotated = enc.faces[:, [1, 2, 0]]
+        assert partition(enc.n_vertices, rotated).n_embedded == 29
+        with pytest.raises(ContainerError, match="covers 30 vertices .* implies 29"):
+            replace(enc, faces=rotated)
+
+    def test_split_of_the_same_size_derived_anew(self, enc):
+        rolled = np.roll(enc.faces, 18, axis=0)
+        c = replace(enc, faces=rolled)
+        assert c.partition == partition(enc.n_vertices, rolled)
+        assert c.partition.n_embedded == enc.partition.n_embedded
+        assert set(c.partition.embedded) != set(enc.partition.embedded)
+        back = read_container(write_container(c))
+        assert back == c and back.partition == c.partition
 
 
 def test_arrays_are_read_only():

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import FrozenInstanceError
 from unittest import mock
 
@@ -18,8 +20,10 @@ from rdh3d import (
     mesh_io,
     parse_mesh,
     quantize,
+    recover,
     write_mesh,
 )
+from rdh3d.cipher import decrypt_mesh
 from rdh3d.errors import (
     CoordinateSyntaxError,
     FaceIndexError,
@@ -377,6 +381,19 @@ class TestMeshPartition:
         assert np.array_equal(
             part.embedded, partition(cow_mesh.n_vertices, cow_mesh.faces).embedded
         )
+
+    def test_one_split_per_face_array_while_it_lives(self, ke):
+        mesh = parse_mesh(write_mesh(grid_mesh(12), "off"), "off")
+        q = quantize(mesh, 4)
+        enc = encrypt_mesh(q, ke)
+        forms = [q, enc, decrypt_mesh(enc, ke), recover(enc, ke), dequantize(q),
+                 container_mesh(enc)]
+        assert all(form.partition is mesh.partition for form in forms)
+        faces, key = weakref.ref(mesh.faces), (id(mesh.faces), mesh.n_vertices)
+        assert key in mesh_io._splits
+        del mesh, q, enc, forms
+        gc.collect()
+        assert faces() is None and key not in mesh_io._splits
 
 
 def test_unknown_format_rejected(tetra_mesh):

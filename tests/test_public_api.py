@@ -113,3 +113,13 @@ def test_every_array_field_follows_the_value_rule():
     assert not_frozen == [], f"values that do not subclass Frozen: {not_frozen}"
     assert undeclared == [], f"array fields declared without array(): {undeclared}"
     assert own_equality == [], f"values that do not use Frozen's equality: {own_equality}"
+
+
+def test_every_value_field_is_compared_and_given():
+    """A structure derived from a value's fields is a property of the
+    value, never a field handed on beside them: every field of every
+    Frozen value takes part in == and has no None default."""
+    loose = [f"{export}.{f.name}" for export in rdh3d.__all__
+             if isinstance(cls := getattr(rdh3d, export), type) and issubclass(cls, Frozen)
+             for f in dataclasses.fields(cls) if not f.compare or f.default is None]
+    assert loose == [], f"value fields that are not compared or may be left out: {loose}"

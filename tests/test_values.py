@@ -1,13 +1,16 @@
 """The rule every pipeline value follows (`mesh_io.Frozen`): equality by
-value over the compared fields, and no hash."""
+value over every field, no hash, and arrays that no caller can write."""
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
-from rdh3d import analyze, encrypt_mesh, quantize
+import rdh3d
+from rdh3d import Mesh, analyze, encrypt_mesh, quantize
+from rdh3d.mesh_io import Frozen, read_only
 from rdh3d.partition import partition
 
 from conftest import grid_mesh
@@ -15,8 +18,10 @@ from conftest import grid_mesh
 
 @pytest.fixture
 def forms(ke):
-    """Each of the five values for one mesh, from a fresh pipeline."""
-    mesh = grid_mesh(10)
+    """Each of the five values for one mesh, from a fresh pipeline. The
+    mesh has a vertex in no face, so that no array is empty."""
+    grid = grid_mesh(10)
+    mesh = Mesh(np.vstack([grid.vertices, [[0.5, 0.5, 0.5]]]), grid.faces)
     q = quantize(mesh, 4)
     return {"Mesh": mesh, "Partition": mesh.partition, "QuantizedMesh": q,
             "PredictionReport": analyze(q), "MarkedContainer": encrypt_mesh(q, ke)}
@@ -53,10 +58,32 @@ class TestValueRule:
         with pytest.raises(TypeError, match=f"unhashable type: '{name}'"):
             hash(value)
 
-    def test_equality_ignores_the_partition(self, forms):
-        q, c = forms["QuantizedMesh"], forms["MarkedContainer"]
-        other = replace(q.partition, unassigned=[1])
-        assert other != q.partition
-        assert replace(q, partition=other) == q
-        assert replace(c, partition=other) == c
-        assert replace(c, partition=None) == c
+
+# (value, field) for every array field of every exported Frozen value
+ARRAY_FIELDS = [(name, f.name) for name in rdh3d.__all__
+                if isinstance(cls := getattr(rdh3d, name), type) and issubclass(cls, Frozen)
+                for f in fields(cls) if "array" in f.metadata]
+
+
+@pytest.mark.parametrize("name, field", ARRAY_FIELDS)
+class TestArraysNoCallerCanWrite:
+    def test_read_only_view_of_a_writable_array_is_copied(self, forms, name, field):
+        value = forms[name]
+        own = getattr(value, field).copy()
+        assert own.size
+        view = own.view()
+        view.flags.writeable = False
+        other = replace(value, **{field: view})
+        assert not np.shares_memory(getattr(other, field), own)
+        own += 1
+        assert other == value
+        if field == "faces":
+            assert other.partition == value.partition
+        if name == "PredictionReport":
+            assert np.array_equal(other.capacity_curve, value.capacity_curve)
+
+    def test_read_only_memory_is_kept_as_the_same_object(self, forms, name, field):
+        arr = getattr(forms[name], field)
+        from_bytes = np.frombuffer(arr.tobytes(), dtype=arr.dtype).reshape(arr.shape)
+        for kept in (read_only(arr.copy()), from_bytes):
+            assert getattr(replace(forms[name], **{field: kept}), field) is kept
