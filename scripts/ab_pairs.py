@@ -1,0 +1,163 @@
+"""Alternating A/B pairs of the benchmark: a parent commit against the
+working tree.
+
+    python3 scripts/ab_pairs.py --parent HEAD~1 --workload corpus-sweep \
+        --seed 1 --pairs 10 --out BENCH.json
+
+Run from anywhere inside a git checkout. The parent commit is exported
+with `git archive` into a temporary directory; each pair then runs
+`perfbench/run.py --trace 0` once there and once in the working tree,
+with the same workload, seed and run length, the parent first in even
+pairs and the working tree first in odd ones. Nothing under perfbench/
+is edited: each side runs its own copy.
+
+For every end-to-end metric the script prints each side's runs, their
+median and quartiles, and the pairs the working tree won (ties count for
+neither side). It also says whether the gap between the medians exceeds
+the parent's interquartile range. The results go into --out, a JSON
+object keyed by "<workload>/seed<seed>", so that several invocations
+fill one file; an existing entry under the same key is replaced.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+# Metrics for which a higher value is better; every other one is a cost.
+HIGHER_IS_BETTER = {"bpv"}
+
+
+def git(*args: str, cwd: Path) -> str:
+    return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def export(commit: str, root: Path, dest: Path) -> None:
+    """Write the tree of commit into dest with git archive."""
+    tar = dest / "tree.tar"
+    git("archive", "--format=tar", f"--output={tar}", commit, cwd=root)
+    subprocess.run(["tar", "-x", "-f", str(tar), "-C", str(dest)], check=True)
+    tar.unlink()
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run in tree: the last line of its output, parsed."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
+           str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
+                          timeout=seconds * 10 + 600)
+    if proc.returncode not in (0, 1) or not proc.stdout.strip():
+        raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n"
+                           f"{proc.stderr[-2000:]}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {"correct": result["correct"], "attempted": result["attempted"],
+            "failed": result["failed"],
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def spread(values: list[float]) -> dict:
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def summarize(runs: dict) -> dict:
+    """Per metric: each side's runs, median and quartiles, and the pairs
+    the working tree won."""
+    out = {}
+    for name in runs["parent"][0]["metrics"]:
+        parent = [r["metrics"][name] for r in runs["parent"]]
+        change = [r["metrics"][name] for r in runs["change"]]
+        sign = 1 if name in HIGHER_IS_BETTER else -1
+        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        losses = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+        ps, cs = spread(parent), spread(change)
+        out[name] = {
+            "parent": {"runs": parent, **ps},
+            "change": {"runs": change, **cs},
+            "wins": wins,
+            "losses": losses,
+            "median_ratio": cs["median"] / ps["median"] if ps["median"] else None,
+            "gap_exceeds_parent_iqr": abs(cs["median"] - ps["median"]) > ps["q3"] - ps["q1"],
+        }
+    return out
+
+
+def report(key: str, entry: dict) -> None:
+    print(f"== {key}: {entry['pairs']} pairs, parent {entry['parent_commit'][:12]} "
+          f"against the working tree ({entry['change_commit'][:12]}"
+          f"{', with edits' if entry['change_dirty'] else ''})")
+    for name, m in entry["metrics"].items():
+        print(f"{name}:")
+        for side in ("parent", "change"):
+            s = m[side]
+            print(f"  {side:7s} median {s['median']:.6g}  q1 {s['q1']:.6g}  q3 {s['q3']:.6g}  "
+                  f"runs {' '.join(f'{v:.4g}' for v in s['runs'])}")
+        ratio = m["median_ratio"]
+        print(f"  working tree won {m['wins']} of {entry['pairs']} pairs (lost {m['losses']}); "
+              f"median ratio {'n/a' if ratio is None else f'{ratio:.4f}'}; "
+              f"gap exceeds parent IQR: {m['gap_exceeds_parent_iqr']}")
+    print(f"failed operations: parent {entry['failed']['parent']}, "
+          f"change {entry['failed']['change']}")
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", required=True, help="commit to compare against")
+    p.add_argument("--workload", required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seconds", type=float, default=24.0,
+                   help="run length of each benchmark run (the same on both sides)")
+    p.add_argument("--out", required=True, help="JSON file to add this comparison to")
+    args = p.parse_args(argv)
+    if args.pairs < 2:
+        p.error("--pairs must be at least 2")
+
+    root = Path(git("rev-parse", "--show-toplevel", cwd=Path.cwd()))
+    out = Path(args.out)
+    key = f"{args.workload}/seed{args.seed}"
+    runs = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory(prefix="ab-parent-") as tmp:
+        parent_tree = Path(tmp)
+        export(args.parent, root, parent_tree)
+        sides = {"parent": parent_tree, "change": root}
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                t0 = time.perf_counter()
+                runs[side].append(run_once(sides[side], args.workload, args.seed,
+                                           args.seconds))
+                print(f"pair {i + 1}/{args.pairs} {side}: session_s "
+                      f"{runs[side][-1]['metrics'].get('session_s', float('nan')):.4f} "
+                      f"({time.perf_counter() - t0:.0f} s)", flush=True)
+    entry = {
+        "workload": args.workload,
+        "seed": args.seed,
+        "pairs": args.pairs,
+        "seconds": args.seconds,
+        "parent_commit": git("rev-parse", args.parent, cwd=root),
+        "change_commit": git("rev-parse", "HEAD", cwd=root),
+        "change_dirty": bool(git("status", "--porcelain", "--untracked-files=no", cwd=root)),
+        "order": "parent first in even pairs (0-based), the working tree first in odd ones",
+        "nproc": os.cpu_count(),
+        "failed": {side: sum(r["failed"] for r in runs[side]) for side in runs},
+        "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in runs},
+        "metrics": summarize(runs),
+    }
+    report(key, entry)
+    doc = json.loads(out.read_text()) if out.exists() else {}
+    doc[key] = entry
+    out.write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

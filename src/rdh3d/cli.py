@@ -29,7 +29,7 @@ from .errors import (
 from .mesh_io import FORMATS, format_from_path, read_mesh_file, write_mesh_file
 from .metrics import FidelityReport, embedding_rate, hausdorff, snr
 from .predictor import PredictionReport, analyze, choose_n
-from .quantize import dequantize, quantize
+from .quantize import M_MAX, M_MIN, bit_length, dequantize, quantize
 
 KE_ENV = "RDH3D_KE_PASS"
 KW_ENV = "RDH3D_KW_PASS"
@@ -167,6 +167,16 @@ def cmd_bench(args) -> int:
         n_values = [None]
     else:
         n_values = list(_parse_int_range(args.n))
+    # checked before any row runs, which would fail each row on its own
+    for m in m_values:
+        if not M_MIN <= m <= M_MAX:
+            raise ConfigError(f"precision m={m} outside supported range [{M_MIN}, {M_MAX}]")
+    n_max = bit_length(M_MAX)
+    for n in n_values:
+        if n is not None and not 1 <= n <= n_max:
+            raise ConfigError(f"embedding length n={n} outside [1, {n_max}]")
+    if not os.path.isdir(args.corpus):
+        raise ConfigError(f"corpus {args.corpus!r} is not a directory")
     ke_pass = _passphrase(args.ke_pass, KE_ENV, "--ke-pass")
     kw_pass = _passphrase(args.kw_pass, KW_ENV, "--kw-pass")
     rows, failures = bench_corpus(args.corpus, m_values, n_values, ke_pass, kw_pass)

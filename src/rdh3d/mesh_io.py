@@ -3,9 +3,10 @@
 Vertex and face order are preserved exactly; coordinates are printed in
 shortest round-trip decimal form, so parse(write(mesh)) reproduces the
 numeric model bit for bit even though the text bytes may differ from the
-original file. A well-formed OFF or PLY body is converted by numpy
-from the file's bytes, a chunk of rows at a time; any other body is read
-line by line, so that an error names the offending line.
+original file. A well-formed body (OFF, PLY, or an OBJ file of only `v`
+and then `f` lines) is converted by numpy from the file's bytes, a chunk
+of rows at a time; any other body is read line by line, so that an error
+names the offending line.
 """
 
 from __future__ import annotations
@@ -166,12 +167,12 @@ def parse_mesh(data: bytes | str, fmt: str) -> Mesh:
     indices, and non-triangle faces.
     """
     fmt = _check_format(fmt)
-    if fmt == "obj":
-        return _parse_obj(_decoded(data))
-    read_header = _read_off_header if fmt == "off" else _read_ply_header
-    mesh = _bulk_body(data, read_header)
+    mesh = _bulk_body(data, fmt)
     if mesh is None:
-        mesh = _read_body(*read_header(_decoded(data).splitlines()))
+        text = _decoded(data)
+        if fmt == "obj":
+            return _parse_obj(text)
+        mesh = _read_body(*_HEADERS[fmt](text.splitlines()))
     return mesh
 
 
@@ -293,12 +294,16 @@ def _read_body(lines, elements) -> Mesh:
 # Rows per np.loadtxt call when a body is read in bulk.
 _CHUNK = 1 << 13
 
-# Per bulk-read element: the dtype and width of one row, and every
-# character a well-formed row may hold (its numbers, the spaces between
-# them and its line end; face rows hold integers only).
+# Per bulk-read element: the dtype and width of one row, the keyword
+# that opens each of its lines (OBJ's; cut before conversion), and every
+# other character a well-formed row may hold (its numbers, the spaces
+# between them and its line end; face rows hold integers only, and OBJ
+# face rows positive ones without a sign).
 _BLOCKS = {
-    "vertex": (np.float64, 3, b"0123456789+-.eE \r\n"),
-    "face": (np.int64, 4, b"0123456789+- \r\n"),
+    "vertex": (np.float64, 3, b"", b"0123456789+-.eE \r\n"),
+    "face": (np.int64, 4, b"", b"0123456789+- \r\n"),
+    "v": (np.float64, 3, b"v ", b"0123456789+-.eE \r\n"),
+    "f": (np.int64, 3, b"f ", b"0123456789 \r\n"),
 }
 
 # A byte other than "\n" at which str.splitlines cuts a line, or a byte
@@ -353,7 +358,7 @@ def _load_rows(data: bytes, pos: int, out: np.ndarray, name: str):
     pos, one row per line and _CHUNK rows per np.loadtxt call; a face
     row's count must be 3 and is dropped. The offset after the last
     row, or None when the lines are not exactly such rows."""
-    dtype, width, chars = _BLOCKS[name]
+    dtype, width, lead, chars = _BLOCKS[name]
     row_bytes = 64  # a guess, then the last chunk's mean plus a margin
     for done in range(0, len(out), _CHUNK):
         rows = out[done:done + _CHUNK]
@@ -361,6 +366,11 @@ def _load_rows(data: bytes, pos: int, out: np.ndarray, name: str):
         if end is None:
             return None
         chunk = data[pos:end]
+        if lead:  # every line opens with it: the first, and each after a "\n"
+            if (not chunk.startswith(lead)
+                    or chunk.count(b"\n" + lead) != len(rows) - 1):
+                return None
+            chunk = chunk.replace(b"\n" + lead, b"\n")[len(lead):]
         # splitlines cuts lines where the line reader's does. loadtxt
         # skips blank lines (and warns when all are), so lines that are
         # not exactly len(rows) rows show as a block of another length.
@@ -379,48 +389,65 @@ def _load_rows(data: bytes, pos: int, out: np.ndarray, name: str):
     return pos
 
 
-def _bulk_body(data: bytes | str, read_header):
-    """The mesh of an OFF or PLY file whose body is well formed, or None.
+def _bulk_body(data: bytes | str, fmt: str):
+    """The mesh of a file in format fmt whose body is well formed, or None.
 
-    read_header reads the header from the start of data. Well formed:
-    the vertex rows, then the triangle rows, one per line, with no
-    blank, comment, missing or trailing line, no character outside
-    _BLOCKS, and every face index in range. numpy converts such a body
-    into preallocated arrays, one chunk of rows at a time, and gives
-    the mesh _read_body would return. Any other file gives None and goes
-    to _read_body, which reads it or raises the error of its first bad
-    line. A header error gives None too: parse_mesh raises it again
-    after decoding the whole text, so a text that does not decode fails
-    as such first.
+    Well formed: the vertex rows, then the triangle rows, one per line,
+    with no blank, comment, missing or trailing line, no character
+    outside _BLOCKS, and every face index in range. An OFF or PLY body
+    follows its header, whose counts say where the rows end; an OBJ
+    file is all body: its vertex rows are its lines up to the first
+    that opens with "f ", and its face rows the rest. numpy converts
+    such a body into preallocated arrays, one chunk of rows at a time,
+    and gives the mesh the line reader would return. Any other file
+    gives None and goes to the line reader (_read_body or _parse_obj),
+    which reads it or raises the error of its first bad line. A header
+    error gives None too: parse_mesh raises it again after decoding the
+    whole text, so a text that does not decode fails as such first.
     """
     if isinstance(data, str):
         if not data.isascii():
             return None
         data = data.encode("ascii")
-    head = _HeadLines(data)
-    try:
-        _, elements = read_header(head)
-    except MalformedHeaderError:
-        return None
-    if [name for name, _ in elements] not in (["vertex"], ["vertex", "face"]):
-        return None
-    counts = dict(elements)
-    n_verts, n_faces = counts["vertex"], counts.get("face", 0)
-    # The shortest rows, "0 0 0\n" and "3 0 0 0\n", bound the counts
-    # before anything is allocated.
-    if 6 * n_verts + 8 * n_faces > len(data) - head.end + 1:
-        return None
+    if fmt == "obj":
+        split = data.find(b"\nf ") + 1 or len(data)
+        n_verts, n_faces = _n_lines(data, 0, split), _n_lines(data, split, len(data))
+        # the shortest rows, "v 0 0 0\n" and "f 1 1 1\n", bound the
+        # line counts before anything is allocated
+        if 8 * (n_verts + n_faces) > len(data) + 1:
+            return None
+        pos, base, names = 0, 1, ("v", "f")
+    else:
+        head = _HeadLines(data)
+        try:
+            _, elements = _HEADERS[fmt](head)
+        except MalformedHeaderError:
+            return None
+        if [name for name, _ in elements] not in (["vertex"], ["vertex", "face"]):
+            return None
+        counts = dict(elements)
+        n_verts, n_faces = counts["vertex"], counts.get("face", 0)
+        # The shortest rows, "0 0 0\n" and "3 0 0 0\n", bound the counts
+        # before anything is allocated.
+        if 6 * n_verts + 8 * n_faces > len(data) - head.end + 1:
+            return None
+        pos, base, names = head.end, 0, ("vertex", "face")
     verts = np.empty((n_verts, 3), dtype=np.float64)
     faces = np.empty((n_faces, 3), dtype=np.int64)
-    pos = _load_rows(data, head.end, verts, "vertex")
+    pos = _load_rows(data, pos, verts, names[0])
     if pos is not None:
-        pos = _load_rows(data, pos, faces, "face")
+        pos = _load_rows(data, pos, faces, names[1])
     if pos is None or data[pos:].strip():
         return None
-    if faces.size and (faces.min() < 0 or faces.max() >= n_verts):
+    if faces.size and (faces.min() < base or faces.max() >= n_verts + base):
         return None
-    faces += 1
+    faces += 1 - base
     return Mesh(read_only(verts), read_only(faces))
+
+
+def _n_lines(data: bytes, start: int, stop: int) -> int:
+    """The lines of data[start:stop], the last of which may lack its "\n"."""
+    return data.count(b"\n", start, stop) + (start < stop and data[stop - 1] != ord("\n"))
 
 
 def _read_off_header(raw_lines):
@@ -577,6 +604,10 @@ def _read_ply_header(raw_lines):
             f"vertex properties must be exactly x, y, z; got {vertex_props}"
         )
     return lines, elements
+
+
+# The header reader of each format that has a header.
+_HEADERS = {"off": _read_off_header, "ply": _read_ply_header}
 
 
 def _vertex_rows(mesh: Mesh):

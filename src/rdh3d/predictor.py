@@ -2,16 +2,18 @@
 
 Each bit plane is predicted independently: the bit of an embedded vertex
 at plane u is guessed 0 when at least half of its ring neighbors carry 0
-at plane u (ties go to 0). `predict_words` applies this rule to every
-plane at once and returns whole predicted words. Each ring word's bits
-become one narrow lane each, so one uint64 add sums 8, 4 or 2 planes and
-one cumsum along the ring entries counts the ones of every plane (SIMD
-within a register: Warren, Hacker's Delight, 2nd ed., 2012, ch. 5). A
-vertex's maximum embedding length t is the longest MSB-first prefix on
-which prediction and word agree on all three axes, t = l -
-bit_length(OR over axes of (pred XOR word)). The same function replays
-the rule at recovery time, which is what makes n-MSB substitution
-reversible for vertices with t >= n.
+at plane u (ties go to 0). `_majority` applies this rule to a run of
+planes at once: each ring word's bits become one narrow lane each, so
+one uint64 add sums 8, 4 or 2 planes and one cumsum along the ring
+entries counts the ones of every plane (SIMD within a register: Warren,
+Hacker's Delight, 2nd ed., 2012, ch. 5). It counts only the planes that
+can change a result. A vertex's maximum embedding length t is the
+longest MSB-first prefix on which prediction and word agree on all
+three axes, t = l - bit_length(OR over axes of (pred XOR word)), and
+`analyze` stops counting a ring below its first mispredicted plane.
+`predict_words` replays the rule on the top n planes at recovery time,
+which is what makes n-MSB substitution reversible for vertices with
+t >= n.
 """
 
 from __future__ import annotations
@@ -118,44 +120,71 @@ def predict_words(words: np.ndarray, part, l: int, n: int) -> np.ndarray:
     """The prediction rule: the top n bits of each embedded vertex's
     ring-majority word, as a (K, 3) int64 array in C order.
 
-    words: (N, 3) int64 magnitudes. Bit u of the majority word is 1 when
-    more than half of the ring carries 1 at plane u (ties and empty
-    rings give 0). The rings are taken in blocks of whole rings of at
-    most _BLOCK entries (a longer ring is a block of its own), so the
-    working arrays stay small.
+    words: (N, 3) int64 magnitudes below 2^l. Bit u of the majority
+    word is 1 when more than half of the ring carries 1 at plane u (ties
+    and empty rings give 0). Only planes l-n and up are counted, and in
+    each block of rings (see _blocks) none at or above the bit length of
+    its largest ring word, where every ring carries 0.
     """
-    pred = np.zeros((part.n_embedded, 3 * l // 8), dtype=np.uint8)
+    pred = np.zeros((part.n_embedded, 3), dtype=np.int64)
+    for first, last, ring_words, offsets in _blocks(words, part):
+        top = _top(ring_words, l)
+        if top > l - n:
+            pred[first:last] = _majority(ring_words, offsets, l - n, top)
+    return pred
+
+
+def _blocks(words: np.ndarray, part):
+    """(first, last, ring words, offsets) for each block of the rings of
+    embedded vertices first..last-1, whole rings of at most _BLOCK
+    entries together (a longer ring is a block of its own), so that the
+    working arrays stay small."""
     offsets = part.ring_offsets
     first = 0
     while first < part.n_embedded:
         last = max(first + 1, int(np.searchsorted(
             offsets, offsets[first] + _BLOCK, side="right")) - 1)
         block = offsets[first:last + 1]
-        pred[first:last] = _majority_bytes(
-            words[part.ring_flat[block[0]:block[-1]] - 1], block - block[0], l)
+        yield first, last, words[part.ring_flat[block[0]:block[-1]] - 1], block - block[0]
         first = last
-    return (pred.view(WORD_DTYPES[l]).astype(np.int64) >> (l - n)).reshape(-1, 3)
 
 
-def _majority_bytes(ring_words: np.ndarray, offsets: np.ndarray, l: int) -> np.ndarray:
-    """The big-endian bytes of the majority words of the rings
-    ring_words[offsets[i]:offsets[i+1]], (len(offsets) - 1, 3 * l / 8).
+def _top(ring_words: np.ndarray, l: int) -> int:
+    """The planes below which some ring word carries a 1, at most l."""
+    return min(l, int(ring_words.max()).bit_length()) if ring_words.size else 0
 
-    Each ring word's 3l bits become one lane each, of the narrowest
-    unsigned type that holds the largest ring size. A row of lanes
-    viewed as uint64 adds 8, 4 or 2 planes at once, and no lane can
-    carry into the next: a ring's count at a plane is at most its size.
-    The running sum over all rings may carry, but the difference of
-    two running sums, taken modulo 2^64, is the exact per-ring count.
+
+def _majority(ring_words: np.ndarray, offsets: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Planes lo..hi-1 of the majority words of the rings
+    ring_words[offsets[i]:offsets[i+1]], shifted down by lo: a
+    (len(offsets) - 1, 3) int64 array.
+
+    No ring word may carry a 1 at plane hi or above, unless hi - lo is
+    8, 16 or 32: the planes are cut out as big-endian words of the
+    narrowest width in WORD_DTYPES that holds hi - lo bits, and each of
+    their bits becomes one lane, of the narrowest unsigned type that
+    holds the largest ring size. A row of lanes viewed as uint64 adds 8, 4 or 2
+    planes at once, and no lane can carry into the next: a ring's count
+    at a plane is at most its size. The running sum over all rings may
+    carry, but the difference of two running sums, taken modulo 2^64,
+    is the exact per-ring count.
     """
     sizes = np.diff(offsets)
+    width = WORD_DTYPES[next(w for w in WORD_DTYPES if w >= hi - lo)]
     lane = np.min_scalar_type(int(sizes.max()))
-    bits = np.unpackbits(ring_words.astype(WORD_DTYPES[l]).view(np.uint8), axis=1)
+    planes = (ring_words >> lo if lo else ring_words).astype(width)
+    bits = np.unpackbits(planes.view(np.uint8), axis=1)
     sums = np.zeros((ring_words.shape[0] + 1, bits.shape[1] * lane.itemsize // 8),
                     dtype=np.uint64)
     np.cumsum(bits.astype(lane, copy=False).view(np.uint64), axis=0, out=sums[1:])
     counts = np.diff(sums[offsets], axis=0).view(lane)
-    return np.packbits(counts > (sizes // 2).astype(lane)[:, None], axis=1)
+    major = np.packbits(counts > (sizes // 2).astype(lane)[:, None], axis=1)
+    return major.view(width).astype(np.int64)
+
+
+# Planes counted at once while analyze looks for a ring's first
+# mispredicted plane.
+_WINDOW = 8
 
 
 def analyze(q) -> PredictionReport:
@@ -163,13 +192,45 @@ def analyze(q) -> PredictionReport:
     capacity curve (plaintext side), over the split q.partition.
 
     t = l - bit_length of the planes any axis mispredicts; empty rings
-    give t = 0.
+    give t = 0. Only the highest mispredicted plane counts, so the
+    planes are counted _WINDOW at a time from the top, each window only
+    over the rings with no misprediction above it. Above the largest
+    ring word of a block every ring predicts 0, so there a target's 1
+    is a misprediction and nothing is counted.
     """
     part = q.partition
     l = q.l
     words = q.magnitudes
-    x = predict_words(words, part, l, l) ^ words[part.embedded - 1]
-    wrong = x[:, 0] | x[:, 1] | x[:, 2]
+    targets = words[part.embedded - 1]
+    wrong = targets[:, 0] | targets[:, 1] | targets[:, 2]
+    for first, last, ring_words, offsets in _blocks(words, part):
+        top = _top(ring_words, l)
+        wrong[first:last] &= -1 << top
+        sizes = np.diff(offsets)
+        live = slice(first, last)  # the vertices whose rings are counted
+        keep = (wrong[first:last] == 0) & (sizes > 0)  # nothing mispredicted yet
+        for end in range(top, 0, -_WINDOW):
+            n_keep = np.count_nonzero(keep)
+            if not n_keep:
+                break
+            if end < top and n_keep < keep.size:
+                ring_words = ring_words[np.repeat(keep, sizes)]
+                sizes = sizes[keep]
+                offsets = np.concatenate(([0], np.cumsum(sizes)))
+                live = (live[keep] if type(live) is np.ndarray
+                        else first + np.flatnonzero(keep))
+                keep = keep[keep]
+            # A window below the top is a whole _WINDOW planes and may
+            # repeat planes of the one above, where the rings still
+            # counted matched their targets.
+            lo = max(0, end - _WINDOW)
+            hi = min(top, lo + _WINDOW)
+            x = _majority(ring_words, offsets, lo, hi)
+            x ^= (targets[live] >> lo) & ((1 << (hi - lo)) - 1)
+            miss = x[:, 0] | x[:, 1] | x[:, 2]
+            # below a ring's highest misprediction, more bits change no t
+            wrong[live] |= miss << lo
+            keep &= miss == 0
     powers = np.int64(1) << np.arange(l, dtype=np.int64)
     ts = l - np.searchsorted(powers, wrong, side="right")
     ts[np.diff(part.ring_offsets) == 0] = 0

@@ -562,6 +562,34 @@ class TestBadInputsExitTwo:
         self.check(capsys, "bench", corpus, "--m", "x", "--ke-pass", "a",
                    "--kw-pass", "b", "--out", tmp_path / "rows.csv")
 
+    @pytest.fixture
+    def bench_not_run(self, monkeypatch):
+        def not_run(*args):
+            raise AssertionError("bench settings are checked before any row runs")
+
+        monkeypatch.setattr(cli, "bench_corpus", not_run)
+
+    @pytest.mark.parametrize("option, values", [
+        ("--m", "12"), ("--m", "1-4"), ("--n", "0"), ("--n", "16,33"),
+    ])
+    def test_bench_value_outside_its_range(self, tmp_path, capsys, bench_not_run,
+                                           option, values):
+        corpus = tmp_path / "corp"
+        corpus.mkdir()
+        write_mesh_file(corpus / "g.off", grid_mesh(5))
+        out = tmp_path / "rows.csv"
+        self.check(capsys, "bench", corpus, option, values, "--ke-pass", "a",
+                   "--kw-pass", "b", "--out", out)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("corpus", ["missing", "file.off"])
+    def test_bench_corpus_not_a_directory(self, tmp_path, capsys, bench_not_run, corpus):
+        write_mesh_file(tmp_path / "file.off", grid_mesh(5))
+        out = tmp_path / "rows.csv"
+        self.check(capsys, "bench", tmp_path / corpus, "--ke-pass", "a",
+                   "--kw-pass", "b", "--out", out)
+        assert not out.exists()
+
     def test_directory_as_mesh(self, workdir, capsys):
         folder = workdir / "dir.off"
         folder.mkdir()

@@ -142,6 +142,8 @@ end_header
 3 0 1 2
 """
 
+OBJ_SMALL = "v 0.5 -0.25 1e-05\nv 0 0.1 0\nv -0.1 0 0\nf 1 2 3\nf 3 2 1\n"
+
 
 class TestParsePly:
     def test_basic(self):
@@ -411,6 +413,18 @@ def _no_line_reader(*args):
     raise AssertionError("a well-formed body went to the line reader")
 
 
+# The line reader of each format, which parse_mesh calls when the bulk
+# reader declines a body.
+_LINE_READERS = {"off": "_read_body", "ply": "_read_body", "obj": "_parse_obj"}
+
+
+def _format_of(text):
+    """A case's format: OFF and PLY texts open with their magic word,
+    any other text is OBJ."""
+    word = text.split(None, 1)[:1]
+    return word[0].lower() if word and word[0].lower() in ("off", "ply") else "obj"
+
+
 def _outcome(text, fmt):
     """What parse_mesh makes of text: the arrays' bytes, or the error.
     A warning fails the test."""
@@ -510,19 +524,79 @@ def body_texts(draw):
     return fmt, text, bulk
 
 
-class TestBulkBody:
-    """parse_mesh reads a well-formed OFF/PLY body in bulk and sends any
-    other to the line reader; either way it gives the line reader's mesh
-    or error."""
+_OBJ_INSERTED_LINES = ["", "   ", "# note", "vn 0 0 1", "vt 0.5 0.5", "o part", "g group",
+                       "s 1", "x", "v 0 0 0", "f 1 1 1"]
+_OBJ_EDITS = [None, "insert", "token", "ref", "columns", "pad", "tabs", "crlf",
+              "no final newline", "v after f", "append"]
 
-    @pytest.mark.parametrize("fmt", ["off", "ply"])
+
+@st.composite
+def obj_texts(draw):
+    """("obj", text, read in bulk): a well-formed OBJ text of v lines
+    and then f lines, or that text after one edit."""
+    n = draw(st.integers(0, 4))
+    rows = ["v " + " ".join(draw(st.tuples(_COORD, _COORD, _COORD))) for _ in range(n)]
+    index = st.integers(1, n) if n else st.just(1)
+    face_rows = [f"f {i} {j} {k}" for i, j, k in draw(
+        st.lists(st.tuples(index, index, index), max_size=4 if n else 0))]
+    edit = draw(st.sampled_from(_OBJ_EDITS))
+    blocks = [rows, face_rows]
+    targets = [b for b in ([face_rows] if edit in ("ref", "v after f") else blocks) if b]
+    if not targets and edit not in (None, "crlf", "no final newline", "append"):
+        edit, targets = "insert", blocks
+    block = draw(st.sampled_from(targets)) if targets else []
+    at = draw(st.integers(0, max(0, len(block) - 1)))
+    if edit == "insert":
+        block.insert(at, draw(st.sampled_from(_OBJ_INSERTED_LINES)))
+    elif edit == "token":
+        tokens = block[at].split(" ")
+        odd = st.sampled_from(_ODD_TOKENS + ["0", str(n), str(n + 1)])
+        tokens[draw(st.integers(1, 3))] = draw(odd)
+        block[at] = " ".join(tokens)
+    elif edit == "ref":
+        tokens = block[at].split(" ")
+        i = draw(st.integers(1, 3))
+        ref = tokens[i]
+        tokens[i] = draw(st.sampled_from([f"{ref}/1", f"{ref}//1", f"{ref}/1/1",
+                                          f"-{ref}", "-1", "+1", "0", str(n + 1)]))
+        block[at] = " ".join(tokens)
+    elif edit == "columns":
+        wider = draw(st.booleans())
+        block[:] = [row + " 0" if wider else row.rsplit(" ", 1)[0] for row in block]
+    elif edit == "pad":
+        block[at] = f"  {block[at].replace(' ', '  ')} "
+    elif edit == "tabs":
+        block[at] = block[at].replace(" ", "\t")
+    elif edit == "v after f":
+        face_rows.insert(draw(st.integers(1, len(face_rows))), "v 0.5 0 0")
+    lines = rows + face_rows
+    if edit == "append":
+        lines.append(draw(st.sampled_from(_OBJ_INSERTED_LINES[2:])))
+    text = "\n".join(lines) + "\n" if lines else ""
+    if edit == "crlf":
+        text = text.replace("\n", "\r\n")
+    elif edit == "no final newline":
+        text = text.rstrip("\n")
+    return "obj", text, edit in (None, "crlf", "no final newline")
+
+
+_ANY_BODY = st.one_of(body_texts(), obj_texts())
+
+
+class TestBulkBody:
+    """parse_mesh reads a well-formed OFF/PLY/OBJ body in bulk and sends
+    any other to the line reader; either way it gives the line reader's
+    mesh or error."""
+
+    @pytest.mark.parametrize("fmt", ["off", "ply", "obj"])
     def test_well_formed_body_is_read_in_bulk(self, fmt, monkeypatch):
         mesh = random_mesh(11, n_min=300, n_max=300)
         text = write_mesh(mesh, fmt)
-        monkeypatch.setattr(mesh_io, "_read_body", _no_line_reader)
+        monkeypatch.setattr(mesh_io, _LINE_READERS[fmt], _no_line_reader)
         assert parse_mesh(text, fmt) == mesh
+        assert parse_mesh(text.replace("\n", "\r\n").encode(), fmt) == mesh
 
-    # (text, read in bulk); the text's first word names its format.
+    # (text, read in bulk); the format is _format_of(text).
     CASES = {
         "well formed": ("OFF\n3 1 0\n0.5 -0.25 1e-05\n0 0.1 0\n-0.1 0 0\n3 0 1 2\n", True),
         "crlf": ("OFF\r\n3 1 0\r\n0.5 -0.25 1e-05\r\n0 0.1 0\r\n-0.1 0 0\r\n3 0 1 2\r\n", True),
@@ -570,31 +644,45 @@ class TestBulkBody:
             "property double x", "property double y", "property double z",
             "end_header", "0 0 0", "3 0 0 0",
         ]) + "\n", False),
+        "obj": (OBJ_SMALL, True),
+        "obj crlf": (OBJ_SMALL.replace("\n", "\r\n"), True),
+        "obj no final newline": (OBJ_SMALL.rstrip("\n"), True),
+        "obj spaces": (OBJ_SMALL.replace("v 0 0.1 0", "v  0  0.1 0 ").replace("f 1 2 3", "f 1  2 03 "), True),
+        "obj vertices only": ("v 0.5 0 0\nv 0 0.1 0\n", True),
+        "obj empty": ("", True),
+        "obj comment": ("# made by hand\n" + OBJ_SMALL, False),
+        "obj blank line": (OBJ_SMALL.replace("f 1", "\nf 1"), False),
+        "obj trailing blank line": (OBJ_SMALL + "\n", False),
+        "obj leading space": (OBJ_SMALL.replace("v 0 0.1", " v 0 0.1"), False),
+        "obj tab": (OBJ_SMALL.replace("v 0 0.1", "v\t0 0.1"), False),
+        "obj normal": (OBJ_SMALL.replace("f 1", "vn 0 0 1\nf 1"), False),
+        "obj texture coordinate": (OBJ_SMALL.replace("f 1", "vt 0 1\nf 1"), False),
+        "obj object name": ("o part\n" + OBJ_SMALL, False),
+        "obj slashed refs": (OBJ_SMALL.replace("f 1 2 3", "f 1/1 2//2 3/3/3"), False),
+        "obj negative ref": (OBJ_SMALL.replace("f 1 2 3", "f -1 2 3"), False),
+        "obj signed ref": (OBJ_SMALL.replace("f 1 2 3", "f +1 2 3"), False),
+        "obj zero ref": (OBJ_SMALL.replace("f 1 2 3", "f 0 2 3"), False),
+        "obj ref past N": (OBJ_SMALL.replace("f 1 2 3", "f 1 2 4"), False),
+        "obj quad": (OBJ_SMALL.replace("f 1 2 3", "f 1 2 3 1"), False),
+        "obj 4 coordinates": (OBJ_SMALL.replace("v 0 0.1 0", "v 0 0.1 0 1"), False),
+        "obj v after f": (OBJ_SMALL + "v 0 0 0.1\nf 1 2 4\n", False),
+        "obj f first": ("f 1 1 1\nv 0 0 0\n", False),
+        "obj unknown keyword": (OBJ_SMALL + "q 1\n", False),
     }
 
     @pytest.mark.parametrize("name", CASES)
-    def test_edge_case(self, name, monkeypatch):
+    def test_edge_case(self, name):
         text, bulk = self.CASES[name]
-        fmt = text.split(None, 1)[0].lower()
-        expected = _line_reader_outcome(text, fmt)
-        line_reader = mesh_io._read_body
-        calls = []
+        fmt = _format_of(text)
+        assert _bulk_outcome(text, fmt) == (_line_reader_outcome(text, fmt), bulk)
 
-        def counting(*args):
-            calls.append(args)
-            return line_reader(*args)
-
-        monkeypatch.setattr(mesh_io, "_read_body", counting)
-        assert _outcome(text, fmt) == expected
-        assert bool(calls) is not bulk
-
-    @settings(max_examples=300, deadline=None)
-    @given(case=body_texts())
+    @settings(max_examples=400, deadline=None)
+    @given(case=_ANY_BODY)
     def test_agrees_with_line_reader(self, case):
         fmt, text, bulk = case
         expected = _line_reader_outcome(text, fmt)
         if bulk:
-            with mock.patch.object(mesh_io, "_read_body", _no_line_reader):
+            with mock.patch.object(mesh_io, _LINE_READERS[fmt], _no_line_reader):
                 assert _outcome(text, fmt) == expected
         else:
             assert _outcome(text, fmt) == expected
@@ -602,14 +690,14 @@ class TestBulkBody:
 
 def _bulk_outcome(data, fmt):
     """(what parse_mesh makes of data, whether it read it in bulk)."""
-    line_reader = mesh_io._read_body
+    line_reader = getattr(mesh_io, _LINE_READERS[fmt])
     calls = []
 
     def counting(*args):
         calls.append(args)
         return line_reader(*args)
 
-    with mock.patch.object(mesh_io, "_read_body", counting):
+    with mock.patch.object(mesh_io, _LINE_READERS[fmt], counting):
         return _outcome(data, fmt), not calls
 
 
@@ -635,10 +723,10 @@ class TestBulkChunks:
     @pytest.mark.parametrize("name", TestBulkBody.CASES)
     def test_edge_case(self, name):
         text, bulk = TestBulkBody.CASES[name]
-        fmt = text.split(None, 1)[0].lower()
+        fmt = _format_of(text)
         assert _bulk_outcome(text, fmt) == (_line_reader_outcome(text, fmt), bulk)
 
-    @pytest.mark.parametrize("fmt", ["off", "ply"])
+    @pytest.mark.parametrize("fmt", ["off", "ply", "obj"])
     @pytest.mark.parametrize("seed", range(4))
     def test_random_mesh_round_trip(self, fmt, seed):
         mesh = random_mesh(seed, n_max=40)
@@ -647,35 +735,42 @@ class TestBulkChunks:
             assert parse_mesh(data, fmt) == mesh
             assert _bulk_outcome(data, fmt)[1]
 
-    @pytest.mark.parametrize("fmt", ["off", "ply"])
-    @pytest.mark.parametrize("edit", [
-        lambda t: t.replace("\n", "\r\n"),       # CRLF body
-        lambda t: t.rstrip("\n"),                 # no final newline
-        lambda t: t.replace("\n", "\r\n").rstrip("\r\n"),
-        lambda t: t + "\n  \n\r\n \n",           # trailing blank lines
-    ], ids=["crlf", "no final newline", "crlf, no final newline", "trailing blank lines"])
-    def test_line_ends(self, fmt, edit):
+    @pytest.mark.parametrize("fmt", ["off", "ply", "obj"])
+    @pytest.mark.parametrize("edit, obj_bulk", [
+        pytest.param(lambda t: t.replace("\n", "\r\n"), True, id="crlf"),
+        pytest.param(lambda t: t.rstrip("\n"), True, id="no final newline"),
+        pytest.param(lambda t: t.replace("\n", "\r\n").rstrip("\r\n"), True,
+                     id="crlf, no final newline"),
+        pytest.param(lambda t: t + "\n  \n\r\n \n", False, id="trailing blank lines"),
+    ])
+    def test_line_ends(self, fmt, edit, obj_bulk):
         mesh, text = _small_mesh_text(fmt, 5, 7)
         text = edit(text)
-        assert _bulk_outcome(text, fmt) == (_line_reader_outcome(text, fmt), True)
+        # an OBJ's blank lines are lines of its body, for the line reader
+        bulk = obj_bulk or fmt != "obj"
+        assert _bulk_outcome(text, fmt) == (_line_reader_outcome(text, fmt), bulk)
         assert parse_mesh(text.encode(), fmt) == mesh
 
-    @pytest.mark.parametrize("fmt", ["off", "ply"])
+    @pytest.mark.parametrize("fmt", ["off", "ply", "obj"])
     def test_chunk_edge_on_the_vertex_face_split(self, fmt, chunk):
         # 6 vertices: the vertex block ends on a chunk edge at 1, 2 and 3 rows
         mesh, text = _small_mesh_text(fmt, 6, chunk + 1)
         assert _bulk_outcome(text, fmt) == (_line_reader_outcome(text, fmt), True)
         assert parse_mesh(text, fmt) == mesh
         lines = text.split("\n")
-        split = lines.index("3 %d %d %d" % tuple(mesh.faces[0] - 1))  # first face row
-        for inserted in ("", "  ", "0 0 0", "3 0 1 2"):
+        first_face = ("f %d %d %d" % tuple(mesh.faces[0]) if fmt == "obj"
+                      else "3 %d %d %d" % tuple(mesh.faces[0] - 1))
+        split = lines.index(first_face)
+        inserted_lines = (("", "  ", "# v", "vn 0 0 1") if fmt == "obj"
+                          else ("", "  ", "0 0 0", "3 0 1 2"))
+        for inserted in inserted_lines:
             edited = "\n".join(lines[:split] + [inserted] + lines[split:])
             outcome = _line_reader_outcome(edited, fmt)
             assert _bulk_outcome(edited, fmt) == (outcome, False)
 
 
-@settings(max_examples=200, deadline=None)
-@given(case=body_texts(), chunk_rows=st.integers(1, 3))
+@settings(max_examples=300, deadline=None)
+@given(case=_ANY_BODY, chunk_rows=st.integers(1, 3))
 def test_small_chunks_agree_with_line_reader(case, chunk_rows):
     fmt, text, bulk = case
     with mock.patch.object(mesh_io, "_CHUNK", chunk_rows):
@@ -701,15 +796,17 @@ def test_huge_header_count_rejected_without_allocation(text):
     assert peak < 2**20
 
 
-def test_parse_memory_is_bounded():
-    # A 90,000-vertex full-precision OFF of 8.5 MiB. Measured peaks
-    # beyond its bytes: 8.2 MiB in chunks of 8,192 rows, against 47.3
-    # MiB when the whole text was decoded and split into lines.
+@pytest.mark.parametrize("fmt", ["off", "obj"])
+def test_parse_memory_is_bounded(fmt):
+    # A 90,000-vertex full-precision OFF of 8.5 MiB (OBJ 8.7 MiB).
+    # Measured peaks beyond its bytes: 8.2 MiB in chunks of 8,192 rows,
+    # against 47.3 MiB (OBJ 83.8 MiB) when the whole text was decoded and
+    # read line by line.
     mesh = grid_mesh(300)
-    data = write_mesh(mesh, "off").encode()
+    data = write_mesh(mesh, fmt).encode()
     tracemalloc.start()
     try:
-        parsed = parse_mesh(data, "off")
+        parsed = parse_mesh(data, fmt)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

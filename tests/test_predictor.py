@@ -9,6 +9,7 @@ import pytest
 
 from rdh3d import (
     Mesh,
+    QuantizedMesh,
     analyze,
     bit_length,
     choose_n,
@@ -137,7 +138,7 @@ def fans(ring_sizes):
 
 
 def assert_matches_reference(words, part, l):
-    for n in (1, l):
+    for n in range(1, l + 1):
         got = predict_words(words, part, l, n)
         assert got.dtype == np.int64 and got.shape == (part.n_embedded, 3)
         assert np.array_equal(got, plane_cumsum_predict_words(words, part, l, n))
@@ -149,16 +150,18 @@ class TestPredictWords:
     def test_lane_edges(self, fan_partitions, spokes, m):
         # Every rim word is equal, so each of its 1 bits is counted by all
         # `spokes` members: the lane's maximum at 255 and 65,535. A lane
-        # one type too narrow wraps the count to 0 at 256 and 65,536.
+        # one type too narrow wraps the count to 0 at 256 and 65,536. The
+        # first rim reaches plane l-1; the second leaves its top half 0.
         part = fan_partitions[spokes]
         assert part.embedded.tolist() == [1] and part.ring_flat.size == spokes
         l = bit_length(m)
-        rim = np.array([(1 << l) - 1, 10**m - 1, 1 << (l - 1)])
-        words = np.zeros((spokes + 1, 3), dtype=np.int64)
-        words[1:] = rim
-        for n in (1, l):
-            got = predict_words(words, part, l, n)
-            assert got.tolist() == [(rim >> (l - n)).tolist()]
+        high = np.array([(1 << l) - 1, 10**m - 1, 1 << (l - 1)])
+        for rim in (high, high >> (l // 2)):
+            words = np.zeros((spokes + 1, 3), dtype=np.int64)
+            words[1:] = rim
+            for n in range(1, l + 1):
+                got = predict_words(words, part, l, n)
+                assert got.tolist() == [(rim >> (l - n)).tolist()]
         assert_matches_reference(random_words(spokes + 1, l, spokes), part, l)
 
     def test_ring_longer_than_a_block(self):
@@ -208,6 +211,83 @@ class TestPredictWords:
         q = quantize(mesh, 9)
         assert predict_words(q.magnitudes, mesh.partition, q.l, q.l).tolist() == [[0] * 3] * 2
         assert analyze(q).ts.tolist() == [0, 0]
+
+
+def pruned_plane_fans(l: int, seed: int):
+    """A QuantizedMesh of disjoint fans (see fans) whose apexes' t runs
+    over 0..l. Each fan is one of: a rim that carries the apex's word
+    (t = l), that word with one plane flipped on one axis (the prefix
+    ends at that plane), or random words of a random bit length (so
+    blocks of rings differ in their largest word); an apex word of any
+    bit length, some rings empty."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(0, 7, 60)
+    n_vertices, faces = fans(sizes)
+    words = np.zeros((n_vertices, 3), dtype=np.int64)
+    apex = 0
+    for size in sizes:
+        kind = rng.integers(3)
+        words[apex] = rng.integers(0, 1 << rng.integers(0, l + 1), 3)
+        rim = slice(apex + 1, apex + size + 1)
+        if kind < 2:
+            words[rim] = words[apex]
+            if kind == 1:
+                words[rim, rng.integers(3)] ^= 1 << int(rng.integers(l))
+        else:
+            words[rim] = rng.integers(0, 1 << rng.integers(0, l + 1), (size, 3))
+        apex += size + 1
+    m = {8: 2, 16: 4, 32: 9}[l]
+    return QuantizedMesh(words, np.zeros_like(words, dtype=np.uint8), m, faces)
+
+
+class TestPrunedPlanes:
+    """predict_words skips the planes above each block's largest ring
+    word and below l-n, and analyze stops counting a ring below its
+    first mispredicted plane; both give the references' results."""
+
+    @pytest.mark.parametrize("block", [1, 4, 16, 8192])
+    @pytest.mark.parametrize("l", [8, 16, 32])
+    def test_blocks_of_different_widths(self, monkeypatch, block, l):
+        monkeypatch.setattr(predictor, "_BLOCK", block)
+        for seed in range(3):
+            q = pruned_plane_fans(l, seed)
+            part = q.partition
+            tops = {int(w).bit_length() for w in q.magnitudes[part.ring_flat - 1].max(axis=1)}
+            assert len(tops) > 3
+            assert_matches_reference(q.magnitudes, part, l)
+            emb, _, rings, _ = brute_partition(q.n_vertices, q.faces)
+            assert emb == part.embedded.tolist()
+            ts, curve = brute_analyze(q.magnitudes.tolist(), emb, rings, l)
+            rep = analyze(q)
+            assert rep.ts.tolist() == ts
+            assert rep.capacity_curve.tolist() == curve
+            assert {0, l} <= set(ts) and len(set(ts)) > l // 2
+
+    @pytest.mark.parametrize("l", [8, 16, 32])
+    def test_every_window_runs(self, monkeypatch, l):
+        # every ring carries its apex's word, so no window ends a ring
+        # early: t = l for each nonempty ring, 0 for each empty one
+        q = pruned_plane_fans(l, 7)
+        words = q.magnitudes.copy()
+        part = q.partition
+        offsets = part.ring_offsets
+        words[part.embedded - 1] |= 1 << (l - 1)  # the top window holds plane l-1
+        for i, apex in enumerate(part.embedded - 1):
+            words[part.ring_flat[offsets[i]:offsets[i + 1]] - 1] = words[apex]
+        q = QuantizedMesh(words, q.signs, q.m, q.faces)
+        windows = []
+        majority = predictor._majority
+
+        def counting(ring_words, offsets, lo, hi):
+            windows.append((lo, hi))
+            return majority(ring_words, offsets, lo, hi)
+
+        monkeypatch.setattr(predictor, "_majority", counting)
+        rep = analyze(q)
+        emb, _, rings, _ = brute_partition(q.n_vertices, q.faces)
+        assert rep.ts.tolist() == brute_analyze(words.tolist(), emb, rings, l)[0]
+        assert rep.ts.tolist() == [l if rings[v] else 0 for v in emb]
+        assert sorted(windows) == [(max(0, hi - 8), hi) for hi in range(8, l + 1, 8)]
 
 
 def test_predict_words_memory_is_bounded(monkeypatch):
