@@ -24,7 +24,7 @@ from .errors import (
     Rdh3dError,
 )
 from .mesh_io import Mesh, parse_mesh, read_mesh_file, write_mesh, write_mesh_file
-from .metrics import FidelityReport, embedding_rate, hausdorff, snr
+from .metrics import embedding_rate, hausdorff, snr
 from .partition import Partition
 from .predictor import PredictionReport, analyze, choose_n
 from .quantize import QuantizedMesh, bit_length, dequantize, quantize
@@ -36,7 +36,6 @@ __all__ = [
     "ConfigError",
     "ContainerError",
     "DomainError",
-    "FidelityReport",
     "KeyMaterial",
     "KeyRole",
     "MarkedContainer",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 
@@ -27,9 +28,9 @@ from .errors import (
     MeshParseError,
 )
 from .mesh_io import FORMATS, format_from_path, read_mesh_file, write_mesh_file
-from .metrics import FidelityReport, embedding_rate, hausdorff, snr
+from .metrics import embedding_rate, hausdorff, snr
 from .predictor import PredictionReport, analyze, choose_n
-from .quantize import M_MAX, M_MIN, bit_length, dequantize, quantize
+from .quantize import WORD_DTYPES, bit_length, dequantize, embedding_length, quantize
 
 KE_ENV = "RDH3D_KE_PASS"
 KW_ENV = "RDH3D_KW_PASS"
@@ -133,13 +134,13 @@ def cmd_metrics(args) -> int:
     snr_db = snr(mesh_a, mesh_b, noise_ref=args.snr_noise_ref)
     dist = hausdorff(mesh_a, mesh_b, method=args.method)
     bits = read_container_file(args.container).payload_bits if args.container else 0
-    report = FidelityReport(
-        hausdorff=dist,
-        snr_db=snr_db,
-        embedding_rate=embedding_rate(bits, mesh_a.n_vertices),
-        embedded_bits=bits,
-    )
-    _emit(json.dumps(report.to_json_dict(), indent=2) + "\n", args.out)
+    report = {
+        "hausdorff": dist,
+        "snr_db": "inf" if math.isinf(snr_db) else snr_db,
+        "embedding_rate": embedding_rate(bits, mesh_a.n_vertices),
+        "embedded_bits": bits,
+    }
+    _emit(json.dumps(report, indent=2) + "\n", args.out)
     return EXIT_OK
 
 
@@ -162,19 +163,14 @@ def _parse_int_range(text: str) -> list[int]:
 
 def cmd_bench(args) -> int:
     m_values = _parse_int_range(args.m)
-    n_values: list[int | None]
-    if args.n.strip() == "auto":
-        n_values = [None]
-    else:
-        n_values = list(_parse_int_range(args.n))
-    # checked before any row runs, which would fail each row on its own
-    for m in m_values:
-        if not M_MIN <= m <= M_MAX:
-            raise ConfigError(f"precision m={m} outside supported range [{M_MIN}, {M_MAX}]")
-    n_max = bit_length(M_MAX)
-    for n in n_values:
-        if n is not None and not 1 <= n <= n_max:
-            raise ConfigError(f"embedding length n={n} outside [1, {n_max}]")
+    n_values = [None] if args.n.strip() == "auto" else _parse_int_range(args.n)
+    # checked before any row runs, which would fail each row on its own:
+    # every m and n in range, and some (m, n) pair with n <= l
+    l_top = max(map(bit_length, m_values))
+    if n_values != [None]:
+        for n in n_values:
+            embedding_length(n, max(WORD_DTYPES))
+        embedding_length(min(n_values), l_top)
     if not os.path.isdir(args.corpus):
         raise ConfigError(f"corpus {args.corpus!r} is not a directory")
     ke_pass = _passphrase(args.ke_pass, KE_ENV, "--ke-pass")

@@ -22,7 +22,7 @@ from .container import MarkedContainer
 from .errors import CapacityError, ConfigError
 from .mesh_io import read_only
 from .predictor import PredictionReport, predict_words
-from .quantize import QuantizedMesh
+from .quantize import QuantizedMesh, embedding_length
 
 
 def _msb_weights(n: int) -> np.ndarray:
@@ -50,8 +50,7 @@ def embed(c: MarkedContainer, rep: PredictionReport, n: int,
     been made for the container's mesh.
     """
     _require_role(kw, KeyRole.HIDE, "payload embedding")
-    if not 1 <= n <= c.l:
-        raise ConfigError(f"embedding length n={n} outside [1, {c.l}]")
+    embedding_length(n, c.l)
     if rep.m != c.m:
         raise ConfigError(
             f"prediction report was made for m={rep.m}, mesh has m={c.m}"
@@ -72,7 +71,7 @@ def embed(c: MarkedContainer, rep: PredictionReport, n: int,
 
     excluded = rep.excluded_mask(n)
     included0 = (part.embedded - 1)[~excluded]
-    capacity = 3 * n * included0.size
+    capacity = rep.capacity(n)
 
     payload = np.asarray(payload).ravel()
     if ((payload != 0) & (payload != 1)).any():

@@ -34,22 +34,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContainerError
-from .mesh_io import Faced, Mesh, array, read_only, split_of
-from .quantize import M_MAX, M_MIN, WORD_DTYPES, bit_length
+from .errors import ConfigError, ContainerError
+from .mesh_io import Faced, Mesh, array, bad_face_id, read_only, split_of
+from .quantize import WORD_DTYPES, bit_length, embedding_length
 
 MAGIC = b"RDH3"
 VERSION = 1
 
 _HEADER = struct.Struct("<4sBBBBIIQ")
 
+_CORRUPT_FACES = "face index out of range (corrupt face table)"
+
 
 @dataclass(frozen=True, eq=False)
 class MarkedContainer(Faced):
     """Frozen, with read-only arrays (see Frozen). Construction checks
-    that the face ids lie in 1..N, that there is one sign per magnitude
-    word, that the excluded bitmap covers exactly |C| vertices of the
-    split of `faces` (see Faced) and that the payload fits the capacity."""
+    that the face ids lie in 1..N (see Faced), that m and n are in range,
+    that there is one sign per magnitude word and every word is below
+    2^l, that the excluded bitmap covers exactly |C| vertices of the
+    split of `faces` and that the payload fits the capacity."""
 
     m: int
     n: int
@@ -61,11 +64,14 @@ class MarkedContainer(Faced):
 
     def __post_init__(self):
         super().__post_init__()
-        _check_face_ids(self.faces, self.n_vertices)
+        l = _word_length(self.m, self.n)
         if self.signs.shape != self.magnitudes.shape:
             raise ContainerError(
                 f"{self.signs.shape[0]} sign rows for {self.n_vertices} vertices"
             )
+        # a negative word sets every bit above l of the OR too
+        if int(np.bitwise_or.reduce(self.magnitudes, axis=None)) >> l:
+            raise ContainerError("magnitude does not fit the declared word length")
         if (k_count := self.partition.n_embedded) != self.excluded.size:
             raise ContainerError(
                 f"excluded bitmap covers {self.excluded.size} vertices but the "
@@ -87,10 +93,8 @@ class MarkedContainer(Faced):
     def capacity_bits(self) -> int:
         return 3 * self.n * int((self.excluded == 0).sum())
 
-
-def _check_face_ids(faces: np.ndarray, n_vertices: int):
-    if faces.size and (faces.min() < 1 or faces.max() > n_vertices):
-        raise ContainerError("face index out of range (corrupt face table)")
+    def _face_error(self, bad: int) -> Exception:
+        return ContainerError(_CORRUPT_FACES)
 
 
 def _pack_bitmap(bits: np.ndarray) -> bytes:
@@ -107,32 +111,25 @@ def _unpack_bitmap(raw: bytes, n_bits: int, what: str) -> np.ndarray:
 
 def _word_length(m: int, n: int) -> int:
     """The word length l of a container with precision m and embedding
-    length n; raises ContainerError unless m and n are in range."""
-    if not M_MIN <= m <= M_MAX:
-        raise ContainerError(f"precision m={m} outside [{M_MIN}, {M_MAX}]")
-    l = bit_length(m)
-    if not 1 <= n <= l:
-        raise ContainerError(f"embedding length n={n} outside [1, {l}]")
+    length n; the rules for m and n (see quantize), as ContainerError."""
+    try:
+        l = bit_length(m)
+        embedding_length(n, l)
+    except ConfigError as exc:
+        raise ContainerError(str(exc)) from None
     return l
 
 
 def write_container(c: MarkedContainer) -> bytes:
-    """Serialize; the result re-reads to an equal MarkedContainer byte-exactly."""
-    l = _word_length(c.m, c.n)
-    mags = c.magnitudes
-    if mags.size and (mags.min() < 0 or int(mags.max()) >> l):
-        raise ContainerError("magnitude does not fit the declared word length")
-    header = _HEADER.pack(
-        MAGIC, VERSION, c.m, l, c.n, c.n_vertices, c.n_faces, c.payload_bits
-    )
-    parts = [
-        header,
-        _pack_bitmap(c.signs) if c.signs.size else b"",
-        _pack_bitmap(c.excluded) if c.excluded.size else b"",
-        mags.astype(WORD_DTYPES[l]).tobytes(),
+    """Serialize; the result re-reads to an equal MarkedContainer byte-exactly.
+    A MarkedContainer is valid once built, so this only packs bytes."""
+    return b"".join([
+        _HEADER.pack(MAGIC, VERSION, c.m, c.l, c.n, c.n_vertices, c.n_faces, c.payload_bits),
+        _pack_bitmap(c.signs),
+        _pack_bitmap(c.excluded),
+        c.magnitudes.astype(WORD_DTYPES[c.l]).tobytes(),
         c.faces.astype("<u4").tobytes(),
-    ]
-    return b"".join(parts)
+    ])
 
 
 def read_container(data: bytes) -> MarkedContainer:
@@ -168,7 +165,8 @@ def read_container(data: bytes) -> MarkedContainer:
     face_raw = data[pos:pos + face_bytes]
 
     faces = read_only(np.frombuffer(face_raw, dtype="<u4").astype(np.int64).reshape(-1, 3))
-    _check_face_ids(faces, n_verts)  # before the partition, which would raise ValueError
+    if bad_face_id(faces, n_verts) is not None:  # before the split is derived
+        raise ContainerError(_CORRUPT_FACES)
 
     signs = _unpack_bitmap(sign_raw, 3 * n_verts, "sign")
 

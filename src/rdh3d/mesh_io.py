@@ -80,9 +80,12 @@ def array(dtype, shape=(-1, 3)):
 class Frozen:
     """The rule of every pipeline value, for a frozen dataclass with
     eq=False: each `array()` field is kept read-only, so the value can be
-    neither reassigned nor edited in place, and a caller can change no
-    value through an array it still holds (see _frozen). Two values of
-    one type are equal when every field is; a value is not hashable.
+    neither reassigned nor edited in place, and an array a caller holds
+    is copied unless it is read-only down to its memory (see _frozen).
+    numpy lets the holder of a read-only array that owns its data make it
+    writable again, and an edit through it reaches the value; only memory
+    that `bytes` backs is beyond that. Two values of one type are equal
+    when every field is; a value is not hashable.
     """
 
     def __post_init__(self):
@@ -115,9 +118,32 @@ def split_of(faces: np.ndarray, n_vertices: int):
     return part
 
 
+def bad_face_id(faces: np.ndarray, n_vertices: int):
+    """The rule for face ids: each lies in 1..n_vertices. The lowest id
+    if it is below 1, else the highest if it is above n_vertices, else
+    None."""
+    if faces.size:
+        lo, hi = int(faces.min()), int(faces.max())
+        if lo < 1 or hi > n_vertices:
+            return lo if lo < 1 else hi
+    return None
+
+
 class Faced(Frozen):
     """A Frozen value over 1-based triangle `faces` on `n_vertices`
-    vertices; every value that holds the same face array shares its split."""
+    vertices; every value that holds the same face array shares its split.
+    Construction raises `_face_error` unless every face id lies in
+    1..n_vertices (see bad_face_id)."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        # an array whose split exists passed the rule when it was derived
+        if ((id(self.faces), self.n_vertices) not in _splits
+                and (bad := bad_face_id(self.faces, self.n_vertices)) is not None):
+            raise self._face_error(bad)
+
+    def _face_error(self, bad: int) -> Exception:
+        return ValueError(f"face ids must lie in 1..{self.n_vertices}")
 
     @property
     def partition(self):
@@ -141,15 +167,10 @@ class Mesh(Faced):
     def n_vertices(self) -> int:
         return self.vertices.shape[0]
 
-    def validate(self):
-        if self.faces.size:
-            lo = int(self.faces.min())
-            hi = int(self.faces.max())
-            if lo < 1 or hi > self.n_vertices:
-                raise FaceIndexError(
-                    f"face index out of range: {lo if lo < 1 else hi} "
-                    f"(valid range 1..{self.n_vertices})"
-                )
+    def _face_error(self, bad: int) -> Exception:
+        return FaceIndexError(
+            f"face index out of range: {bad} (valid range 1..{self.n_vertices})"
+        )
 
 
 def _check_format(fmt: str) -> str:
@@ -188,7 +209,6 @@ def _decoded(data: bytes | str) -> str:
 def write_mesh(mesh: Mesh, fmt: str) -> str:
     """Serialize a mesh; output re-parses to an identical Mesh."""
     fmt = _check_format(fmt)
-    mesh.validate()
     if fmt == "off":
         return _write_off(mesh)
     if fmt == "obj":
@@ -439,10 +459,11 @@ def _bulk_body(data: bytes | str, fmt: str):
         pos = _load_rows(data, pos, faces, names[1])
     if pos is None or data[pos:].strip():
         return None
-    if faces.size and (faces.min() < base or faces.max() >= n_verts + base):
-        return None
     faces += 1 - base
-    return Mesh(read_only(verts), read_only(faces))
+    try:
+        return Mesh(read_only(verts), read_only(faces))
+    except FaceIndexError:  # the line reader names its line
+        return None
 
 
 def _n_lines(data: bytes, start: int, stop: int) -> int:

@@ -24,25 +24,10 @@ the bench harness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .errors import DomainError
-
-
-@dataclass
-class FidelityReport:
-    hausdorff: float
-    snr_db: float
-    embedding_rate: float
-    embedded_bits: int
-
-    def to_json_dict(self) -> dict:
-        d = asdict(self)
-        if math.isinf(d["snr_db"]):
-            d["snr_db"] = "inf"
-        return d
 
 
 def _as_points(obj) -> np.ndarray:

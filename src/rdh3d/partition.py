@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh_io import Frozen, array, read_only
+from .mesh_io import Frozen, array, bad_face_id, read_only
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,8 +41,9 @@ class Partition(Frozen):
 _LOW = 0xFFFFFFFF
 
 
-def _adjacency(n_vertices: int, faces0: np.ndarray):
-    """CSR one-ring adjacency (0-based): sharing any face, self excluded.
+def _adjacency(n_vertices: int, faces: np.ndarray):
+    """CSR one-ring adjacency of ids 0..n_vertices-1: sharing any face,
+    self excluded.
 
     Each undirected edge of a face is packed into one uint64 code,
     (min << 32) | max, which sorts by its first vertex, then its second.
@@ -52,10 +53,7 @@ def _adjacency(n_vertices: int, faces0: np.ndarray):
     every vertex's neighbours, ascending, in one run. Ids must be below
     2^32; each temporary is deleted as soon as it has been used.
     """
-    if faces0.size == 0:
-        off = np.zeros(n_vertices + 1, dtype=np.int64)
-        return np.empty(0, dtype=np.int64), off
-    ids = faces0.view(np.uint64)  # nonnegative, so the same values
+    ids = faces.view(np.uint64)  # nonnegative, so the same values
     n_faces = ids.shape[0]
     codes = np.empty(3 * n_faces, dtype=np.uint64)
     for i, (a, b) in enumerate(((0, 1), (0, 2), (1, 2))):
@@ -110,20 +108,21 @@ def partition(n_vertices: int, faces) -> Partition:
     """Greedy C/R sweep over (M, 3) 1-based faces on n_vertices vertices.
 
     Only the face list matters; empty face lists leave every vertex
-    unassigned.
+    unassigned. The ids index arrays of n_vertices + 1 slots, and slot 0,
+    in no face, stands for no vertex.
     """
     n = int(n_vertices)
     if n >= 2**32:
         raise ValueError(f"{n} vertices: ids must fit in 32 bits")
-    faces0 = np.asarray(faces, dtype=np.int64).reshape(-1, 3) - 1
-    if faces0.size and (faces0.min() < 0 or faces0.max() >= n):
+    faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
+    if bad_face_id(faces, n) is not None:
         raise ValueError(f"face ids must lie in 1..{n}")
-    adj_flat, adj_off = _adjacency(n, faces0)
+    adj_flat, adj_off = _adjacency(n + 1, faces)
 
     # first-appearance order over the face stream: the earliest stream
     # position of each vertex, then those positions in stream order
-    order = faces0.ravel()
-    first = np.full(n, order.size, dtype=np.int64)
+    order = faces.ravel()
+    first = np.full(n + 1, order.size, dtype=np.int64)
     np.minimum.at(first, order, np.arange(order.size, dtype=np.int64))
     in_any_face = first < order.size
     is_first = np.zeros(order.size, dtype=bool)
@@ -133,29 +132,28 @@ def partition(n_vertices: int, faces) -> Partition:
     # The sweep is inherently sequential; plain bytearray/memoryview
     # indexing keeps numpy's per-call overhead out of the loop.
     UNSEEN, IN_C, IN_R = 0, 1, 2
-    status = bytearray(n)
+    status = bytearray(n + 1)
     flat, off = memoryview(adj_flat), memoryview(adj_off)
-    embedded0 = []
+    embedded = []
     for vtx in visit.tolist():
         if status[vtx] == UNSEEN:
             status[vtx] = IN_C
-            embedded0.append(vtx)
+            embedded.append(vtx)
             for nb in flat[off[vtx]:off[vtx + 1]]:
                 status[nb] = IN_R
 
-    emb = np.asarray(embedded0, dtype=np.int64)
+    emb = np.asarray(embedded, dtype=np.int64)
     status = np.frombuffer(status, dtype=np.uint8)
 
-    starts = adj_off[emb] if emb.size else np.empty(0, dtype=np.int64)
-    lengths = (adj_off[emb + 1] - adj_off[emb]) if emb.size else np.empty(0, dtype=np.int64)
-    ring_flat = _gather_ranges(adj_flat, starts, lengths)
+    starts = adj_off[emb]
+    lengths = adj_off[emb + 1] - starts
     ring_offsets = np.zeros(emb.size + 1, dtype=np.int64)
     np.cumsum(lengths, out=ring_offsets[1:])
 
     return Partition(
-        embedded=read_only(emb + 1),
-        reference=read_only(np.nonzero(status == IN_R)[0].astype(np.int64) + 1),
-        unassigned=read_only(np.nonzero(~in_any_face)[0].astype(np.int64) + 1),
-        ring_flat=read_only(ring_flat + 1),
+        embedded=read_only(emb),
+        reference=read_only(np.flatnonzero(status == IN_R)),
+        unassigned=read_only(np.flatnonzero(~in_any_face)[1:]),  # past slot 0
+        ring_flat=read_only(_gather_ranges(adj_flat, starts, lengths)),
         ring_offsets=read_only(ring_offsets),
     )

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .mesh_io import Frozen, array, read_only
-from .quantize import WORD_DTYPES, bit_length
+from .quantize import WORD_DTYPES, bit_length, embedding_length
 
 # Ring entries counted at once. It bounds the working memory of
 # predict_words, about 200 bytes per entry at l = 32; blocks of 65,536
@@ -63,9 +63,7 @@ class PredictionReport(Frozen):
         return self.ts < n
 
     def capacity(self, n: int) -> int:
-        if not 1 <= n <= self.l:
-            raise ConfigError(f"embedding length n={n} outside [1, {self.l}]")
-        return int(self.capacity_curve[n - 1])
+        return int(self.capacity_curve[embedding_length(n, self.l) - 1])
 
     def to_json_dict(self) -> dict:
         return {
@@ -240,9 +238,5 @@ def analyze(q) -> PredictionReport:
 def choose_n(report: PredictionReport, requested: int | None = None) -> int:
     """Requested n if given, else the capacity-curve argmax (ties -> smaller n)."""
     if requested is not None:
-        if not 1 <= requested <= report.l:
-            raise ConfigError(
-                f"embedding length n={requested} outside [1, {report.l}]"
-            )
-        return int(requested)
+        return int(embedding_length(requested, report.l))
     return int(np.argmax(report.capacity_curve)) + 1

@@ -24,12 +24,20 @@ WORD_DTYPES = {8: ">u1", 16: ">u2", 32: ">u4"}
 
 def bit_length(m: int) -> int:
     """Word length l at precision m: the narrowest width in WORD_DTYPES
-    that holds 10^m - 1. Defined for m in [1, 9]."""
+    that holds 10^m - 1. The rule for m: it must lie in M_MIN..M_MAX."""
+    if not M_MIN <= m <= M_MAX:
+        raise ConfigError(f"precision m={m} outside supported range [{M_MIN}, {M_MAX}]")
     for l in WORD_DTYPES:
-        # m <= l keeps 10**m small for any int m (m may come from JSON)
-        if 1 <= m <= l and 10**m <= 1 << l:
+        if 10**m <= 1 << l:
             return l
-    raise ConfigError(f"precision m={m} outside supported range [1, 9]")
+
+
+def embedding_length(n: int, l: int) -> int:
+    """n, checked as an embedding length for l-bit words. The rule for
+    n: it must lie in 1..l."""
+    if not 1 <= n <= l:
+        raise ConfigError(f"embedding length n={n} outside [1, {l}]")
+    return n
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,8 +97,7 @@ def _exact_floor_scaled(values: np.ndarray, m: int) -> np.ndarray:
 
 def quantize(mesh, m: int) -> QuantizedMesh:
     """Map float coordinates to sign-magnitude integers at precision m."""
-    if not M_MIN <= m <= M_MAX:
-        raise ConfigError(f"precision m={m} outside supported range [{M_MIN}, {M_MAX}]")
+    bit_length(m)  # the rule for m
     verts = mesh.vertices
     finite = np.isfinite(verts)
     if not finite.all():

@@ -366,6 +366,18 @@ class TestBenchCommand:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 3
 
+    def test_sweep_runs_the_pairs_that_fit(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        write_mesh_file(corpus / "g.off", grid_mesh(6))
+        out = tmp_path / "rows.csv"
+        # n=20 fits only the 32-bit words of m = 5..9
+        assert run("bench", corpus, "--m", "2-9", "--n", "20",
+                   "--ke-pass", "a", "--kw-pass", "b", "--out", out) == 0
+        rows = out.read_text().strip().splitlines()[1:]
+        assert [int(row.split(",")[3]) for row in rows] == [5, 6, 7, 8, 9]
+        assert "5 rows written" in capsys.readouterr().out
+
 
 @pytest.mark.parametrize("argv", [
     ["metrics", "cow.off", "cow.off", "--method", "brute"],
@@ -569,16 +581,17 @@ class TestBadInputsExitTwo:
 
         monkeypatch.setattr(cli, "bench_corpus", not_run)
 
-    @pytest.mark.parametrize("option, values", [
-        ("--m", "12"), ("--m", "1-4"), ("--n", "0"), ("--n", "16,33"),
-    ])
+    @pytest.mark.parametrize("settings", [
+        ["--m", "12"], ["--m", "1-4"], ["--n", "0"], ["--n", "16,33"],
+        ["--m", "2", "--n", "20"],  # no (m, n) pair with n <= bit_length(m)
+    ], ids="-".join)
     def test_bench_value_outside_its_range(self, tmp_path, capsys, bench_not_run,
-                                           option, values):
+                                           settings):
         corpus = tmp_path / "corp"
         corpus.mkdir()
         write_mesh_file(corpus / "g.off", grid_mesh(5))
         out = tmp_path / "rows.csv"
-        self.check(capsys, "bench", corpus, option, values, "--ke-pass", "a",
+        self.check(capsys, "bench", corpus, *settings, "--ke-pass", "a",
                    "--kw-pass", "b", "--out", out)
         assert not out.exists()
 

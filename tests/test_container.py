@@ -6,12 +6,18 @@ from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdh3d import (
     ContainerError,
+    KeyMaterial,
+    KeyRole,
     MarkedContainer,
     Mesh,
+    analyze,
     container_mesh,
+    embed,
     encrypt_mesh,
     quantize,
     read_container,
@@ -229,6 +235,50 @@ class TestNewFacesNewSplit:
         assert set(c.partition.embedded) != set(enc.partition.embedded)
         back = read_container(write_container(c))
         assert back == c and back.partition == c.partition
+
+
+class TestOnlyValidContainersExist:
+    """The header rules hold for every container that can be built, so
+    write_container has nothing left to reject."""
+
+    @pytest.fixture
+    def enc(self, ke):
+        return encrypt_mesh(quantize(grid_mesh(10), 4), ke)
+
+    @pytest.mark.parametrize("change, error", [
+        ({"n": 17}, r"^embedding length n=17 outside \[1, 16\]$"),
+        ({"n": 20}, r"^embedding length n=20 outside \[1, 16\]$"),
+        ({"n": 0}, r"^embedding length n=0 outside \[1, 16\]$"),
+        ({"m": 12}, r"^precision m=12 outside supported range \[2, 9\]$"),
+        ({"m": 2}, r"^magnitude does not fit the declared word length$"),
+    ], ids=["n=l+1", "n=20", "n=0", "m=12", "m=2"])
+    def test_header_rule_broken_at_construction(self, enc, change, error):
+        with pytest.raises(ContainerError, match=error):
+            replace(enc, **change)
+
+    @pytest.mark.parametrize("word", [2**16, 2**40, -1])
+    def test_word_outside_the_word_length(self, enc, word):
+        mags = enc.magnitudes.copy()
+        mags[7, 2] = word
+        with pytest.raises(ContainerError, match="^magnitude does not fit the declared word length$"):
+            replace(enc, magnitudes=mags)
+
+
+_KE = KeyMaterial.from_passphrase("owner", KeyRole.ENCRYPT)
+_KW = KeyMaterial.from_passphrase("hider", KeyRole.HIDE)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**16), m=st.integers(2, 9), data=st.data())
+def test_every_built_container_round_trips(seed, m, data):
+    q = quantize(random_mesh(seed, n_max=60), m)
+    rep = analyze(q)
+    n = data.draw(st.integers(1, q.l), label="n")
+    size = data.draw(st.integers(0, rep.capacity(n)), label="payload bits")
+    payload = np.random.default_rng(seed).integers(0, 2, size=size)
+    enc = encrypt_mesh(q, _KE)
+    for c in (enc, embed(enc, rep, n, payload, _KW)):
+        assert read_container(write_container(c)) == c
 
 
 def test_arrays_are_read_only():

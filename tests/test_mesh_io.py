@@ -398,6 +398,15 @@ class TestMeshPartition:
         assert faces() is None and key not in mesh_io._splits
 
 
+@pytest.mark.parametrize("bad_id", [0, -2, 5])
+def test_face_id_outside_the_vertices_rejected_at_construction(tetra_mesh, bad_id):
+    faces = tetra_mesh.faces.copy()
+    faces[2, 1] = bad_id
+    error = rf"^face index out of range: {bad_id} \(valid range 1\.\.4\)$"
+    with pytest.raises(FaceIndexError, match=error):
+        Mesh(tetra_mesh.vertices, faces)
+
+
 def test_unknown_format_rejected(tetra_mesh):
     with pytest.raises(ValueError, match="unknown mesh format"):
         write_mesh(tetra_mesh, "stl")

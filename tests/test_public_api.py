@@ -73,8 +73,7 @@ UNREAD_FIELDS = {
 
 def test_every_dataclass_field_is_read_by_the_package():
     """Reads in __post_init__, where a dataclass only normalizes its own
-    fields, do not count. FidelityReport is exempt: its fields are
-    serialized through dataclasses.asdict."""
+    fields, do not count."""
     nodes = list(package_nodes())
     in_post_init = {id(inner) for node in nodes
                     if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"
@@ -85,7 +84,7 @@ def test_every_dataclass_field_is_read_by_the_package():
     fields = [
         f"{export}.{field.name}"
         for export in rdh3d.__all__
-        if export != "FidelityReport" and dataclasses.is_dataclass(cls := getattr(rdh3d, export))
+        if dataclasses.is_dataclass(cls := getattr(rdh3d, export))
         for field in dataclasses.fields(cls)
     ]
     unread = [f for f in fields if f.rsplit(".", 1)[1] not in read and f not in UNREAD_FIELDS]
@@ -123,3 +122,18 @@ def test_every_value_field_is_compared_and_given():
              if isinstance(cls := getattr(rdh3d, export), type) and issubclass(cls, Frozen)
              for f in dataclasses.fields(cls) if not f.compare or f.default is None]
     assert loose == [], f"value fields that are not compared or may be left out: {loose}"
+
+
+def test_each_input_rule_has_one_definition():
+    """The range of m is named only in quantize.py, and the range of n
+    is stated by one function: every other module calls them."""
+    sources = {path.name: path.read_text() for path in PACKAGE_DIR.glob("*.py")}
+    naming_m = sorted(name for name, text in sources.items()
+                      if "M_MIN" in text or "M_MAX" in text)
+    assert naming_m == ["quantize.py"]
+    text = "embedding length n="
+    assert sum(src.count(text) for src in sources.values()) == 1
+    stating_n = [f"{name}::{node.name}" for name, src in sources.items()
+                 for node in ast.walk(ast.parse(src)) if isinstance(node, ast.FunctionDef)
+                 and text in ast.get_source_segment(src, node)]
+    assert stating_n == ["quantize.py::embedding_length"]

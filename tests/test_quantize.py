@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdh3d import Mesh, QuantizedMesh, bit_length, dequantize, quantize
+from rdh3d.quantize import embedding_length
 from rdh3d.errors import ConfigError, DomainError
 
 from conftest import signed_ints
@@ -153,18 +154,38 @@ class TestDequantize:
         assert np.array_equal(back.faces, tetra_mesh.faces)
 
 
+@pytest.mark.parametrize("bad_id", [0, 5])
+def test_quantized_mesh_face_id_outside_the_vertices_rejected(tetra_mesh, bad_id):
+    q = quantize(tetra_mesh, 4)
+    faces = q.faces.copy()
+    faces[0, 0] = bad_id
+    with pytest.raises(ValueError, match=r"face ids must lie in 1\.\.4"):
+        QuantizedMesh(q.magnitudes, q.signs, q.m, faces)
+
+
+class TestEmbeddingLength:
+    @pytest.mark.parametrize("n,l", [(1, 8), (8, 8), (16, 16), (32, 32)])
+    def test_in_range(self, n, l):
+        assert embedding_length(n, l) == n
+
+    @pytest.mark.parametrize("n,l", [(0, 8), (9, 8), (17, 16), (-1, 32)])
+    def test_out_of_range(self, n, l):
+        with pytest.raises(ConfigError, match=rf"^embedding length n={n} outside \[1, {l}\]$"):
+            embedding_length(n, l)
+
+
 class TestBitLength:
     @pytest.mark.parametrize("m,l", [
-        (1, 8), (2, 8), (3, 16), (4, 16), (5, 32), (9, 32),
+        (2, 8), (3, 16), (4, 16), (5, 32), (9, 32),
     ])
     def test_table(self, m, l):
         assert bit_length(m) == l
 
-    @pytest.mark.parametrize("m", [0, 10, 33, 34, -1])
+    @pytest.mark.parametrize("m", [0, 1, 10, 33, 34, -1])
     def test_out_of_range(self, m):
         with pytest.raises(ConfigError):
             bit_length(m)
 
     def test_magnitudes_fit(self):
-        for m in range(1, 10):
+        for m in range(2, 10):
             assert 10**m - 1 < 2 ** bit_length(m)
