@@ -56,8 +56,6 @@ def embed(c: MarkedContainer, rep: PredictionReport, n: int,
             f"prediction report was made for m={rep.m}, mesh has m={c.m}"
         )
     part = c.partition
-    if rep.ts.size != part.n_embedded:
-        raise ConfigError("prediction report does not match the partition")
     if not np.array_equal(rep.embedded, part.embedded):
         raise ConfigError(
             "prediction report was made for another mesh: its embedded "

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContainerError
-from .mesh_io import Faced, Mesh, array, bad_face_id, read_only, split_of
-from .quantize import WORD_DTYPES, bit_length, embedding_length
+from .mesh_io import Mesh, array, bad_face_id, read_only, split_of
+from .quantize import WORD_DTYPES, SignMagnitude, bit_length, embedding_length
 
 MAGIC = b"RDH3"
 VERSION = 1
@@ -47,12 +47,12 @@ _CORRUPT_FACES = "face index out of range (corrupt face table)"
 
 
 @dataclass(frozen=True, eq=False)
-class MarkedContainer(Faced):
+class MarkedContainer(SignMagnitude):
     """Frozen, with read-only arrays (see Frozen). Construction checks
-    that the face ids lie in 1..N (see Faced), that m and n are in range,
-    that there is one sign per magnitude word and every word is below
-    2^l, that the excluded bitmap covers exactly |C| vertices of the
-    split of `faces` and that the payload fits the capacity."""
+    that the face ids lie in 1..N (see Faced), the sign-magnitude rules
+    (see SignMagnitude), that n is in range, that the excluded bitmap
+    covers exactly |C| vertices of the split of `faces` and that the
+    payload fits the capacity; a broken rule raises ContainerError."""
 
     m: int
     n: int
@@ -62,16 +62,11 @@ class MarkedContainer(Faced):
     magnitudes: np.ndarray = array(np.int64)    # (N, 3) l-bit words, encrypted or marked
     faces: np.ndarray = array(np.int64)         # (M, 3), 1-based
 
+    _error = ContainerError
+
     def __post_init__(self):
         super().__post_init__()
-        l = _word_length(self.m, self.n)
-        if self.signs.shape != self.magnitudes.shape:
-            raise ContainerError(
-                f"{self.signs.shape[0]} sign rows for {self.n_vertices} vertices"
-            )
-        # a negative word sets every bit above l of the OR too
-        if int(np.bitwise_or.reduce(self.magnitudes, axis=None)) >> l:
-            raise ContainerError("magnitude does not fit the declared word length")
+        _word_length(self.m, self.n)
         if (k_count := self.partition.n_embedded) != self.excluded.size:
             raise ContainerError(
                 f"excluded bitmap covers {self.excluded.size} vertices but the "
@@ -81,14 +76,6 @@ class MarkedContainer(Faced):
             raise ContainerError(
                 f"declared payload of {self.payload_bits} bits exceeds capacity {capacity}"
             )
-
-    @property
-    def l(self) -> int:
-        return bit_length(self.m)
-
-    @property
-    def n_vertices(self) -> int:
-        return self.magnitudes.shape[0]
 
     def capacity_bits(self) -> int:
         return 3 * self.n * int((self.excluded == 0).sum())
@@ -197,5 +184,4 @@ def write_container_file(path, c: MarkedContainer):
 def container_mesh(c: MarkedContainer) -> Mesh:
     """Signed integer coordinates as a Mesh, for visual export of the
     encrypted/marked state (coordinates fit float64 exactly)."""
-    signed = np.where(c.signs == 1, -1.0, 1.0) * c.magnitudes.astype(np.float64)
-    return Mesh(read_only(signed), c.faces)
+    return c.coordinates()

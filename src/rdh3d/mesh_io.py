@@ -209,11 +209,21 @@ def _decoded(data: bytes | str) -> str:
 def write_mesh(mesh: Mesh, fmt: str) -> str:
     """Serialize a mesh; output re-parses to an identical Mesh."""
     fmt = _check_format(fmt)
-    if fmt == "off":
-        return _write_off(mesh)
-    if fmt == "obj":
-        return _write_obj(mesh)
-    return _write_ply(mesh)
+    rows = {
+        "off": ["OFF", f"{mesh.n_vertices} {mesh.n_faces} 0"],
+        "obj": [],
+        "ply": ["ply", "format ascii 1.0", f"element vertex {mesh.n_vertices}",
+                "property double x", "property double y", "property double z",
+                f"element face {mesh.n_faces}", "property list uchar int vertex_indices",
+                "end_header"],
+    }[fmt]
+    # OBJ rows open with a keyword and face ids count from 1; OFF and PLY
+    # face rows open with their vertex count and ids count from 0
+    v, f, base = ("v ", "f ", 0) if fmt == "obj" else ("", "3 ", 1)
+    # repr of a Python float is the shortest string that round-trips
+    rows += [f"{v}{x!r} {y!r} {z!r}" for x, y, z in mesh.vertices.tolist()]
+    rows += [f"{f}{i} {j} {k}" for i, j, k in (mesh.faces - base).tolist()]
+    return "\n".join(rows) + "\n" if rows else ""
 
 
 def read_mesh_file(path, fmt: str | None = None) -> Mesh:
@@ -629,44 +639,3 @@ def _read_ply_header(raw_lines):
 
 # The header reader of each format that has a header.
 _HEADERS = {"off": _read_off_header, "ply": _read_ply_header}
-
-
-def _vertex_rows(mesh: Mesh):
-    # repr of a Python float is the shortest string that round-trips.
-    for x, y, z in mesh.vertices.tolist():
-        yield f"{x!r} {y!r} {z!r}"
-
-
-def _counted_face_rows(mesh: Mesh):
-    return map("3 %d %d %d".__mod__, map(tuple, (mesh.faces - 1).tolist()))
-
-
-def _write_off(mesh: Mesh) -> str:
-    out = ["OFF", f"{mesh.n_vertices} {mesh.n_faces} 0"]
-    out.extend(_vertex_rows(mesh))
-    out.extend(_counted_face_rows(mesh))
-    return "\n".join(out) + "\n"
-
-
-def _write_obj(mesh: Mesh) -> str:
-    out = [f"v {row}" for row in _vertex_rows(mesh)]
-    for i, j, k in mesh.faces.tolist():
-        out.append(f"f {i} {j} {k}")
-    return "\n".join(out) + "\n" if out else ""
-
-
-def _write_ply(mesh: Mesh) -> str:
-    out = [
-        "ply",
-        "format ascii 1.0",
-        f"element vertex {mesh.n_vertices}",
-        "property double x",
-        "property double y",
-        "property double z",
-        f"element face {mesh.n_faces}",
-        "property list uchar int vertex_indices",
-        "end_header",
-    ]
-    out.extend(_vertex_rows(mesh))
-    out.extend(_counted_face_rows(mesh))
-    return "\n".join(out) + "\n"

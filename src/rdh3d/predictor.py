@@ -39,12 +39,25 @@ class PredictionReport(Frozen):
 
     ts[i] is min(t_x, t_y, t_z) for the i-th embedded vertex, in 0..l.
     Frozen, with read-only arrays (see Frozen), so `capacity_curve`,
-    derived on first read, stays the curve of `ts`.
+    derived on first read, stays the curve of `ts`. Construction raises
+    ConfigError unless m is in range (see bit_length) and there is one t
+    in 0..l per embedded vertex.
     """
 
     ts: np.ndarray = array(np.int64, -1)        # (K,)
     m: int
     embedded: np.ndarray = array(np.int64, -1)  # 1-based ids, C order: the partition's own
+
+    def __post_init__(self):
+        super().__post_init__()
+        l = self.l
+        if self.ts.size != self.embedded.size:
+            raise ConfigError(
+                f"prediction report holds {self.ts.size} t values for "
+                f"{self.embedded.size} embedded vertices"
+            )
+        if self.ts.size and not 0 <= self.ts.min() <= self.ts.max() <= l:
+            raise ConfigError(f"prediction report t values must lie in 0..{l}")
 
     @property
     def l(self) -> int:
@@ -80,18 +93,13 @@ class PredictionReport(Frozen):
         ts = np.asarray(_json_ints(d, "max_prefix_lengths"), dtype=np.int64)
         m = int(_json_ints(d, "m"))
         embedded = np.asarray(_json_ints(d, "embedded"), dtype=np.int64)
-        l = bit_length(m)
-        if int(_json_ints(d, "l")) != l:
+        if int(_json_ints(d, "l")) != bit_length(m):
             raise ConfigError(
                 f"malformed prediction report: l={d['l']} contradicts m={m}"
             )
         # checked before construction, which would flatten a nested list
-        if not (ts.ndim == embedded.ndim == 1 and ts.size == embedded.size
-                and ((ts >= 0) & (ts <= l)).all()):
-            raise ConfigError(
-                "malformed prediction report: expected flat lists with one t "
-                f"in 0..{l} per embedded vertex"
-            )
+        if not ts.ndim == embedded.ndim == 1:
+            raise ConfigError("malformed prediction report: expected flat lists")
         rep = cls(ts=read_only(ts), m=m, embedded=read_only(embedded))
         if not np.array_equal(np.asarray(_json_ints(d, "capacity_curve"), dtype=np.int64),
                               rep.capacity_curve):

@@ -40,20 +40,28 @@ def embedding_length(n: int, l: int) -> int:
     return n
 
 
-@dataclass(frozen=True, eq=False)
-class QuantizedMesh(Faced):
-    """Sign-magnitude form of a Mesh, frozen with read-only arrays (see
-    Frozen), sharing the Mesh's face array and so its split (see Faced)."""
+class SignMagnitude(Faced):
+    """A Faced value of sign-magnitude words: (N, 3) `magnitudes` of
+    l = bit_length(m) bits and one sign bit per word in `signs`, 1 =
+    negative. Construction raises `_error` unless m is in range (see
+    bit_length), there is one sign per word, every sign is 0 or 1 and
+    every word is below 2^l."""
 
-    magnitudes: np.ndarray = array(np.int64)  # (N, 3), each < 10^m
-    signs: np.ndarray = array(np.uint8)       # (N, 3), 1 = negative
-    m: int
-    faces: np.ndarray = array(np.int64)       # (M, 3), 1-based, shared with the source Mesh
+    _error = ValueError
 
     def __post_init__(self):
         super().__post_init__()
+        try:
+            l = self.l
+        except ConfigError as exc:
+            raise self._error(str(exc)) from None
         if self.signs.shape != self.magnitudes.shape:
-            raise ValueError(f"{self.signs.shape[0]} sign rows for {self.n_vertices} vertices")
+            raise self._error(f"{self.signs.shape[0]} sign rows for {self.n_vertices} vertices")
+        if self.signs.max(initial=0) > 1:
+            raise self._error("sign bits must be 0 or 1")
+        # a negative word sets every bit above l of the OR too
+        if int(np.bitwise_or.reduce(self.magnitudes, axis=None)) >> l:
+            raise self._error("magnitude does not fit the declared word length")
 
     @property
     def l(self) -> int:
@@ -62,6 +70,25 @@ class QuantizedMesh(Faced):
     @property
     def n_vertices(self) -> int:
         return self.magnitudes.shape[0]
+
+    def coordinates(self, scale: float = 1.0) -> Mesh:
+        """The sign convention: coordinate = (-1)^sign * magnitude / scale,
+        as a Mesh over the same faces; a zero word of sign 1 gives -0.0."""
+        coords = self.magnitudes / scale
+        # the sign of 0.5 - sign is (-1)^sign; 2x faster than np.where
+        return Mesh(read_only(np.copysign(coords, 0.5 - self.signs, out=coords)), self.faces)
+
+
+@dataclass(frozen=True, eq=False)
+class QuantizedMesh(SignMagnitude):
+    """Sign-magnitude form of a Mesh, frozen with read-only arrays (see
+    Frozen), sharing the Mesh's face array and so its split (see Faced).
+    Construction raises ValueError on a broken rule (see SignMagnitude)."""
+
+    magnitudes: np.ndarray = array(np.int64)  # (N, 3), each < 10^m
+    signs: np.ndarray = array(np.uint8)       # (N, 3), 1 = negative
+    m: int
+    faces: np.ndarray = array(np.int64)       # (M, 3), 1-based, shared with the source Mesh
 
 
 def _exact_floor_scaled(values: np.ndarray, m: int) -> np.ndarray:
@@ -117,7 +144,4 @@ def quantize(mesh, m: int) -> QuantizedMesh:
 
 def dequantize(q: QuantizedMesh) -> Mesh:
     """Inverse map: coordinate = (-1)^sign * magnitude / 10^m."""
-    scale = float(10**q.m)
-    coords = q.magnitudes.astype(np.float64) / scale
-    coords = np.where(q.signs == 1, -coords, coords)
-    return Mesh(read_only(coords), q.faces)
+    return q.coordinates(10**q.m)

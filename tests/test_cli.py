@@ -414,6 +414,8 @@ GRID_120_SHA256 = {
     "marked.rdh3d": "d875e3328c50c1af0385b7f64358b007755bdcdfe257c4b828f004d199713da4",
     "payload.bin": "3b2e7caede9924ebdda6e25ab0d6ac5b5ae5934166a0758e1e7398c2d1e69b2c",
     "rec.off": "d1fef3cbd6effe28dc7484e8e24f9b804e92fd0daca6645d1b4e70776247653f",
+    "rec.obj": "100ab3b27cbaf82fff22cd4f9f48955777676381c4a71bc4e624459f3b3f6b00",
+    "rec.ply": "0004025cd4147ffa9faa7dfaa4d3e441df8a4a0b68a19d1a014bfdcdb54e1d56",
     "enc.off": "74f344f776b43e8504b7838fe8b48289eacaa837996f8357e82531256ebd7784",
     "marked.off": "305ad78769cfda3e985c76f4ecdbdc94e8d4d1ea4c2d2842075305f52d521f28",
 }
@@ -431,8 +433,9 @@ def test_grid_round_trip_bytes_pinned(tmp_path):
                "--export-off", d / "marked.off") == 0
     assert run("extract", d / "marked.rdh3d", "--kw-pass", "hider",
                "--out", d / "payload.bin") == 0
-    assert run("recover", d / "marked.rdh3d", "--ke-pass", "owner",
-               "--out", d / "rec.off") == 0
+    for fmt in ("off", "obj", "ply"):
+        assert run("recover", d / "marked.rdh3d", "--ke-pass", "owner",
+                   "--out", d / f"rec.{fmt}") == 0
     digests = {name: hashlib.sha256((d / name).read_bytes()).hexdigest()
                for name in GRID_120_SHA256}
     assert digests == GRID_120_SHA256

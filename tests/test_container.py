@@ -197,6 +197,14 @@ class TestRejection:
         with pytest.raises(ContainerError, match=f"{c.n_vertices + 5} sign rows"):
             replace(c, signs=np.zeros((c.n_vertices + 5, 3), dtype=np.uint8))
 
+    @pytest.mark.parametrize("sign", [2, 255])
+    def test_sign_other_than_0_or_1_rejected(self, sign):
+        c = make_container(9)
+        signs = c.signs.copy()
+        signs[0, 0] = sign
+        with pytest.raises(ContainerError, match="sign bits must be 0 or 1"):
+            replace(c, signs=signs)
+
     def test_magnitude_too_wide_refused_on_write(self):
         c = make_container(8)
         mags = c.magnitudes.copy()

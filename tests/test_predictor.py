@@ -497,6 +497,29 @@ class TestAnalyze:
             PredictionReport.from_json_dict(doc)
 
 
+class TestReportConstruction:
+    def test_short_ts_rejected(self):
+        rep = analyze(quantize(grid_mesh(10), 4))
+        with pytest.raises(ConfigError, match=f"{rep.ts.size - 1} t values for "
+                                              f"{rep.embedded.size} embedded vertices"):
+            PredictionReport(ts=rep.ts[:-1], m=4, embedded=rep.embedded)
+
+    @pytest.mark.parametrize("t", [-1, 17])
+    def test_t_outside_word_rejected(self, t):
+        with pytest.raises(ConfigError, match=r"t values must lie in 0\.\.16"):
+            PredictionReport(ts=np.array([3, t]), m=4, embedded=np.array([1, 2]))
+
+    def test_m_out_of_range_rejected(self):
+        with pytest.raises(ConfigError, match="precision m=10"):
+            PredictionReport(ts=np.array([0]), m=10, embedded=np.array([1]))
+
+    def test_short_json_ts_rejected(self):
+        doc = analyze(quantize(grid_mesh(10), 4)).to_json_dict()
+        doc["max_prefix_lengths"] = doc["max_prefix_lengths"][:-1]
+        with pytest.raises(ConfigError, match="t values for"):
+            PredictionReport.from_json_dict(doc)
+
+
 class TestChooseN:
     def test_single_peak(self):
         rep = PredictionReport(ts=np.array([16] * 10), m=5, embedded=np.arange(1, 11))

@@ -125,15 +125,23 @@ def test_every_value_field_is_compared_and_given():
 
 
 def test_each_input_rule_has_one_definition():
-    """The range of m is named only in quantize.py, and the range of n
-    is stated by one function: every other module calls them."""
+    """The range of m is named only in quantize.py; the range of n, the
+    word width and the sign rows are each stated by one function, and
+    the sign convention is written once: every other module calls them."""
     sources = {path.name: path.read_text() for path in PACKAGE_DIR.glob("*.py")}
     naming_m = sorted(name for name, text in sources.items()
                       if "M_MIN" in text or "M_MAX" in text)
     assert naming_m == ["quantize.py"]
-    text = "embedding length n="
-    assert sum(src.count(text) for src in sources.values()) == 1
-    stating_n = [f"{name}::{node.name}" for name, src in sources.items()
-                 for node in ast.walk(ast.parse(src)) if isinstance(node, ast.FunctionDef)
-                 and text in ast.get_source_segment(src, node)]
-    assert stating_n == ["quantize.py::embedding_length"]
+
+    def stating(text):
+        assert sum(src.count(text) for src in sources.values()) == 1, text
+        return [f"{name}::{node.name}" for name, src in sources.items()
+                for node in ast.walk(ast.parse(src)) if isinstance(node, ast.FunctionDef)
+                and text in ast.get_source_segment(src, node)]
+
+    assert stating("embedding length n=") == ["quantize.py::embedding_length"]
+    assert stating("magnitude does not fit the declared word length") == [
+        "quantize.py::__post_init__"]
+    assert stating("sign rows for") == ["quantize.py::__post_init__"]
+    assert stating("copysign") == ["quantize.py::coordinates"]
+    assert not any("signs == 1" in src for src in sources.values())

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,7 @@ from rdh3d import Mesh, QuantizedMesh, bit_length, dequantize, quantize
 from rdh3d.quantize import embedding_length
 from rdh3d.errors import ConfigError, DomainError
 
-from conftest import signed_ints
+from conftest import grid_mesh, signed_ints
 from oracles import floor_scaled
 
 
@@ -56,6 +57,23 @@ class TestQuantize:
         q = quantize(tetra_mesh, 4)
         with pytest.raises(ValueError, match="3 sign rows for 4 vertices"):
             QuantizedMesh(q.magnitudes, q.signs[:3], q.m, q.faces)
+
+    def test_m_checked_at_construction(self):
+        q = quantize(grid_mesh(10), 4)
+        assert q.magnitudes.max() > 2**8  # too wide for the 8-bit words of m=2
+        with pytest.raises(ValueError, match="does not fit the declared word length"):
+            replace(q, m=2)
+        with pytest.raises(ValueError, match=r"precision m=12 outside"):
+            replace(q, m=12)
+
+    @pytest.mark.parametrize("sign", [2, 255])
+    def test_sign_other_than_0_or_1_rejected(self, tetra_mesh, sign):
+        # a sign of 2 would read as positive, yet pack as 1 in a container
+        q = quantize(tetra_mesh, 4)
+        signs = q.signs.copy()
+        signs[1, 2] = sign
+        with pytest.raises(ValueError, match="sign bits must be 0 or 1"):
+            replace(q, signs=signs)
 
     def test_faces_copied(self, tetra_mesh):
         q = quantize(tetra_mesh, 4)
@@ -152,6 +170,12 @@ class TestDequantize:
     def test_faces_survive(self, tetra_mesh):
         back = dequantize(quantize(tetra_mesh, 4))
         assert np.array_equal(back.faces, tetra_mesh.faces)
+
+    def test_coordinates_at_unit_scale_are_signed_words(self):
+        q = quantize(one_vertex_mesh(-0.202018, 0.5, -0.00001), 4)
+        coords = q.coordinates().vertices[0]
+        assert coords.tolist() == [-2020.0, 5000.0, -0.0]
+        assert np.signbit(coords[2])
 
 
 @pytest.mark.parametrize("bad_id", [0, 5])
