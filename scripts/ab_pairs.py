@@ -11,6 +11,14 @@ with the same workload, seed and run length, the parent first in even
 pairs and the working tree first in odd ones. Nothing under perfbench/
 is edited: each side runs its own copy.
 
+Each side runs with its own fresh bytecode cache (PYTHONPYCACHEPREFIX
+pointing into the temporary directory, with bytecode writing on), filled
+by one short --tiny run of the workload before the first pair. So both
+sides load every module, the package and its dependencies alike, from
+bytecode compiled in this session: a `__pycache__` left in the working
+tree, which the exported parent lacks, is never read, and loading from
+bytecode rather than source changes a run's peak RSS.
+
 For every end-to-end metric the script prints each side's runs, their
 median and quartiles, and the pairs the working tree won (ties count for
 neither side). It also says whether the gap between the medians exceeds
@@ -48,11 +56,19 @@ def export(commit: str, root: Path, dest: Path) -> None:
     tar.unlink()
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def pycache_env(prefix: Path) -> dict:
+    """The environment of one side's runs: bytecode cached under prefix."""
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=str(prefix))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    return env
+
+
+def run_once(tree: Path, env: dict, workload: str, seed: int, seconds: float,
+             *extra: str) -> dict:
     """One benchmark run in tree: the last line of its output, parsed."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
-           str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
+           str(seed), "--seconds", str(seconds), "--trace", "0", *extra]
+    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True,
                           timeout=seconds * 10 + 600)
     if proc.returncode not in (0, 1) or not proc.stdout.strip():
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n"
@@ -125,16 +141,20 @@ def main(argv=None) -> int:
     out = Path(args.out)
     key = f"{args.workload}/seed{args.seed}"
     runs = {"parent": [], "change": []}
-    with tempfile.TemporaryDirectory(prefix="ab-parent-") as tmp:
-        parent_tree = Path(tmp)
+    with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
+        parent_tree = Path(tmp, "parent")
+        parent_tree.mkdir()
         export(args.parent, root, parent_tree)
         sides = {"parent": parent_tree, "change": root}
+        envs = {side: pycache_env(Path(tmp, f"pycache-{side}")) for side in sides}
+        for side in sides:  # fills the side's bytecode cache
+            run_once(sides[side], envs[side], args.workload, args.seed, 0.1, "--tiny")
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 t0 = time.perf_counter()
-                runs[side].append(run_once(sides[side], args.workload, args.seed,
-                                           args.seconds))
+                runs[side].append(run_once(sides[side], envs[side], args.workload,
+                                           args.seed, args.seconds))
                 print(f"pair {i + 1}/{args.pairs} {side}: session_s "
                       f"{runs[side][-1]['metrics'].get('session_s', float('nan')):.4f} "
                       f"({time.perf_counter() - t0:.0f} s)", flush=True)
@@ -147,6 +167,7 @@ def main(argv=None) -> int:
         "change_commit": git("rev-parse", "HEAD", cwd=root),
         "change_dirty": bool(git("status", "--porcelain", "--untracked-files=no", cwd=root)),
         "order": "parent first in even pairs (0-based), the working tree first in odd ones",
+        "bytecode": "a fresh PYTHONPYCACHEPREFIX per side, filled by one --tiny run",
         "nproc": os.cpu_count(),
         "failed": {side: sum(r["failed"] for r in runs[side]) for side in runs},
         "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in runs},

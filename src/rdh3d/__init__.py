@@ -9,7 +9,6 @@ from .cipher import KeyMaterial, KeyRole, encrypt_mesh
 from .codec import embed, extract, recover
 from .container import (
     MarkedContainer,
-    container_mesh,
     read_container,
     read_container_file,
     write_container,
@@ -23,7 +22,7 @@ from .errors import (
     MeshParseError,
     Rdh3dError,
 )
-from .mesh_io import Mesh, parse_mesh, read_mesh_file, write_mesh, write_mesh_file
+from .mesh_io import Mesh, parse_mesh, read_mesh_file, write_mesh_file
 from .metrics import embedding_rate, hausdorff, snr
 from .partition import Partition
 from .predictor import PredictionReport, analyze, choose_n
@@ -48,7 +47,6 @@ __all__ = [
     "analyze",
     "bit_length",
     "choose_n",
-    "container_mesh",
     "dequantize",
     "embed",
     "embedding_rate",
@@ -64,6 +62,5 @@ __all__ = [
     "snr",
     "write_container",
     "write_container_file",
-    "write_mesh",
     "write_mesh_file",
 ]

@@ -19,7 +19,7 @@ import sys
 from .bench import bench_corpus, default_payload, mean_bpv_by_m, write_csv
 from .cipher import KeyMaterial, KeyRole, encrypt_mesh
 from .codec import bits_to_payload, embed, extract, payload_to_bits, recover
-from .container import container_mesh, read_container_file, write_container_file
+from .container import read_container_file, write_container_file
 from .errors import (
     CapacityError,
     ConfigError,
@@ -30,7 +30,7 @@ from .errors import (
 from .mesh_io import FORMATS, format_from_path, read_mesh_file, write_mesh_file
 from .metrics import embedding_rate, hausdorff, snr
 from .predictor import PredictionReport, analyze, choose_n
-from .quantize import WORD_DTYPES, bit_length, dequantize, embedding_length, quantize
+from .quantize import WORD_DTYPES, bit_length, embedding_length, quantize
 
 KE_ENV = "RDH3D_KE_PASS"
 KW_ENV = "RDH3D_KW_PASS"
@@ -85,7 +85,7 @@ def cmd_encrypt(args) -> int:
     c = encrypt_mesh(quantize(mesh, args.m), _ke(args))
     write_container_file(args.out, c)
     if args.export_off:
-        write_mesh_file(args.export_off, container_mesh(c), "off")
+        write_mesh_file(args.export_off, c, "off")
     return EXIT_OK
 
 
@@ -106,7 +106,7 @@ def cmd_embed(args) -> int:
     marked = embed(c, rep, n, payload, kw)
     write_container_file(args.out, marked)
     if args.export_off:
-        write_mesh_file(args.export_off, container_mesh(marked), "off")
+        write_mesh_file(args.export_off, marked, "off")
     return EXIT_OK
 
 
@@ -121,9 +121,7 @@ def cmd_extract(args) -> int:
 def cmd_recover(args) -> int:
     fmt = args.format or format_from_path(args.out)
     c = read_container_file(args.container)
-    q = recover(c, _ke(args))
-    mesh = dequantize(q)
-    write_mesh_file(args.out, mesh, fmt)
+    write_mesh_file(args.out, recover(c, _ke(args)), fmt)
     return EXIT_OK
 
 

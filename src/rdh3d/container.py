@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContainerError
-from .mesh_io import Mesh, array, bad_face_id, read_only, split_of
+from .mesh_io import array, bad_face_id, read_only, split_of
 from .quantize import WORD_DTYPES, SignMagnitude, bit_length, embedding_length
 
 MAGIC = b"RDH3"
@@ -180,8 +180,3 @@ def write_container_file(path, c: MarkedContainer):
     with open(path, "wb") as fh:
         fh.write(write_container(c))
 
-
-def container_mesh(c: MarkedContainer) -> Mesh:
-    """Signed integer coordinates as a Mesh, for visual export of the
-    encrypted/marked state (coordinates fit float64 exactly)."""
-    return c.coordinates()

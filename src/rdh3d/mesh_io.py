@@ -206,24 +206,10 @@ def _decoded(data: bytes | str) -> str:
         raise MeshParseError(f"not an ASCII mesh file: {exc}") from None
 
 
-def write_mesh(mesh: Mesh, fmt: str) -> str:
-    """Serialize a mesh; output re-parses to an identical Mesh."""
-    fmt = _check_format(fmt)
-    rows = {
-        "off": ["OFF", f"{mesh.n_vertices} {mesh.n_faces} 0"],
-        "obj": [],
-        "ply": ["ply", "format ascii 1.0", f"element vertex {mesh.n_vertices}",
-                "property double x", "property double y", "property double z",
-                f"element face {mesh.n_faces}", "property list uchar int vertex_indices",
-                "end_header"],
-    }[fmt]
-    # OBJ rows open with a keyword and face ids count from 1; OFF and PLY
-    # face rows open with their vertex count and ids count from 0
-    v, f, base = ("v ", "f ", 0) if fmt == "obj" else ("", "3 ", 1)
-    # repr of a Python float is the shortest string that round-trips
-    rows += [f"{v}{x!r} {y!r} {z!r}" for x, y, z in mesh.vertices.tolist()]
-    rows += [f"{f}{i} {j} {k}" for i, j, k in (mesh.faces - base).tolist()]
-    return "\n".join(rows) + "\n" if rows else ""
+def write_mesh(mesh, fmt: str) -> str:
+    """Serialize a Mesh, or a `quantize.SignMagnitude` value as the Mesh its
+    `coordinates()` gives, byte for byte; output re-parses to that Mesh."""
+    return b"".join(_mesh_text(mesh, _check_format(fmt))).decode("ascii")
 
 
 def read_mesh_file(path, fmt: str | None = None) -> Mesh:
@@ -232,10 +218,87 @@ def read_mesh_file(path, fmt: str | None = None) -> Mesh:
         return parse_mesh(fh.read(), fmt)
 
 
-def write_mesh_file(path, mesh: Mesh, fmt: str | None = None):
-    fmt = fmt or format_from_path(path)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(write_mesh(mesh, fmt))
+def write_mesh_file(path, mesh, fmt: str | None = None):
+    """Write write_mesh's text to path, _CHUNK rows at a time."""
+    text = _mesh_text(mesh, _check_format(fmt or format_from_path(path)))
+    with open(path, "wb") as fh:
+        fh.writelines(text)
+
+
+def _mesh_text(mesh, fmt: str):
+    """The text of write_mesh as ASCII chunks: the header, then _CHUNK
+    vertex rows and _CHUNK face rows at a time."""
+    n_verts, n_faces = mesh.n_vertices, mesh.n_faces
+    head = {
+        "off": ["OFF", f"{n_verts} {n_faces} 0"],
+        "obj": [],
+        "ply": ["ply", "format ascii 1.0", f"element vertex {n_verts}",
+                "property double x", "property double y", "property double z",
+                f"element face {n_faces}", "property list uchar int vertex_indices",
+                "end_header"],
+    }[fmt]
+    if head:
+        yield ("\n".join(head) + "\n").encode()
+    # OBJ rows open with a keyword and face ids count from 1; OFF and PLY
+    # face rows open with their vertex count and ids count from 0
+    v, f, base = ("v ", "f ", 0) if fmt == "obj" else ("", "3 ", 1)
+    for i in range(0, n_verts, _CHUNK):
+        if isinstance(mesh, Mesh):
+            # repr of a Python float is the shortest string that round-trips
+            yield "".join(f"{v}{x!r} {y!r} {z!r}\n"
+                          for x, y, z in mesh.vertices[i:i + _CHUNK].tolist()).encode()
+        else:
+            yield _rows(v, mesh.magnitudes[i:i + _CHUNK], mesh.signs[i:i + _CHUNK],
+                        mesh.decimals)
+    for i in range(0, n_faces, _CHUNK):
+        yield _rows(f, mesh.faces[i:i + _CHUNK] - base)
+
+
+def _rows(lead: str, words: np.ndarray, signs=None, decimals=None) -> bytes:
+    """A text row per row of the (n, 3) nonnegative integers `words`: lead,
+    then each word and a space (a newline after the last). A word k of
+    sign s prints as an integer, or with decimals as repr((-1)^s * k /
+    10^decimals) does. Each word gets the same columns of a uint8 matrix,
+    and a mask keeps the ones its text uses."""
+    d, point, s = decimals or 0, decimals is not None, signs is not None
+    top = int(words.max(initial=0))
+    width = max(len(str(top)), d + 1)  # digit columns, at least one before the point
+    a = width - d  # integer-part columns
+    cols = s + a + point * (1 + max(d, 1)) + 1  # and the separator
+    n, lead = len(words), lead.encode()
+    text = np.empty((n, len(lead) + 3 * cols), np.uint8)
+    keep = np.ones(text.shape, bool)
+    text[:, :len(lead)] = np.frombuffer(lead, np.uint8)
+    # views of the three words' columns
+    cell, kept = (x[:, len(lead):].reshape(n, 3, cols) for x in (text, keep))
+    digits = np.empty((n, 3, width), np.uint8)
+    rest = words.astype(np.min_scalar_type(top))
+    digit = np.empty_like(rest)
+    for j in range(width - 1, -1, -1):
+        np.divmod(rest, 10, out=(rest, digit))
+        digits[..., j] = digit
+    digits += ord("0")
+    if s:
+        cell[..., 0], kept[..., 0] = ord("-"), signs
+    cell[..., s:s + a] = digits[..., :a]
+    # the integer part opens at its first nonzero digit, or at its units
+    kept[..., s:s + a - 1] = words[..., None] >= 10 ** np.arange(width - 1, d, -1)
+    if point:
+        cell[..., s + a] = ord(".")
+        cell[..., s + a + 1:-1] = digits[..., a:] if d else ord("0")
+        # the fraction closes at its last nonzero digit, or at its first
+        kept[..., s + a + 2:-1] = np.logical_or.accumulate(
+            digits[..., :a:-1] != ord("0"), axis=-1)[..., ::-1]
+    cell[..., -1] = ord(" ")
+    cell[:, 2, -1] = ord("\n")
+    if d > 4:
+        # repr's exponent form of k < 10^(d-4) fits the cell's d + 3 columns
+        for i, c in np.argwhere((words > 0) & (words < 10 ** (d - 4))).tolist():
+            x = int(words[i, c]) / 10**d
+            token = repr(-x if signs[i, c] else x).encode()
+            cell[i, c, :len(token)] = np.frombuffer(token, np.uint8)
+            kept[i, c, :-1] = np.arange(cols - 1) < len(token)
+    return text[keep].tobytes()
 
 
 def format_from_path(path) -> str:
@@ -321,7 +384,8 @@ def _read_body(lines, elements) -> Mesh:
     return _finish_mesh(rows["vertex"], rows["face"])
 
 
-# Rows per np.loadtxt call when a body is read in bulk.
+# Rows per np.loadtxt call when a body is read in bulk, and per chunk of
+# written text.
 _CHUNK = 1 << 13
 
 # Per bulk-read element: the dtype and width of one row, the keyword

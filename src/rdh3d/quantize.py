@@ -43,11 +43,13 @@ def embedding_length(n: int, l: int) -> int:
 class SignMagnitude(Faced):
     """A Faced value of sign-magnitude words: (N, 3) `magnitudes` of
     l = bit_length(m) bits and one sign bit per word in `signs`, 1 =
-    negative. Construction raises `_error` unless m is in range (see
-    bit_length), there is one sign per word, every sign is 0 or 1 and
-    every word is below 2^l."""
+    negative; a word k of sign s stands for (-1)^s * k / 10^decimals.
+    Construction raises `_error` unless m is in range (see bit_length),
+    there is one sign per word, every sign is 0 or 1 and every word is
+    below 2^l."""
 
     _error = ValueError
+    decimals = 0
 
     def __post_init__(self):
         super().__post_init__()
@@ -71,10 +73,10 @@ class SignMagnitude(Faced):
     def n_vertices(self) -> int:
         return self.magnitudes.shape[0]
 
-    def coordinates(self, scale: float = 1.0) -> Mesh:
-        """The sign convention: coordinate = (-1)^sign * magnitude / scale,
-        as a Mesh over the same faces; a zero word of sign 1 gives -0.0."""
-        coords = self.magnitudes / scale
+    def coordinates(self) -> Mesh:
+        """The sign convention, (-1)^sign * magnitude / 10^decimals, as a
+        Mesh over the same faces; a zero word of sign 1 gives -0.0."""
+        coords = self.magnitudes / 10**self.decimals
         # the sign of 0.5 - sign is (-1)^sign; 2x faster than np.where
         return Mesh(read_only(np.copysign(coords, 0.5 - self.signs, out=coords)), self.faces)
 
@@ -89,6 +91,10 @@ class QuantizedMesh(SignMagnitude):
     signs: np.ndarray = array(np.uint8)       # (N, 3), 1 = negative
     m: int
     faces: np.ndarray = array(np.int64)       # (M, 3), 1-based, shared with the source Mesh
+
+    @property
+    def decimals(self) -> int:
+        return self.m
 
 
 def _exact_floor_scaled(values: np.ndarray, m: int) -> np.ndarray:
@@ -144,4 +150,4 @@ def quantize(mesh, m: int) -> QuantizedMesh:
 
 def dequantize(q: QuantizedMesh) -> Mesh:
     """Inverse map: coordinate = (-1)^sign * magnitude / 10^m."""
-    return q.coordinates(10**q.m)
+    return q.coordinates()

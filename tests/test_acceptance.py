@@ -35,9 +35,9 @@ from rdh3d import (
     recover,
     snr,
     write_container,
-    write_mesh,
 )
 from rdh3d.errors import ContainerError
+from rdh3d.mesh_io import write_mesh
 
 from conftest import grid_mesh, random_mesh, signed_ints
 from oracles import brute_analyze, brute_choose_n, brute_partition

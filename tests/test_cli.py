@@ -23,7 +23,6 @@ from rdh3d import (
 )
 from rdh3d import cli
 from rdh3d.cli import main
-from rdh3d.container import container_mesh
 from rdh3d.mesh_io import write_mesh, write_mesh_file
 
 from conftest import COW_FACES, COW_VERTICES, cow_off_text, grid_mesh, random_mesh
@@ -136,6 +135,25 @@ class TestPipelineCommands:
         assert exported.n_vertices == c.n_vertices
         assert (np.abs(exported.vertices) == c.magnitudes.astype(np.float64)).all()
 
+    def test_recover_tiny_coordinates_at_m9(self, workdir):
+        """recover writes the words of the recovered mesh; its bytes are
+        those of the dequantized mesh, exponent-form values below 1e-4
+        included, in every format."""
+        grid = grid_mesh(12)
+        mesh_path, report = workdir / "tiny.off", workdir / "report.json"
+        enc, marked = workdir / "enc.rdh3d", workdir / "marked.rdh3d"
+        write_mesh_file(mesh_path, Mesh(grid.vertices * 1e-3, grid.faces))
+        assert run("analyze", mesh_path, "--m", 9, "--out", report) == 0
+        assert run("encrypt", mesh_path, "--m", 9, "--ke-pass", "a", "--out", enc) == 0
+        assert run("embed", enc, "--report", report, "--kw-pass", "b", "--out", marked) == 0
+        expected = dequantize(quantize(parse_mesh(mesh_path.read_bytes(), "off"), 9))
+        assert (np.abs(expected.vertices) < 1e-4).any()
+        for fmt in ("off", "obj", "ply"):
+            got, want = workdir / f"rec.{fmt}", workdir / f"want.{fmt}"
+            assert run("recover", marked, "--ke-pass", "a", "--out", got) == 0
+            write_mesh_file(want, expected)
+            assert got.read_bytes() == want.read_bytes()
+
     def test_export_off_bytes(self, workdir):
         """Both exports are the container's mesh as write_mesh prints it."""
         mesh_path, report = workdir / "cow.off", workdir / "report.json"
@@ -146,7 +164,7 @@ class TestPipelineCommands:
         assert run("embed", enc, "--report", report, "--kw-pass", "b",
                    "--out", marked, "--export-off", workdir / "marked.off") == 0
         for container in (enc, marked):
-            expected = write_mesh(container_mesh(read_container_file(container)), "off")
+            expected = write_mesh(read_container_file(container).coordinates(), "off")
             assert container.with_suffix(".off").read_bytes() == expected.encode()
 
     def test_analyze_to_stdout(self, workdir, capsys):

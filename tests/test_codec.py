@@ -23,10 +23,10 @@ from rdh3d import (
     read_container,
     recover,
     write_container,
-    write_mesh,
 )
 from rdh3d.cipher import decrypt_mesh
 from rdh3d.codec import bits_to_payload, payload_to_bits
+from rdh3d.mesh_io import write_mesh
 
 from conftest import ZeroKey, empty_ring_mesh, fan_mesh, grid_mesh, random_mesh
 

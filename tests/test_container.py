@@ -16,7 +16,6 @@ from rdh3d import (
     MarkedContainer,
     Mesh,
     analyze,
-    container_mesh,
     embed,
     encrypt_mesh,
     quantize,
@@ -337,9 +336,9 @@ def test_magnitudes_packed_big_endian():
     assert body[:6] == bytes.fromhex("0b48" "0001" "ffff")
 
 
-def test_container_mesh_signed_integers():
+def test_container_coordinates_are_signed_integers():
     c = make_container(10)
-    exported = container_mesh(c)
+    exported = c.coordinates()
     signed = np.where(c.signs == 1, -1.0, 1.0) * c.magnitudes.astype(np.float64)
     assert np.array_equal(exported.vertices, signed)
     assert np.array_equal(exported.faces, c.faces)

@@ -9,19 +9,20 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rdh3d import (
+    MarkedContainer,
     Mesh,
-    container_mesh,
+    QuantizedMesh,
+    bit_length,
     dequantize,
     encrypt_mesh,
     mesh_io,
     parse_mesh,
     quantize,
     recover,
-    write_mesh,
 )
 from rdh3d.cipher import decrypt_mesh
 from rdh3d.errors import (
@@ -31,6 +32,7 @@ from rdh3d.errors import (
     MeshParseError,
     NonTriangleFaceError,
 )
+from rdh3d.mesh_io import write_mesh
 from rdh3d.partition import partition
 
 from conftest import grid_mesh, random_mesh
@@ -280,6 +282,69 @@ class TestRoundTrip:
         assert parse_mesh(write_mesh(mesh, fmt), fmt) == mesh
 
 
+def _sign_magnitude(words, signs, faces, m, decimals):
+    """A QuantizedMesh at m (decimals m), or a MarkedContainer at m
+    (decimals 0) with every embedded vertex excluded."""
+    words = np.array(words, np.int64).reshape(-1, 3)
+    signs = np.array(signs, np.uint8).reshape(-1, 3)
+    faces = np.array(faces, np.int64).reshape(-1, 3)
+    if decimals:
+        return QuantizedMesh(words, signs, m, faces)
+    excluded = np.ones(partition(len(words), faces).n_embedded, np.uint8)
+    return MarkedContainer(m, 1, 0, signs, excluded, words, faces)
+
+
+@st.composite
+def sign_magnitude_values(draw):
+    """A sign-magnitude value with d = 0 or 2..9 decimals, whose words
+    come from every branch of the integer writer: zero (with sign 1,
+    -0.0), repr's exponent form (0 < k < 10^(d-4)), an integer part
+    (10^d <= k < 2^l) and any word below 2^l."""
+    d = draw(st.sampled_from([0, 2, 3, 4, 5, 6, 7, 8, 9]))
+    m = d or draw(st.integers(2, 9))
+    top = (1 << bit_length(m)) - 1
+    word = [st.just(0), st.integers(0, top), st.integers(10**d, top)]
+    if d > 4:
+        word.append(st.integers(1, 10 ** (d - 4) - 1))
+    n = draw(st.integers(0, 6))
+    words = draw(st.lists(st.one_of(word), min_size=3 * n, max_size=3 * n))
+    signs = draw(st.lists(st.integers(0, 1), min_size=3 * n, max_size=3 * n))
+    faces = draw(st.lists(st.tuples(*[st.integers(1, n)] * 3), max_size=4)) if n else []
+    return _sign_magnitude(words, signs, faces, m, d)
+
+
+class TestIntegerWriter:
+    """A sign-magnitude value is written from its words; the float
+    writer (repr of each coordinate) is the reference."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(value=sign_magnitude_values(), fmt=st.sampled_from(["off", "obj", "ply"]))
+    @example(value=_sign_magnitude([0, 12345, 10**9, 99999, 2**32 - 1, 1],
+                                   [1, 1, 0, 0, 1, 1], [[1, 2, 2]], 9, 9), fmt="off")
+    @example(value=_sign_magnitude([0, 2**32 - 1, 7], [1, 0, 1], [[1, 1, 1]], 9, 0),
+             fmt="obj")
+    @example(value=_sign_magnitude([], [], [], 4, 4), fmt="ply")
+    @example(value=_sign_magnitude([], [], [], 4, 0), fmt="obj")
+    def test_words_print_as_their_coordinates(self, value, fmt):
+        assert write_mesh(value, fmt) == write_mesh(value.coordinates(), fmt)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ids=st.lists(st.tuples(*[st.integers(0, 2**32 - 1)] * 3), max_size=6),
+           lead=st.sampled_from(["3 ", "f "]))
+    def test_face_rows_match_format_strings(self, ids, lead):
+        expected = "".join(f"{lead}{i} {j} {k}\n" for i, j, k in ids)
+        got = mesh_io._rows(lead, np.array(ids, np.int64).reshape(-1, 3))
+        assert got.decode("ascii") == expected
+
+    def test_file_matches_text(self, tmp_path, monkeypatch):
+        """write_mesh_file writes write_mesh's text, a chunk at a time."""
+        monkeypatch.setattr(mesh_io, "_CHUNK", 7)
+        value = quantize(grid_mesh(6), 9)
+        for fmt in ("off", "obj", "ply"):
+            mesh_io.write_mesh_file(tmp_path / f"q.{fmt}", value)
+            assert (tmp_path / f"q.{fmt}").read_text() == write_mesh(value, fmt)
+
+
 class TestOrderPreservation:
     def test_vertex_and_face_order(self):
         # index-tagged coordinates: vertex i has x = i / 1000
@@ -362,7 +427,7 @@ class TestMeshPartition:
         assert np.shares_memory(mesh.vertices, verts)
         assert np.shares_memory(mesh.faces, faces)
 
-    @pytest.mark.parametrize("make", ["bulk", "lines", "dequantize", "container_mesh"])
+    @pytest.mark.parametrize("make", ["bulk", "lines", "dequantize", "coordinates"])
     def test_package_meshes_are_read_only(self, make, tetra_mesh, ke):
         if make == "bulk":
             mesh = parse_mesh(write_mesh(tetra_mesh, "off"), "off")
@@ -371,8 +436,7 @@ class TestMeshPartition:
         elif make == "dequantize":
             mesh = dequantize(quantize(tetra_mesh, 4))
         else:
-            mesh = container_mesh(
-                encrypt_mesh(quantize(tetra_mesh, 4), ke))
+            mesh = encrypt_mesh(quantize(tetra_mesh, 4), ke).coordinates()
         assert not mesh.vertices.flags.writeable
         assert not mesh.faces.flags.writeable
 
@@ -389,7 +453,7 @@ class TestMeshPartition:
         q = quantize(mesh, 4)
         enc = encrypt_mesh(q, ke)
         forms = [q, enc, decrypt_mesh(enc, ke), recover(enc, ke), dequantize(q),
-                 container_mesh(enc)]
+                 enc.coordinates()]
         assert all(form.partition is mesh.partition for form in forms)
         faces, key = weakref.ref(mesh.faces), (id(mesh.faces), mesh.n_vertices)
         assert key in mesh_io._splits

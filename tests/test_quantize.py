@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdh3d import Mesh, QuantizedMesh, bit_length, dequantize, quantize
+from rdh3d import MarkedContainer, Mesh, QuantizedMesh, bit_length, dequantize, quantize
 from rdh3d.quantize import embedding_length
 from rdh3d.errors import ConfigError, DomainError
 
@@ -172,10 +172,13 @@ class TestDequantize:
         assert np.array_equal(back.faces, tetra_mesh.faces)
 
     def test_coordinates_at_unit_scale_are_signed_words(self):
+        """A container's words have no decimals, a QuantizedMesh's m."""
         q = quantize(one_vertex_mesh(-0.202018, 0.5, -0.00001), 4)
-        coords = q.coordinates().vertices[0]
-        assert coords.tolist() == [-2020.0, 5000.0, -0.0]
-        assert np.signbit(coords[2])
+        c = MarkedContainer(4, 1, 0, q.signs, np.empty(0, np.uint8), q.magnitudes, q.faces)
+        for value, coords in ((c, [-2020.0, 5000.0, -0.0]), (q, [-0.202, 0.5, -0.0])):
+            got = value.coordinates().vertices[0]
+            assert got.tolist() == coords
+            assert np.signbit(got[2])
 
 
 @pytest.mark.parametrize("bad_id", [0, 5])
