@@ -16,6 +16,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from .bench import bench_corpus, default_payload, mean_bpv_by_m, write_csv
 from .cipher import KeyMaterial, KeyRole, encrypt_mesh
 from .codec import bits_to_payload, embed, extract, payload_to_bits, recover
@@ -27,7 +29,13 @@ from .errors import (
     DomainError,
     MeshParseError,
 )
-from .mesh_io import FORMATS, format_from_path, read_mesh_file, write_mesh_file
+from .mesh_io import (
+    FORMATS,
+    decimal_digits,
+    format_from_path,
+    read_mesh_file,
+    write_mesh_file,
+)
 from .metrics import embedding_rate, hausdorff, snr
 from .predictor import PredictionReport, analyze, choose_n
 from .quantize import WORD_DTYPES, bit_length, embedding_length, quantize
@@ -61,22 +69,64 @@ def _kw(args) -> KeyMaterial:
     )
 
 
-def _emit(text: str, out_path):
+def _emit(doc: dict, out_path):
+    """Write json.dumps(doc, indent=2) and a newline to out_path, or to
+    stdout when it is None (see _json_chunks)."""
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            fh.writelines(_json_chunks(doc))
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(_json_chunks(doc))
+
+
+# Items of an integer array printed per chunk of JSON text.
+_JSON_ITEMS = 1 << 14
+
+
+def _json_chunks(doc: dict):
+    """json.dumps(doc, indent=2) + "\n" as chunks of text, for a doc with
+    at least one key. An int64 array of nonnegative integers is printed
+    as the JSON list of its items, _JSON_ITEMS of them at a time from a
+    digit matrix (see _json_items); any other value with json.dumps."""
+    sep = "{"
+    for key, value in doc.items():
+        yield f"{sep}\n  {json.dumps(key)}: "
+        if isinstance(value, np.ndarray):
+            yield "["
+            for i in range(0, value.size, _JSON_ITEMS):
+                yield _json_items(value[i:i + _JSON_ITEMS], first=i == 0)
+            yield "\n  ]" if value.size else "]"
+        else:
+            yield json.dumps(value)
+        sep = ","
+    yield "\n}\n"
+
+
+def _json_items(values: np.ndarray, first: bool) -> str:
+    """The items of a JSON list at indent 2, each after a comma, a newline
+    and its indent, and with first=True no comma before the first: one
+    row of a uint8 matrix per item, whose digit columns come from
+    mesh_io.decimal_digits, and a mask that keeps the columns its text
+    uses."""
+    digits, opened = decimal_digits(values)
+    lead = b",\n    "
+    text = np.empty((len(values), len(lead) + digits.shape[1]), np.uint8)
+    text[:, :len(lead)] = np.frombuffer(lead, np.uint8)
+    text[:, len(lead):] = digits
+    keep = np.ones(text.shape, bool)
+    keep[:, len(lead):-1] = opened
+    keep[0, 0] = not first
+    return text[keep].tobytes().decode("ascii")
 
 
 def cmd_analyze(args) -> int:
     mesh = read_mesh_file(args.mesh, args.format)
     rep = analyze(quantize(mesh, args.m))
-    doc = rep.to_json_dict()
+    doc = rep.to_json_dict(arrays=True)
     doc["chosen_n"] = choose_n(rep, args.n)
     doc["n_vertices"] = mesh.n_vertices
     doc["n_faces"] = mesh.n_faces
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    _emit(doc, args.out)
     return EXIT_OK
 
 
@@ -138,7 +188,7 @@ def cmd_metrics(args) -> int:
         "embedding_rate": embedding_rate(bits, mesh_a.n_vertices),
         "embedded_bits": bits,
     }
-    _emit(json.dumps(report, indent=2) + "\n", args.out)
+    _emit(report, args.out)
     return EXIT_OK
 
 

@@ -254,6 +254,26 @@ def _mesh_text(mesh, fmt: str):
         yield _rows(f, mesh.faces[i:i + _CHUNK] - base)
 
 
+def decimal_digits(words: np.ndarray, point: int = 0):
+    """(digits, opened): the decimal digits of the nonnegative integers
+    words, `point` of them after a decimal point and at least one before
+    it, as a uint8 array of ASCII digits of shape words.shape + (width,),
+    most significant first, every word with the same width; and a bool
+    array over each word's integer-part columns but its units, true from
+    the column of the word's first nonzero digit on, where its text
+    opens."""
+    top = int(words.max(initial=0))
+    width = max(len(str(top)), point + 1)
+    digits = np.empty((*words.shape, width), np.uint8)
+    rest = words.astype(np.min_scalar_type(top))
+    digit = np.empty_like(rest)
+    for j in range(width - 1, -1, -1):
+        np.divmod(rest, 10, out=(rest, digit))
+        digits[..., j] = digit
+    digits += ord("0")
+    return digits, words[..., None] >= 10 ** np.arange(width - 1, point, -1)
+
+
 def _rows(lead: str, words: np.ndarray, signs=None, decimals=None) -> bytes:
     """A text row per row of the (n, 3) nonnegative integers `words`: lead,
     then each word and a space (a newline after the last). A word k of
@@ -261,9 +281,8 @@ def _rows(lead: str, words: np.ndarray, signs=None, decimals=None) -> bytes:
     10^decimals) does. Each word gets the same columns of a uint8 matrix,
     and a mask keeps the ones its text uses."""
     d, point, s = decimals or 0, decimals is not None, signs is not None
-    top = int(words.max(initial=0))
-    width = max(len(str(top)), d + 1)  # digit columns, at least one before the point
-    a = width - d  # integer-part columns
+    digits, opened = decimal_digits(words, d)
+    a = digits.shape[-1] - d  # integer-part columns
     cols = s + a + point * (1 + max(d, 1)) + 1  # and the separator
     n, lead = len(words), lead.encode()
     text = np.empty((n, len(lead) + 3 * cols), np.uint8)
@@ -271,18 +290,10 @@ def _rows(lead: str, words: np.ndarray, signs=None, decimals=None) -> bytes:
     text[:, :len(lead)] = np.frombuffer(lead, np.uint8)
     # views of the three words' columns
     cell, kept = (x[:, len(lead):].reshape(n, 3, cols) for x in (text, keep))
-    digits = np.empty((n, 3, width), np.uint8)
-    rest = words.astype(np.min_scalar_type(top))
-    digit = np.empty_like(rest)
-    for j in range(width - 1, -1, -1):
-        np.divmod(rest, 10, out=(rest, digit))
-        digits[..., j] = digit
-    digits += ord("0")
     if s:
         cell[..., 0], kept[..., 0] = ord("-"), signs
     cell[..., s:s + a] = digits[..., :a]
-    # the integer part opens at its first nonzero digit, or at its units
-    kept[..., s:s + a - 1] = words[..., None] >= 10 ** np.arange(width - 1, d, -1)
+    kept[..., s:s + a - 1] = opened  # the integer part opens at its first nonzero digit
     if point:
         cell[..., s + a] = ord(".")
         cell[..., s + a + 1:-1] = digits[..., a:] if d else ord("0")
@@ -465,16 +476,22 @@ def _load_rows(data: bytes, pos: int, out: np.ndarray, name: str):
                     or chunk.count(b"\n" + lead) != len(rows) - 1):
                 return None
             chunk = chunk.replace(b"\n" + lead, b"\n")[len(lead):]
-        # splitlines cuts lines where the line reader's does. loadtxt
-        # skips blank lines (and warns when all are), so lines that are
-        # not exactly len(rows) rows show as a block of another length.
+        # splitlines cuts lines where the line reader's does, also at a
+        # lone "\r", so it must give one line per row: with the lead cut,
+        # "v \r0 0 0" would be a blank line and a row, while the line
+        # reader reads the line "v " and raises. loadtxt skips blank lines
+        # (and warns when all are), so lines that are not exactly
+        # len(rows) rows show as a block of another length.
         if chunk.translate(None, chars) or chunk.isspace():
             return None
+        lines = chunk.decode("ascii").splitlines()
+        if len(lines) != len(rows):
+            return None
         try:
-            block = np.loadtxt(chunk.decode("ascii").splitlines(), dtype=dtype,
-                               ndmin=2, comments=None)
+            block = np.loadtxt(lines, dtype=dtype, ndmin=2, comments=None)
         except ValueError:
             return None
+        del lines  # before the next chunk's lines are made
         if block.shape != (len(rows), width) or (block[:, :-3] != 3).any():
             return None
         rows[:] = block[:, -3:]

@@ -6,14 +6,19 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdh3d import (
     KeyMaterial,
     KeyRole,
     Mesh,
+    analyze,
+    choose_n,
     dequantize,
     encrypt_mesh,
     parse_mesh,
@@ -218,6 +223,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: line ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("text, error", [
+        (b"v 0 0 0\nv \r0.5 0 0\nv 0 0.5 0\nf 1 2 3\n", "line 2: expected 'v x y z'"),
+        (b"v 0 0 0\nv 0.5 0 0\nv 0 0.5 0\nf \r1 2 3\n",
+         "line 4: only triangle faces"),
+    ], ids=["after v", "after f"])
+    def test_obj_lone_carriage_return(self, workdir, capsys, text, error):
+        bad = workdir / "bad.obj"
+        bad.write_bytes(text)
+        assert run("analyze", bad, "--m", 4) == 3
+        assert capsys.readouterr().err.startswith(f"error: {error}")
+
     def test_domain_error(self, workdir):
         big = workdir / "big.off"
         big.write_text("OFF\n1 0 0\n1.5 0 0\n")
@@ -337,6 +353,101 @@ class TestMetricsCommand:
         write_mesh_file(smaller, Mesh(COW_VERTICES[:3], [[1, 2, 3]]))
         assert run("metrics", workdir / "cow.off", smaller) == 3
         assert "vertex count mismatch: 8 vs 3" in capsys.readouterr().err
+
+
+def _dumped(doc: dict) -> str:
+    """json.dumps(doc, indent=2) and a newline, with doc's arrays as lists."""
+    return json.dumps({k: v.tolist() if isinstance(v, np.ndarray) else v
+                       for k, v in doc.items()}, indent=2) + "\n"
+
+
+def _printed(doc: dict) -> str:
+    return "".join(cli._json_chunks(doc))
+
+
+# Nonnegative integers, often at the edges where their digit count changes.
+_REPORT_INTS = st.one_of(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0, 1, 2**32 - 1] + [10**k - d for k in range(1, 10) for d in (0, 1)]),
+)
+_REPORT_LISTS = ("embedded", "max_prefix_lengths", "capacity_curve")
+_REPORT_SCALARS = ("m", "l", "best_n", "chosen_n", "n_vertices", "n_faces")
+
+
+@st.composite
+def report_docs(draw):
+    """An analyze report's keys in any order: int64 arrays of nonnegative
+    integers (empty ones included) and integer scalars."""
+    doc = {}
+    for key in draw(st.permutations(_REPORT_LISTS + _REPORT_SCALARS)):
+        doc[key] = (np.array(draw(st.lists(_REPORT_INTS, max_size=12)), np.int64)
+                    if key in _REPORT_LISTS else draw(_REPORT_INTS))
+    return doc
+
+
+class TestReportPrinter:
+    """The analyze report is printed from digit matrices and is byte for
+    byte json.dumps(doc, indent=2) + "\n"."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=report_docs(), items=st.integers(1, 5))
+    def test_bytes_equal_json_dumps(self, doc, items):
+        # a few items per chunk, so that chunk edges fall inside the lists
+        with mock.patch.object(cli, "_JSON_ITEMS", items):
+            assert _printed(doc) == _dumped(doc)
+
+    @pytest.mark.parametrize("values", [
+        [],
+        [0],
+        [7],
+        [0, 0, 0],
+        [9, 10, 99, 100, 999, 1000, 0, 1],
+        [10**9 - 1, 10**9, 2**32 - 1, 1],
+    ], ids=["empty", "zero", "single", "zeros", "powers of ten", "2^32-1"])
+    def test_edge_lists(self, values):
+        arr = np.array(values, np.int64)
+        doc = {"m": 4, "embedded": arr, "capacity_curve": arr[::-1], "n_faces": 0}
+        assert _printed(doc) == _dumped(doc)
+
+    @pytest.mark.parametrize("mesh", ["cow", "faceless"])
+    @pytest.mark.parametrize("n", [None, 1])
+    def test_analyze_report_bytes(self, workdir, capsys, mesh, n):
+        """analyze --out and analyze to stdout give the bytes of json.dumps
+        of the report the library computes."""
+        path = workdir / "cow.off"
+        if mesh == "faceless":
+            path = workdir / "points.off"
+            path.write_text("OFF\n2 0 0\n0.1 0.2 0.3\n0.2 0.3 0.4\n")
+        n_args = () if n is None else ("--n", n)
+        out = workdir / "report.json"
+        assert run("analyze", path, "--m", 4, *n_args, "--out", out) == 0
+        assert run("analyze", path, "--m", 4, *n_args) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+        parsed = parse_mesh(path.read_bytes(), "off")
+        rep = analyze(quantize(parsed, 4))
+        doc = rep.to_json_dict()
+        doc.update(chosen_n=choose_n(rep, n), n_vertices=parsed.n_vertices,
+                   n_faces=parsed.n_faces)
+        assert out.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode()
+        assert (mesh == "faceless") == (doc["embedded"] == [])
+
+    def test_arrays_are_the_reports_own(self):
+        rep = analyze(quantize(grid_mesh(10), 4))
+        doc = rep.to_json_dict(arrays=True)
+        assert doc["embedded"] is rep.embedded
+        assert doc["max_prefix_lengths"] is rep.ts
+        assert doc["capacity_curve"] is rep.capacity_curve
+        assert _printed(doc) == json.dumps(rep.to_json_dict(), indent=2) + "\n"
+
+    def test_metrics_report_bytes(self, workdir, capsys):
+        a, b = workdir / "a.off", workdir / "b.off"
+        mesh = random_mesh(1, n_max=30)
+        write_mesh_file(a, mesh)
+        write_mesh_file(b, dequantize(quantize(mesh, 3)))
+        for other in (a, b):  # an infinite and a finite SNR
+            assert run("metrics", a, other) == 0
+            out = capsys.readouterr().out
+            assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 class TestBenchCommand:

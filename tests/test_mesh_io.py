@@ -697,6 +697,7 @@ class TestBulkBody:
         "index equal to N": ("OFF\n3 1 0\n0.5 0 0\n0 0.1 0\n-0.1 0 0\n3 0 1 3\n", False),
         "negative index": ("OFF\n3 1 0\n0.5 0 0\n0 0.1 0\n-0.1 0 0\n3 0 -1 2\n", False),
         "huge index": ("OFF\n3 1 0\n0.5 0 0\n0 0.1 0\n-0.1 0 0\n3 0 1 99999999999999999999\n", False),
+        "lone cr at a row's start": ("OFF\n3 1 0\n0.5 0 0\n\r0 0.1 0\n-0.1 0 0\n3 0 1 2\n", False),
         "truncated vertex block": ("OFF\n3 0 0\n0.5 0 0\n0 0.1 0\n", False),
         "truncated face block": ("OFF\n3 2 0\n0.5 0 0\n0 0.1 0\n-0.1 0 0\n3 0 1 2\n", False),
         "trailing text": ("OFF\n1 0 0\n0.5 0 0\nx\n", False),
@@ -741,6 +742,12 @@ class TestBulkBody:
         "obj v after f": (OBJ_SMALL + "v 0 0 0.1\nf 1 2 4\n", False),
         "obj f first": ("f 1 1 1\nv 0 0 0\n", False),
         "obj unknown keyword": (OBJ_SMALL + "q 1\n", False),
+        "obj lone cr after v": (OBJ_SMALL.replace("v 0 0.1", "v \r0 0.1"), False),
+        "obj lone cr after f": (OBJ_SMALL.replace("f 3 2 1", "f \r3 2 1"), False),
+        "obj lone cr splits a row": (OBJ_SMALL.replace(
+            "v 0 0.1 0\nv -0.1", "v \nv 0 0.1 0\r-0.1"), False),
+        "obj cr cr lf": (OBJ_SMALL.replace("v 0 0.1 0\n", "v 0 0.1 0\r\r\n"), False),
+        "obj one crlf line": (OBJ_SMALL.replace("v 0 0.1 0\n", "v 0 0.1 0\r\n"), True),
     }
 
     @pytest.mark.parametrize("name", CASES)
@@ -759,6 +766,62 @@ class TestBulkBody:
                 assert _outcome(text, fmt) == expected
         else:
             assert _outcome(text, fmt) == expected
+
+
+@pytest.mark.parametrize("text, error, line", [
+    (b"v 0 0 0\nv \r0.5 0 0\nv 0 0.5 0\nf 1 2 3\n", CoordinateSyntaxError, 2),
+    (b"v 0 0 0\nv 0.5 0 0\nv 0 0.5 0\nf \r1 2 3\n", NonTriangleFaceError, 4),
+    (b"v 0 0 0\r\nv \r0.5 0 0\r\nv 0 0.5 0\r\nf 1 2 3\r\n", CoordinateSyntaxError, 2),
+    (b"v 0 0 0\nv \nv 0.5 0 0\r0 0.5 0\nf 1 2 3\n", CoordinateSyntaxError, 2),
+], ids=["after v", "after f", "after v, crlf", "inside a row"])
+def test_obj_lone_carriage_return_is_the_line_readers_error(text, error, line):
+    """A lone "\r" ends a line for the line reader, so "v \r0.5 0 0" is
+    the line "v " and an error, not a row after a blank line."""
+    with pytest.raises(error) as info:
+        parse_mesh(text, "obj")
+    assert info.value.line == line
+
+
+# grid_mesh(4) in each format, the texts that mutated_texts edits, and
+# the bytes an edit writes: those of well-formed rows and line ends, and
+# a few that no row holds.
+_GRID_TEXTS = {fmt: write_mesh(grid_mesh(4), fmt).encode() for fmt in ("off", "obj", "ply")}
+_EDIT_BYTES = b"\r\n \t0123456789+-.eEvf#x"
+
+
+@st.composite
+def mutated_texts(draw):
+    """(format, data): a grid_mesh(4) text with 1 to 3 bytes replaced,
+    inserted or deleted."""
+    fmt = draw(st.sampled_from(sorted(_GRID_TEXTS)))
+    data = bytearray(_GRID_TEXTS[fmt])
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data) - 1))
+        edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+        byte = draw(st.sampled_from(_EDIT_BYTES))
+        if edit == "replace":
+            data[at] = byte
+        elif edit == "insert":
+            data.insert(at, byte)
+        else:
+            del data[at]
+    return fmt, bytes(data)
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=mutated_texts())
+@example(case=("obj", _GRID_TEXTS["obj"].replace(b"\nv ", b"\nv \r", 1)))
+@example(case=("obj", _GRID_TEXTS["obj"].replace(b"\nf ", b"\nf \r", 1)))
+def test_bulk_reader_declines_or_agrees_on_mutated_texts(case):
+    """Differential test: for any text, _bulk_body returns None or the
+    mesh the line reader reads, bit for bit (values, sign bits, faces)."""
+    fmt, data = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mesh = mesh_io._bulk_body(data, fmt)
+    if mesh is not None:
+        assert _line_reader_outcome(data, fmt) == (
+            mesh.vertices.shape, mesh.vertices.tobytes(), mesh.faces.tobytes())
 
 
 def _bulk_outcome(data, fmt):
