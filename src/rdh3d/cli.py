@@ -49,6 +49,16 @@ EXIT_PARSE = 3
 EXIT_CAPACITY = 4
 EXIT_CORRUPT = 5
 
+# The exit code of each error class that a command may raise.
+_EXIT_CODES = {
+    ConfigError: EXIT_USAGE,
+    MeshParseError: EXIT_PARSE,
+    DomainError: EXIT_PARSE,
+    CapacityError: EXIT_CAPACITY,
+    ContainerError: EXIT_CORRUPT,
+    OSError: EXIT_USAGE,
+}
+
 
 def _passphrase(flag_value, env_name, flag_name) -> str:
     value = flag_value if flag_value is not None else os.environ.get(env_name)
@@ -122,7 +132,7 @@ def _json_items(values: np.ndarray, first: bool) -> str:
 def cmd_analyze(args) -> int:
     mesh = read_mesh_file(args.mesh, args.format)
     rep = analyze(quantize(mesh, args.m))
-    doc = rep.to_json_dict(arrays=True)
+    doc = rep.to_json_dict()
     doc["chosen_n"] = choose_n(rep, args.n)
     doc["n_vertices"] = mesh.n_vertices
     doc["n_faces"] = mesh.n_faces
@@ -319,21 +329,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (MeshParseError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except ContainerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CORRUPT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

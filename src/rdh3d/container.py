@@ -35,16 +35,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContainerError
-from .mesh_io import array, bad_face_id, read_only, split_of
+from .mesh_io import array, check_face_ids, read_only, split_of
 from .quantize import WORD_DTYPES, SignMagnitude, bit_length, embedding_length
 
 MAGIC = b"RDH3"
 VERSION = 1
 
 _HEADER = struct.Struct("<4sBBBBIIQ")
-
-_CORRUPT_FACES = "face index out of range (corrupt face table)"
-
 
 @dataclass(frozen=True, eq=False)
 class MarkedContainer(SignMagnitude):
@@ -79,9 +76,6 @@ class MarkedContainer(SignMagnitude):
 
     def capacity_bits(self) -> int:
         return 3 * self.n * int((self.excluded == 0).sum())
-
-    def _face_error(self, bad: int) -> Exception:
-        return ContainerError(_CORRUPT_FACES)
 
 
 def _pack_bitmap(bits: np.ndarray) -> bytes:
@@ -152,8 +146,7 @@ def read_container(data: bytes) -> MarkedContainer:
     face_raw = data[pos:pos + face_bytes]
 
     faces = read_only(np.frombuffer(face_raw, dtype="<u4").astype(np.int64).reshape(-1, 3))
-    if bad_face_id(faces, n_verts) is not None:  # before the split is derived
-        raise ContainerError(_CORRUPT_FACES)
+    check_face_ids(faces, n_verts, ContainerError)  # before the split is derived
 
     signs = _unpack_bitmap(sign_raw, 3 * n_verts, "sign")
 

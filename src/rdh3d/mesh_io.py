@@ -119,31 +119,44 @@ def split_of(faces: np.ndarray, n_vertices: int):
 
 
 def bad_face_id(faces: np.ndarray, n_vertices: int):
-    """The rule for face ids: each lies in 1..n_vertices. The lowest id
-    if it is below 1, else the highest if it is above n_vertices, else
-    None."""
+    """The rule for face ids: each lies in 1..n_vertices. (row, id) of
+    the first id in row order that breaks it, else None. A min/max pass
+    decides; only an array that breaks the rule is searched."""
     if faces.size:
         lo, hi = int(faces.min()), int(faces.max())
         if lo < 1 or hi > n_vertices:
-            return lo if lo < 1 else hi
+            at = int(np.argmax((faces < 1) | (faces > n_vertices)))
+            return at // 3, int(faces.flat[at])
     return None
+
+
+def check_face_ids(faces: np.ndarray, n_vertices: int, error=ValueError,
+                   base: int = 1, lines=None):
+    """Raise error unless the (M, 3) 1-based faces keep the rule of
+    bad_face_id. Its message names the first bad id and the valid range
+    as a file whose ids count from base writes them; with `lines`, the
+    line of each face row, error is a MeshParseError and names the bad
+    row's line too."""
+    if (bad := bad_face_id(faces, n_vertices)) is not None:
+        row, idx = bad
+        message = (f"face index out of range: {idx - 1 + base} "
+                   f"(valid range {base}..{n_vertices - 1 + base})")
+        raise error(message) if lines is None else error(message, int(lines[row]))
 
 
 class Faced(Frozen):
     """A Frozen value over 1-based triangle `faces` on `n_vertices`
     vertices; every value that holds the same face array shares its split.
-    Construction raises `_face_error` unless every face id lies in
-    1..n_vertices (see bad_face_id)."""
+    Construction raises `_error` unless every face id lies in
+    1..n_vertices (see check_face_ids)."""
+
+    _error = ValueError
 
     def __post_init__(self):
         super().__post_init__()
         # an array whose split exists passed the rule when it was derived
-        if ((id(self.faces), self.n_vertices) not in _splits
-                and (bad := bad_face_id(self.faces, self.n_vertices)) is not None):
-            raise self._face_error(bad)
-
-    def _face_error(self, bad: int) -> Exception:
-        return ValueError(f"face ids must lie in 1..{self.n_vertices}")
+        if (id(self.faces), self.n_vertices) not in _splits:
+            check_face_ids(self.faces, self.n_vertices, self._error)
 
     @property
     def partition(self):
@@ -163,14 +176,11 @@ class Mesh(Faced):
     vertices: np.ndarray = array(np.float64)  # (N, 3)
     faces: np.ndarray = array(np.int64)       # (M, 3), 1-based
 
+    _error = FaceIndexError
+
     @property
     def n_vertices(self) -> int:
         return self.vertices.shape[0]
-
-    def _face_error(self, bad: int) -> Exception:
-        return FaceIndexError(
-            f"face index out of range: {bad} (valid range 1..{self.n_vertices})"
-        )
 
 
 def _check_format(fmt: str) -> str:
@@ -185,7 +195,8 @@ def parse_mesh(data: bytes | str, fmt: str) -> Mesh:
 
     Raises a MeshParseError subclass naming the offending line on
     malformed headers, non-numeric coordinates, out-of-range face
-    indices, and non-triangle faces.
+    indices, and non-triangle faces; face ids are checked once every
+    line is read, so any other error wins.
     """
     fmt = _check_format(fmt)
     mesh = _bulk_body(data, fmt)
@@ -341,7 +352,8 @@ def _parse_vertex_row(tokens, lineno):
 
 
 def _parse_counted_face(tokens, lineno):
-    """Parse a 'c i j k' row (OFF/PLY body) into [i, j, k (0-based), lineno]."""
+    """Parse a 'c i j k' row (OFF/PLY body) into [i, j, k, lineno], ids
+    0-based as written."""
     try:
         count = int(tokens[0])
     except ValueError:
@@ -361,17 +373,16 @@ def _parse_counted_face(tokens, lineno):
 _ROW_PARSERS = {"vertex": _parse_vertex_row, "face": _parse_counted_face}
 
 
-def _finish_mesh(vertices, face_rows):
-    """face_rows holds [i, j, k, line number] rows, indices 0-based."""
-    n = len(vertices)
-    for i, j, k, lineno in face_rows:
-        for idx in (i, j, k):
-            if idx < 0 or idx >= n:
-                raise FaceIndexError(
-                    f"face index {idx} out of range 0..{n - 1}", lineno
-                )
+def _finish_mesh(vertices, face_rows, base: int) -> Mesh:
+    """face_rows holds [i, j, k, line number] rows, ids as the file
+    writes them, counting from base."""
     verts = np.array(vertices, dtype=np.float64).reshape(-1, 3)
-    faces = np.array(face_rows, dtype=np.int64).reshape(-1, 4)[:, :3] + 1
+    try:
+        rows = np.array(face_rows, dtype=np.int64).reshape(-1, 4)
+    except OverflowError:  # an id beyond int64, out of range too
+        rows = np.array(face_rows, dtype=object)
+    faces = rows[:, :3] + (1 - base)
+    check_face_ids(faces, len(verts), FaceIndexError, base, rows[:, 3])
     return Mesh(read_only(verts), read_only(faces))
 
 
@@ -392,7 +403,7 @@ def _read_body(lines, elements) -> Mesh:
             out.append(parse_row(line.split(), lineno))
     for lineno, line in lines:
         raise MeshParseError(f"unexpected trailing content: {line!r}", lineno)
-    return _finish_mesh(rows["vertex"], rows["face"])
+    return _finish_mesh(rows["vertex"], rows["face"], 0)
 
 
 # Rows per np.loadtxt call when a body is read in bulk, and per chunk of
@@ -512,7 +523,7 @@ def _bulk_body(data: bytes | str, fmt: str):
     such a body into preallocated arrays, one chunk of rows at a time,
     and gives the mesh the line reader would return. Any other file
     gives None and goes to the line reader (_read_body or _parse_obj),
-    which reads it or raises the error of its first bad line. A header
+    which reads it or raises the error that names its line. A header
     error gives None too: parse_mesh raises it again after decoding the
     whole text, so a text that does not decode fails as such first.
     """
@@ -613,25 +624,18 @@ def _parse_obj(text: str) -> Mesh:
                 )
             idx = []
             for ref in refs:
-                head = ref.split("/", 1)[0]
                 try:
-                    i = int(head)
+                    idx.append(int(ref.split("/", 1)[0]))
                 except ValueError:
                     raise MeshParseError(
                         f"non-integer face index in {ref!r}", lineno
                     ) from None
-                if i < 1:
-                    raise FaceIndexError(
-                        f"face index {i} is not a positive 1-based index", lineno
-                    )
-                idx.append(i - 1)
-            idx.append(lineno)
-            face_rows.append(idx)
+            face_rows.append([*idx, lineno])
         elif keyword in _OBJ_IGNORED:
             continue
         else:
             raise MeshParseError(f"unsupported OBJ keyword {keyword!r}", lineno)
-    return _finish_mesh(vertices, face_rows)
+    return _finish_mesh(vertices, face_rows, 1)
 
 
 def _read_ply_header(raw_lines):

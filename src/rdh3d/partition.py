@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh_io import Frozen, array, bad_face_id, read_only
+from .mesh_io import Frozen, array, check_face_ids, read_only
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,8 +115,7 @@ def partition(n_vertices: int, faces) -> Partition:
     if n >= 2**32:
         raise ValueError(f"{n} vertices: ids must fit in 32 bits")
     faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
-    if bad_face_id(faces, n) is not None:
-        raise ValueError(f"face ids must lie in 1..{n}")
+    check_face_ids(faces, n)
     adj_flat, adj_off = _adjacency(n + 1, faces)
 
     # first-appearance order over the face stream: the earliest stream

@@ -78,11 +78,11 @@ class PredictionReport(Frozen):
     def capacity(self, n: int) -> int:
         return int(self.capacity_curve[embedding_length(n, self.l) - 1])
 
-    def to_json_dict(self, arrays: bool = False) -> dict:
+    def to_json_dict(self) -> dict:
         """The report's JSON object, keys in order. Its integer lists are
-        Python lists, or with arrays=True the report's own int64 arrays,
-        for a printer that writes them itself."""
-        doc = {
+        the report's own int64 arrays, for a printer that writes them
+        itself (see cli._json_chunks)."""
+        return {
             "m": self.m,
             "l": self.l,
             "embedded": self.embedded,
@@ -90,9 +90,6 @@ class PredictionReport(Frozen):
             "capacity_curve": self.capacity_curve,
             "best_n": choose_n(self),
         }
-        if arrays:
-            return doc
-        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in doc.items()}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PredictionReport":

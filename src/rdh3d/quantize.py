@@ -48,7 +48,6 @@ class SignMagnitude(Faced):
     there is one sign per word, every sign is 0 or 1 and every word is
     below 2^l."""
 
-    _error = ValueError
     decimals = 0
 
     def __post_init__(self):

@@ -184,8 +184,9 @@ class TestRejection:
     def test_face_index_out_of_range_at_construction(self, bad_id):
         c = make_container(7)
         faces = c.faces.copy()
-        faces[0, 1] = c.n_vertices + 1 if bad_id == "N+1" else bad_id
-        error = r"^face index out of range \(corrupt face table\)$"
+        bad = c.n_vertices + 1 if bad_id == "N+1" else bad_id
+        faces[0, 1] = bad
+        error = rf"^face index out of range: {bad} \(valid range 1\.\.{c.n_vertices}\)$"
         with pytest.raises(ContainerError, match=error):
             MarkedContainer(c.m, c.n, c.payload_bits, c.signs, c.excluded, c.magnitudes, faces)
         with pytest.raises(ContainerError, match=error):

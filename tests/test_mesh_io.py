@@ -81,8 +81,22 @@ class TestParseOff:
             parse_mesh("OFF\n1 0 0\n0 zero 0\n", "off")
 
     def test_face_index_out_of_range(self):
-        with pytest.raises(FaceIndexError, match="line 6"):
+        # OFF ids count from 0, and the message writes them so
+        error = r"^line 6: face index out of range: 3 \(valid range 0\.\.2\)$"
+        with pytest.raises(FaceIndexError, match=error):
             parse_mesh("OFF\n3 1 0\n0 0 0\n0.1 0 0\n0 0.1 0\n3 0 1 3\n", "off")
+
+    def test_first_bad_face_row_is_named(self):
+        text = "OFF\n3 3 0\n0 0 0\n0.1 0 0\n0 0.1 0\n3 0 1 2\n3 0 7 1\n3 -1 1 2\n"
+        error = r"^line 7: face index out of range: 7 \(valid range 0\.\.2\)$"
+        with pytest.raises(FaceIndexError, match=error):
+            parse_mesh(text, "off")
+
+    def test_face_index_beyond_int64(self):
+        huge = 10**20
+        error = rf"^line 6: face index out of range: {huge} \(valid range 0\.\.2\)$"
+        with pytest.raises(FaceIndexError, match=error):
+            parse_mesh(f"OFF\n3 1 0\n0 0 0\n0.1 0 0\n0 0.1 0\n3 0 1 {huge}\n", "off")
 
     def test_non_triangle_face(self):
         text = "OFF\n4 1 0\n0 0 0\n0.1 0 0\n0 0.1 0\n0 0 0.1\n4 0 1 2 3\n"
@@ -122,6 +136,22 @@ class TestParseObj:
     def test_negative_index_rejected(self):
         with pytest.raises(FaceIndexError, match="line 4"):
             parse_mesh("v 0 0 0\nv 0.1 0 0\nv 0 0.1 0\nf -1 2 3\n", "obj")
+
+    @pytest.mark.parametrize("face, bad_id", [
+        ("f 1 2 9", 9), ("f 0 2 3", 0), ("f -1 2 3", -1), ("f 1/1 2 9", 9),
+    ])
+    def test_face_index_named_as_written(self, face, bad_id):
+        # OBJ ids count from 1, and the message writes them so
+        error = rf"^line 4: face index out of range: {bad_id} \(valid range 1\.\.3\)$"
+        with pytest.raises(FaceIndexError, match=error):
+            parse_mesh(f"v 0 0 0\nv 0.1 0 0\nv 0 0.1 0\n{face}\n", "obj")
+
+    def test_face_ids_are_checked_after_the_whole_file(self):
+        # a bad id is found once every line is read, so a later syntax
+        # error is the one reported
+        text = "v 0 0 0\nv 0.1 0 0\nv 0 0.1 0\nf 0 2 3\nq 1 2 3\n"
+        with pytest.raises(MeshParseError, match="^line 5: unsupported OBJ keyword 'q'$"):
+            parse_mesh(text, "obj")
 
     def test_unknown_keyword(self):
         with pytest.raises(MeshParseError, match="line 1"):

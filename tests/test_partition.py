@@ -163,9 +163,13 @@ def test_ids_beyond_32_bits_rejected_without_allocation(n):
     assert peak < 2**20
 
 
-@pytest.mark.parametrize("faces", [[[1, 2, 0]], [[1, 2, 5]], [[-3, 1, 2]]])
+@pytest.mark.parametrize("faces", [[[1, 2, 0]], [[1, 2, 5]], [[-3, 1, 2]],
+                                   [[1, 2, 3], [4, 6, -1]]])
 def test_face_ids_outside_the_vertices_rejected(faces):
-    with pytest.raises(ValueError, match="1..4"):
+    # the message names the first bad id in row order
+    bad_id = next(i for row in faces for i in row if not 1 <= i <= 4)
+    error = rf"^face index out of range: {bad_id} \(valid range 1\.\.4\)$"
+    with pytest.raises(ValueError, match=error):
         partition(4, faces)
 
 

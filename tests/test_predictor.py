@@ -32,6 +32,13 @@ from oracles import (
 )
 
 
+def json_doc(rep) -> dict:
+    """The report's JSON object with its arrays as Python lists, as
+    json.load gives it."""
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v
+            for k, v in rep.to_json_dict().items()}
+
+
 def one_ring_t(target, ring, m):
     """t of vertex 1 from analyze() on a fan mesh whose only embedded
     vertex is 1, with ring 2..k+1 carrying the x words `ring`.
@@ -414,14 +421,14 @@ class TestAnalyze:
         mesh = random_mesh(4, n_max=40)
         q = quantize(mesh, 3)
         rep = analyze(q)
-        back = PredictionReport.from_json_dict(rep.to_json_dict())
+        back = PredictionReport.from_json_dict(json_doc(rep))
         assert np.array_equal(back.ts, rep.ts)
         assert np.array_equal(back.capacity_curve, rep.capacity_curve)
         assert (back.m, back.l) == (rep.m, rep.l)
 
     def test_json_round_trip_without_faces(self):
         mesh = Mesh(np.full((3, 3), 0.25), np.empty((0, 3)))
-        doc = json.loads(json.dumps(analyze(quantize(mesh, 4)).to_json_dict()))
+        doc = json.loads(json.dumps(json_doc(analyze(quantize(mesh, 4)))))
         assert doc["embedded"] == doc["max_prefix_lengths"] == []
         back = PredictionReport.from_json_dict(doc)
         assert (back.ts.size, back.embedded.size, back.m) == (0, 0, 4)
@@ -433,7 +440,7 @@ class TestAnalyze:
     ])
     def test_json_non_integer_rejected(self, key, value):
         mesh = random_mesh(4, n_max=40, smooth=True)
-        doc = analyze(quantize(mesh, 4)).to_json_dict()
+        doc = json_doc(analyze(quantize(mesh, 4)))
         if value == "tamper":
             value = [float(doc[key][0]), *doc[key][1:]]
         doc[key] = value
@@ -444,7 +451,7 @@ class TestAnalyze:
                                         "short", "nested"])
     def test_json_curve_contradicting_ts_rejected(self, tamper):
         mesh = random_mesh(4, n_max=40, smooth=True)
-        doc = analyze(quantize(mesh, 4)).to_json_dict()
+        doc = json_doc(analyze(quantize(mesh, 4)))
         curve = doc["capacity_curve"]
         assert max(curve) > 0
         doc["capacity_curve"] = {
@@ -461,7 +468,7 @@ class TestAnalyze:
     @pytest.mark.parametrize("shape", ["nested", "scalar"])
     def test_json_lists_that_are_not_flat_rejected(self, key, shape):
         mesh = random_mesh(4, n_max=40, smooth=True)
-        doc = analyze(quantize(mesh, 4)).to_json_dict()
+        doc = json_doc(analyze(quantize(mesh, 4)))
         doc[key] = [doc[key]] if shape == "nested" else doc[key][0]
         with pytest.raises(ConfigError, match="expected flat lists"):
             PredictionReport.from_json_dict(doc)
@@ -476,13 +483,13 @@ class TestAnalyze:
                 arr[:] = 0
         with pytest.raises(FrozenInstanceError):
             rep.ts = rep.ts[:1]
-        back = PredictionReport.from_json_dict(rep.to_json_dict())
+        back = PredictionReport.from_json_dict(json_doc(rep))
         assert np.array_equal(back.capacity_curve, curve)
 
     @pytest.mark.parametrize("t", [-1, 17])
     def test_json_t_outside_word_rejected(self, t):
         mesh = random_mesh(4, n_max=40, smooth=True)
-        doc = analyze(quantize(mesh, 4)).to_json_dict()
+        doc = json_doc(analyze(quantize(mesh, 4)))
         doc["max_prefix_lengths"][0] = t
         with pytest.raises(ConfigError, match="in 0..16"):
             PredictionReport.from_json_dict(doc)
@@ -490,7 +497,7 @@ class TestAnalyze:
     @pytest.mark.parametrize("l", [8, 32, 64])
     def test_json_l_contradicting_m_rejected(self, l):
         mesh = random_mesh(4, n_max=40)
-        doc = analyze(quantize(mesh, 4)).to_json_dict()
+        doc = json_doc(analyze(quantize(mesh, 4)))
         assert doc["l"] == 16
         doc["l"] = l
         with pytest.raises(ConfigError, match="contradicts m=4"):
@@ -514,7 +521,7 @@ class TestReportConstruction:
             PredictionReport(ts=np.array([0]), m=10, embedded=np.array([1]))
 
     def test_short_json_ts_rejected(self):
-        doc = analyze(quantize(grid_mesh(10), 4)).to_json_dict()
+        doc = json_doc(analyze(quantize(grid_mesh(10), 4)))
         doc["max_prefix_lengths"] = doc["max_prefix_lengths"][:-1]
         with pytest.raises(ConfigError, match="t values for"):
             PredictionReport.from_json_dict(doc)

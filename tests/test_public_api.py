@@ -126,8 +126,9 @@ def test_every_value_field_is_compared_and_given():
 
 def test_each_input_rule_has_one_definition():
     """The range of m is named only in quantize.py; the range of n, the
-    word width and the sign rows are each stated by one function, and
-    the sign convention is written once: every other module calls them."""
+    word width, the sign rows and the face-id error are each stated by
+    one function, and the sign convention is written once: every other
+    module calls them. No value words its own face-id error."""
     sources = {path.name: path.read_text() for path in PACKAGE_DIR.glob("*.py")}
     naming_m = sorted(name for name, text in sources.items()
                       if "M_MIN" in text or "M_MAX" in text)
@@ -144,4 +145,8 @@ def test_each_input_rule_has_one_definition():
         "quantize.py::__post_init__"]
     assert stating("sign rows for") == ["quantize.py::__post_init__"]
     assert stating("copysign") == ["quantize.py::coordinates"]
+    assert stating("face index out of range") == ["mesh_io.py::check_face_ids"]
+    assert not [f"{name}::{node.name}" for name, src in sources.items()
+                for node in ast.walk(ast.parse(src))
+                if isinstance(node, ast.FunctionDef) and node.name == "_face_error"]
     assert not any("signs == 1" in src for src in sources.values())

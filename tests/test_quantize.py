@@ -186,7 +186,8 @@ def test_quantized_mesh_face_id_outside_the_vertices_rejected(tetra_mesh, bad_id
     q = quantize(tetra_mesh, 4)
     faces = q.faces.copy()
     faces[0, 0] = bad_id
-    with pytest.raises(ValueError, match=r"face ids must lie in 1\.\.4"):
+    error = rf"^face index out of range: {bad_id} \(valid range 1\.\.4\)$"
+    with pytest.raises(ValueError, match=error):
         QuantizedMesh(q.magnitudes, q.signs, q.m, faces)
 
 
