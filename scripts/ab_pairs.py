@@ -25,6 +25,13 @@ neither side). It also says whether the gap between the medians exceeds
 the parent's interquartile range. The results go into --out, a JSON
 object keyed by "<workload>/seed<seed>", so that several invocations
 fill one file; an existing entry under the same key is replaced.
+
+With --layers, one traced run (`--trace 1`) per side follows the pairs,
+and each side's per-layer values (`mesh_io.parse_s`,
+`partition.partition_s` and the rest) are printed next to each other and
+stored under "layers", to show which stage a change in an end-to-end
+metric sits in. A single traced run per side shows where time goes, not
+whether a gap is real; the pairs decide that.
 """
 
 from __future__ import annotations
@@ -64,10 +71,11 @@ def pycache_env(prefix: Path) -> dict:
 
 
 def run_once(tree: Path, env: dict, workload: str, seed: int, seconds: float,
-             *extra: str) -> dict:
-    """One benchmark run in tree: the last line of its output, parsed."""
+             *extra: str, trace: int = 0) -> dict:
+    """One benchmark run in tree: the last line of its output, parsed.
+    With trace=1 its metrics are the per-layer ones."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
-           str(seed), "--seconds", str(seconds), "--trace", "0", *extra]
+           str(seed), "--seconds", str(seconds), "--trace", str(trace), *extra]
     proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True,
                           timeout=seconds * 10 + 600)
     if proc.returncode not in (0, 1) or not proc.stdout.strip():
@@ -122,6 +130,13 @@ def report(key: str, entry: dict) -> None:
               f"gap exceeds parent IQR: {m['gap_exceeds_parent_iqr']}")
     print(f"failed operations: parent {entry['failed']['parent']}, "
           f"change {entry['failed']['change']}")
+    if "layers" in entry:
+        print("per layer, one traced run per side (layers at 0 on both left out):")
+        parent, change = entry["layers"]["parent"], entry["layers"]["change"]
+        for name in (n for n in parent if parent[n] or change[n]):
+            ratio = f"{change[name] / parent[name]:.4f}" if parent[name] else "n/a"
+            print(f"  {name:28s} parent {parent[name]:<12.6g} change {change[name]:<12.6g} "
+                  f"ratio {ratio}")
 
 
 def main(argv=None) -> int:
@@ -133,6 +148,8 @@ def main(argv=None) -> int:
     p.add_argument("--seconds", type=float, default=24.0,
                    help="run length of each benchmark run (the same on both sides)")
     p.add_argument("--out", required=True, help="JSON file to add this comparison to")
+    p.add_argument("--layers", action="store_true",
+                   help="after the pairs, one --trace 1 run per side for the per-layer values")
     args = p.parse_args(argv)
     if args.pairs < 2:
         p.error("--pairs must be at least 2")
@@ -158,6 +175,9 @@ def main(argv=None) -> int:
                 print(f"pair {i + 1}/{args.pairs} {side}: session_s "
                       f"{runs[side][-1]['metrics'].get('session_s', float('nan')):.4f} "
                       f"({time.perf_counter() - t0:.0f} s)", flush=True)
+        layers = {side: run_once(sides[side], envs[side], args.workload, args.seed,
+                                 args.seconds, trace=1)["metrics"]
+                  for side in sides} if args.layers else None
     entry = {
         "workload": args.workload,
         "seed": args.seed,
@@ -173,6 +193,8 @@ def main(argv=None) -> int:
         "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in runs},
         "metrics": summarize(runs),
     }
+    if layers:
+        entry["layers"] = layers
     report(key, entry)
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc[key] = entry

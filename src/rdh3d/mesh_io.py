@@ -471,9 +471,11 @@ def _lines_end(data: bytes, pos: int, rows: int, size: int):
 
 def _load_rows(data: bytes, pos: int, out: np.ndarray, name: str):
     """Fill out with the rows of one element from the lines of data at
-    pos, one row per line and _CHUNK rows per np.loadtxt call; a face
-    row's count must be 3 and is dropped. The offset after the last
-    row, or None when the lines are not exactly such rows."""
+    pos, one row per line and _CHUNK rows per conversion: from their
+    digits (_digit_rows) where the chunk is in that form, else by
+    np.loadtxt (_loadtxt_rows). A face row's count must be 3 and is
+    dropped. The offset after the last row, or None when the lines are
+    not exactly such rows."""
     dtype, width, lead, chars = _BLOCKS[name]
     row_bytes = 64  # a guess, then the last chunk's mean plus a margin
     for done in range(0, len(out), _CHUNK):
@@ -487,28 +489,109 @@ def _load_rows(data: bytes, pos: int, out: np.ndarray, name: str):
                     or chunk.count(b"\n" + lead) != len(rows) - 1):
                 return None
             chunk = chunk.replace(b"\n" + lead, b"\n")[len(lead):]
-        # splitlines cuts lines where the line reader's does, also at a
-        # lone "\r", so it must give one line per row: with the lead cut,
-        # "v \r0 0 0" would be a blank line and a row, while the line
-        # reader reads the line "v " and raises. loadtxt skips blank lines
-        # (and warns when all are), so lines that are not exactly
-        # len(rows) rows show as a block of another length.
-        if chunk.translate(None, chars) or chunk.isspace():
-            return None
-        lines = chunk.decode("ascii").splitlines()
-        if len(lines) != len(rows):
-            return None
-        try:
-            block = np.loadtxt(lines, dtype=dtype, ndmin=2, comments=None)
-        except ValueError:
-            return None
-        del lines  # before the next chunk's lines are made
-        if block.shape != (len(rows), width) or (block[:, :-3] != 3).any():
+        block = _digit_rows(chunk, len(rows), width, dtype)
+        if block is None:
+            block = _loadtxt_rows(chunk, len(rows), width, dtype, chars)
+        if block is None or (block[:, :-3] != 3).any():
             return None
         rows[:] = block[:, -3:]
         row_bytes = (end - pos) // len(rows) + 8
         pos = end
     return pos
+
+
+# The token forms that _digit_rows converts, each with its group of
+# fraction digits, and the most digits a token may have: an unsigned
+# integer (no fraction), which int64 holds up to 18 digits, and a
+# fixed-decimal number [-]D+.D{d}, exact up to 15 digits.
+_DIGIT_TOKENS = {
+    np.int64: (re.compile(rb"\d+()"), 18),
+    np.float64: (re.compile(rb"-?\d+\.(\d+)"), 15),
+}
+
+
+def _digit_rows(chunk: bytes, rows: int, width: int, dtype):
+    """The (rows, width) block of chunk converted from its digits, or
+    None to leave the chunk to _loadtxt_rows.
+
+    Converted: lines of exactly width tokens, one space between them
+    and a "\n" after the last, where every token has the form of
+    _DIGIT_TOKENS[dtype], with one number d of fraction digits for the
+    whole chunk (d = 0 for integers, d >= 1 for fixed decimals). The
+    first line is checked in Python before any array the size of the
+    chunk is built, so a chunk in another form (full-precision repr,
+    mixed decimals, exponents) costs next to nothing.
+
+    A token's digits make an integer k, read column by column; the
+    token is k, or k / 10^d with its sign applied after the division,
+    so "-0.0000" stays -0.0. k < 10^15 < 2^53 and 10^d are exact
+    doubles, so that one IEEE division rounds the quotient correctly
+    and gives what float() and np.loadtxt give (Clinger's fast path).
+    """
+    form, most = _DIGIT_TOKENS[dtype]
+    first = [form.fullmatch(t) for t in chunk[:chunk.find(b"\n")].split(b" ")]
+    if len(first) != width or not all(first) or not chunk.endswith(b"\n"):
+        return None
+    d = len(first[0][1])
+    if any(len(m[1]) != d for m in first):
+        return None
+    a = np.frombuffer(chunk, np.uint8)
+    ends = np.flatnonzero(a <= 32)  # the separator after each token
+    if ends.size != rows * width:
+        return None
+    seps = a[ends].reshape(rows, width)
+    if (seps[:, :-1] != ord(" ")).any() or (seps[:, -1] != ord("\n")).any():
+        return None
+    digits = np.diff(ends, prepend=-1)
+    digits -= 1  # each token's bytes
+    point = d > 0  # whether a token holds a point, and may hold a sign
+    neg = a[ends - digits] == ord("-") if point else np.zeros(ends.size, bool)
+    digits -= neg
+    digits -= point
+    lo, hi = int(digits.min()), int(digits.max())
+    if lo <= d or hi > most:  # no digit before the point, or too many
+        return None
+    # every byte but the separators, the points and the signs is a
+    # digit (uint8 wraps below "0")
+    others = ends.size * (1 + point) + np.count_nonzero(neg)
+    if np.count_nonzero(a - ord("0") < 10) != a.size - others:
+        return None
+    if point and (a[ends - (d + 1)] != ord(".")).any():
+        return None
+    # k is summed in float64 for decimals: every partial sum is an
+    # integer below 2^53, so it is exact
+    k = np.zeros(ends.size, np.float64 if point else np.int64)
+    for j in range(hi - 1, -1, -1):  # the digit of 10^j
+        column = a[ends - (j + 1 + (point and j >= d))] - ord("0")
+        if j >= lo:  # a token of fewer digits has none here; its
+            column *= digits > j  # index may wrap to the chunk's end
+        k *= 10
+        k += column
+    if point:
+        k /= 10.0**d
+        np.negative(k, out=k, where=neg)
+    return k.reshape(rows, width)
+
+
+def _loadtxt_rows(chunk: bytes, rows: int, width: int, dtype, chars: bytes):
+    """The (rows, width) block of chunk converted by np.loadtxt, or None
+    when its lines are not exactly rows rows of width numbers."""
+    # splitlines cuts lines where the line reader's does, also at a
+    # lone "\r", so it must give one line per row: with the lead cut,
+    # "v \r0 0 0" would be a blank line and a row, while the line
+    # reader reads the line "v " and raises. loadtxt skips blank lines
+    # (and warns when all are), so lines that are not exactly
+    # rows rows show as a block of another length.
+    if chunk.translate(None, chars) or chunk.isspace():
+        return None
+    lines = chunk.decode("ascii").splitlines()
+    if len(lines) != rows:
+        return None
+    try:
+        block = np.loadtxt(lines, dtype=dtype, ndmin=2, comments=None)
+    except ValueError:
+        return None
+    return block if block.shape == (rows, width) else None
 
 
 def _bulk_body(data: bytes | str, fmt: str):

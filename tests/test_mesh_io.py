@@ -175,6 +175,14 @@ end_header
 """
 
 OBJ_SMALL = "v 0.5 -0.25 1e-05\nv 0 0.1 0\nv -0.1 0 0\nf 1 2 3\nf 3 2 1\n"
+OBJ_FIXED = "v 0.5000 -0.2500 0.0001\nv 0.0000 0.1000 -0.0000\nv -0.1000 0.0000 0.0000\nf 1 2 3\nf 3 2 1\n"
+
+
+def _fixed(*rows, face="3 0 1 2"):
+    """An OFF text of 4 vertices, the given rows and then copies of the
+    first, and two faces, the given row and "3 3 2 1"."""
+    rows = [*rows, *rows[:1] * (4 - len(rows))]
+    return "\n".join(["OFF", "4 2 0", *rows, face, "3 3 2 1"]) + "\n"
 
 
 class TestParsePly:
@@ -778,6 +786,31 @@ class TestBulkBody:
             "v 0 0.1 0\nv -0.1", "v \nv 0 0.1 0\r-0.1"), False),
         "obj cr cr lf": (OBJ_SMALL.replace("v 0 0.1 0\n", "v 0 0.1 0\r\r\n"), False),
         "obj one crlf line": (OBJ_SMALL.replace("v 0 0.1 0\n", "v 0 0.1 0\r\n"), True),
+        # Fixed-decimal and integer bodies, which are converted from their
+        # digits; the rest of each chunk goes to np.loadtxt.
+        "4 decimals": (_fixed("0.5000 -0.2500 0.0001", "0.0000 0.1000 -0.0000"), True),
+        "obj 4 decimals": (OBJ_FIXED, True),
+        "15 digits": (_fixed("9.43460713383836 0.00000000000001 -1.00000000000000"), True),
+        # k / 10^15 would round 9434607133838363 to a double first
+        "16 digits": (_fixed("9.434607133838363 0.000000000000001 -1.000000000000000"), True),
+        "mixed decimals in a row": (_fixed("0.5000 0.25 0.1250"), True),
+        "mixed decimals across rows": (_fixed("0.5000 0.2500 0.1250", "0.50 0.25 0.12"), True),
+        "-0.0000 first": (_fixed("-0.0000 -0.0000 0.0000"), True),
+        "+0.5000": (_fixed("0.5000 0.2500 0.1250", "0.5000 +0.5000 0.1250"), True),
+        ".5000": (_fixed("0.5000 0.2500 0.1250", "0.5000 .5000 0.1250"), True),
+        "-.5000": (_fixed("0.5000 0.2500 0.1250", "0.5000 -.5000 0.1250"), True),
+        "5.": (_fixed("0.5000 0.2500 0.1250", "0.5000 5. 0.1250"), True),
+        "00.5000": (_fixed("00.5000 0.2500 0.1250", "0.5000 00.5000 -00.1250"), True),
+        "--0.5000": (_fixed("0.5000 0.2500 0.1250", "0.5000 --0.5000 0.1250"), False),
+        "0.5.000": (_fixed("0.5000 0.2500 0.1250", "0.5000 0.5.000 0.1250"), False),
+        "exponent in a fixed chunk": (_fixed("0.5000 0.2500 0.1250", "0.5000 5.0000e-1 0.1250"), True),
+        "integer in a fixed chunk": (_fixed("0.5000 0.2500 0.1250", "0.5000 5 0.1250"), True),
+        "18-digit face id": (_fixed("0.5000 0.2500 0.1250", face="3 0 1 000000000000000002"), True),
+        "19-digit face id": (_fixed("0.5000 0.2500 0.1250", face="3 0 1 0000000000000000002"), True),
+        "19-digit face id out of range": (_fixed("0.5000 0.2500 0.1250", face="3 0 1 1000000000000000000"), False),
+        "20-digit face id": (_fixed("0.5000 0.2500 0.1250", face="3 0 1 00000000000000000002"), True),
+        "+3 as a face id": (_fixed("0.5000 0.2500 0.1250", face="3 0 1 +3"), True),
+        "-0 as a face id": (_fixed("0.5000 0.2500 0.1250", face="3 0 -0 1"), True),
     }
 
     @pytest.mark.parametrize("name", CASES)
@@ -812,19 +845,34 @@ def test_obj_lone_carriage_return_is_the_line_readers_error(text, error, line):
     assert info.value.line == line
 
 
-# grid_mesh(4) in each format, the texts that mutated_texts edits, and
-# the bytes an edit writes: those of well-formed rows and line ends, and
-# a few that no row holds.
-_GRID_TEXTS = {fmt: write_mesh(grid_mesh(4), fmt).encode() for fmt in ("off", "obj", "ply")}
+def fixed_decimal_text(mesh, fmt, decimals=4):
+    """(text, vertices): mesh in format fmt with every coordinate printed
+    to `decimals` places, as many scanned meshes are, and the values that
+    text holds."""
+    lines = write_mesh(mesh, fmt).split("\n")
+    start = len(lines) - 1 - mesh.n_vertices - mesh.n_faces  # after the header
+    lead = "v " if fmt == "obj" else ""
+    rows = [lead + " ".join(f"{x:.{decimals}f}" for x in row)
+            for row in mesh.vertices.tolist()]
+    lines[start:start + mesh.n_vertices] = rows
+    values = np.array([[float(t) for t in row.split()[-3:]] for row in rows])
+    return "\n".join(lines), values
+
+
+# grid_mesh(4) in each format, in full precision and to 4 decimals: the
+# texts that mutated_texts edits; and the bytes an edit writes: those of
+# well-formed rows and line ends, and a few that no row holds.
+_GRID_TEXTS = [(fmt, text.encode()) for fmt in ("off", "obj", "ply") for text in (
+    write_mesh(grid_mesh(4), fmt), fixed_decimal_text(grid_mesh(4), fmt)[0])]
 _EDIT_BYTES = b"\r\n \t0123456789+-.eEvf#x"
 
 
 @st.composite
 def mutated_texts(draw):
-    """(format, data): a grid_mesh(4) text with 1 to 3 bytes replaced,
+    """(format, data): a _GRID_TEXTS text with 1 to 3 bytes replaced,
     inserted or deleted."""
-    fmt = draw(st.sampled_from(sorted(_GRID_TEXTS)))
-    data = bytearray(_GRID_TEXTS[fmt])
+    fmt, data = draw(st.sampled_from(_GRID_TEXTS))
+    data = bytearray(data)
     for _ in range(draw(st.integers(1, 3))):
         at = draw(st.integers(0, len(data) - 1))
         edit = draw(st.sampled_from(["replace", "insert", "delete"]))
@@ -840,8 +888,9 @@ def mutated_texts(draw):
 
 @settings(max_examples=500, deadline=None)
 @given(case=mutated_texts())
-@example(case=("obj", _GRID_TEXTS["obj"].replace(b"\nv ", b"\nv \r", 1)))
-@example(case=("obj", _GRID_TEXTS["obj"].replace(b"\nf ", b"\nf \r", 1)))
+@example(case=("obj", _GRID_TEXTS[2][1].replace(b"\nv ", b"\nv \r", 1)))
+@example(case=("obj", _GRID_TEXTS[2][1].replace(b"\nf ", b"\nf \r", 1)))
+@example(case=("ply", _GRID_TEXTS[5][1].replace(b"\n0.", b"\n-0.", 1)))
 def test_bulk_reader_declines_or_agrees_on_mutated_texts(case):
     """Differential test: for any text, _bulk_body returns None or the
     mesh the line reader reads, bit for bit (values, sign bits, faces)."""
@@ -962,14 +1011,19 @@ def test_huge_header_count_rejected_without_allocation(text):
     assert peak < 2**20
 
 
-@pytest.mark.parametrize("fmt", ["off", "obj"])
-def test_parse_memory_is_bounded(fmt):
-    # A 90,000-vertex full-precision OFF of 8.5 MiB (OBJ 8.7 MiB).
-    # Measured peaks beyond its bytes: 8.2 MiB in chunks of 8,192 rows,
-    # against 47.3 MiB (OBJ 83.8 MiB) when the whole text was decoded and
-    # read line by line.
+@pytest.mark.parametrize("fmt, decimals", [("off", None), ("obj", None), ("ply", 4)])
+def test_parse_memory_is_bounded(fmt, decimals):
+    # A 90,000-vertex full-precision OFF of 8.5 MiB (OBJ 8.7 MiB), or a
+    # 4-decimal PLY of 5.6 MiB, whose rows are converted from their
+    # digits. Measured peaks beyond its bytes: 8.2 MiB in chunks of 8,192
+    # rows (the PLY 6.3 MiB), against 47.3 MiB (OBJ 83.8 MiB) when the
+    # whole text was decoded and read line by line.
     mesh = grid_mesh(300)
-    data = write_mesh(mesh, fmt).encode()
+    if decimals is None:
+        data = write_mesh(mesh, fmt).encode()
+    else:
+        text, values = fixed_decimal_text(mesh, fmt, decimals)
+        data, mesh = text.encode(), Mesh(values, mesh.faces)
     tracemalloc.start()
     try:
         parsed = parse_mesh(data, fmt)
@@ -978,3 +1032,26 @@ def test_parse_memory_is_bounded(fmt):
         tracemalloc.stop()
     assert parsed == mesh
     assert peak < 20 * 2**20
+
+
+def test_digit_rows_convert_fixed_decimal_and_integer_blocks(monkeypatch):
+    """A fixed-decimal vertex block and every face block are converted
+    from their digits, with np.loadtxt never called; a full-precision
+    vertex block still goes to np.loadtxt, which reads it alone."""
+    mesh = grid_mesh(30)
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counting(lines, dtype, **kwargs):
+        calls.append(dtype)
+        return loadtxt(lines, dtype=dtype, **kwargs)
+
+    monkeypatch.setattr(mesh_io.np, "loadtxt", counting)
+    for fmt in ("off", "obj", "ply"):
+        monkeypatch.setattr(mesh_io, _LINE_READERS[fmt], _no_line_reader)
+        text, values = fixed_decimal_text(mesh, fmt)
+        assert parse_mesh(text, fmt) == Mesh(values, mesh.faces)
+        assert calls == []
+        assert parse_mesh(write_mesh(mesh, fmt), fmt) == mesh
+        assert calls == [np.float64]
+        calls.clear()
