@@ -795,6 +795,8 @@ class TestBulkBody:
         "16 digits": (_fixed("9.434607133838363 0.000000000000001 -1.000000000000000"), True),
         "mixed decimals in a row": (_fixed("0.5000 0.25 0.1250"), True),
         "mixed decimals across rows": (_fixed("0.5000 0.2500 0.1250", "0.50 0.25 0.12"), True),
+        # as many digits as a 4-decimal token, the point one column left
+        "mixed decimals, same width": (_fixed("0.5000 0.2500 0.1250", "10.500 0.2500 0.1250"), True),
         "-0.0000 first": (_fixed("-0.0000 -0.0000 0.0000"), True),
         "+0.5000": (_fixed("0.5000 0.2500 0.1250", "0.5000 +0.5000 0.1250"), True),
         ".5000": (_fixed("0.5000 0.2500 0.1250", "0.5000 .5000 0.1250"), True),
@@ -809,6 +811,12 @@ class TestBulkBody:
         "19-digit face id": (_fixed("0.5000 0.2500 0.1250", face="3 0 1 0000000000000000002"), True),
         "19-digit face id out of range": (_fixed("0.5000 0.2500 0.1250", face="3 0 1 1000000000000000000"), False),
         "20-digit face id": (_fixed("0.5000 0.2500 0.1250", face="3 0 1 00000000000000000002"), True),
+        # 2^64 + 1, which int64 arithmetic would wrap to the valid id 1
+        "20-digit face id past 2^64": (_fixed("0.5000 0.2500 0.1250", face="3 0 1 18446744073709551617"), False),
+        "fixed 2-token and 4-token rows": (_fixed(
+            "0.5000 0.2500 0.1250", "0.5000 0.2500", "0.5000 0.2500 0.1250 0.1250"), False),
+        "4-token and 2-token face rows": (_fixed(
+            "0.5000 0.2500 0.1250", face="3 0 1 2 3\n3 2 1"), False),
         "+3 as a face id": (_fixed("0.5000 0.2500 0.1250", face="3 0 1 +3"), True),
         "-0 as a face id": (_fixed("0.5000 0.2500 0.1250", face="3 0 -0 1"), True),
     }
@@ -859,11 +867,13 @@ def fixed_decimal_text(mesh, fmt, decimals=4):
     return "\n".join(lines), values
 
 
-# grid_mesh(4) in each format, in full precision and to 4 decimals: the
-# texts that mutated_texts edits; and the bytes an edit writes: those of
-# well-formed rows and line ends, and a few that no row holds.
-_GRID_TEXTS = [(fmt, text.encode()) for fmt in ("off", "obj", "ply") for text in (
-    write_mesh(grid_mesh(4), fmt), fixed_decimal_text(grid_mesh(4), fmt)[0])]
+# grid_mesh(4) in each format, in full precision (decimals None) and to
+# 4 decimals: the texts that mutated_texts edits; and the bytes an edit
+# writes: those of well-formed rows and line ends, and a few that no row
+# holds.
+_GRID_TEXTS = {(fmt, decimals): (write_mesh(grid_mesh(4), fmt) if decimals is None else
+                                 fixed_decimal_text(grid_mesh(4), fmt, decimals)[0]).encode()
+               for fmt in ("off", "obj", "ply") for decimals in (None, 4)}
 _EDIT_BYTES = b"\r\n \t0123456789+-.eEvf#x"
 
 
@@ -871,8 +881,8 @@ _EDIT_BYTES = b"\r\n \t0123456789+-.eEvf#x"
 def mutated_texts(draw):
     """(format, data): a _GRID_TEXTS text with 1 to 3 bytes replaced,
     inserted or deleted."""
-    fmt, data = draw(st.sampled_from(_GRID_TEXTS))
-    data = bytearray(data)
+    fmt, decimals = draw(st.sampled_from(list(_GRID_TEXTS)))
+    data = bytearray(_GRID_TEXTS[fmt, decimals])
     for _ in range(draw(st.integers(1, 3))):
         at = draw(st.integers(0, len(data) - 1))
         edit = draw(st.sampled_from(["replace", "insert", "delete"]))
@@ -888,9 +898,9 @@ def mutated_texts(draw):
 
 @settings(max_examples=500, deadline=None)
 @given(case=mutated_texts())
-@example(case=("obj", _GRID_TEXTS[2][1].replace(b"\nv ", b"\nv \r", 1)))
-@example(case=("obj", _GRID_TEXTS[2][1].replace(b"\nf ", b"\nf \r", 1)))
-@example(case=("ply", _GRID_TEXTS[5][1].replace(b"\n0.", b"\n-0.", 1)))
+@example(case=("obj", _GRID_TEXTS["obj", None].replace(b"\nv ", b"\nv \r", 1)))
+@example(case=("obj", _GRID_TEXTS["obj", None].replace(b"\nf ", b"\nf \r", 1)))
+@example(case=("ply", _GRID_TEXTS["ply", 4].replace(b"\n0.", b"\n-0.", 1)))
 def test_bulk_reader_declines_or_agrees_on_mutated_texts(case):
     """Differential test: for any text, _bulk_body returns None or the
     mesh the line reader reads, bit for bit (values, sign bits, faces)."""
@@ -1011,13 +1021,15 @@ def test_huge_header_count_rejected_without_allocation(text):
     assert peak < 2**20
 
 
-@pytest.mark.parametrize("fmt, decimals", [("off", None), ("obj", None), ("ply", 4)])
+@pytest.mark.parametrize("fmt, decimals", [("off", None), ("obj", None), ("ply", 4)],
+                         ids=["off", "obj", "ply 4 decimals"])
 def test_parse_memory_is_bounded(fmt, decimals):
     # A 90,000-vertex full-precision OFF of 8.5 MiB (OBJ 8.7 MiB), or a
-    # 4-decimal PLY of 5.6 MiB, whose rows are converted from their
-    # digits. Measured peaks beyond its bytes: 8.2 MiB in chunks of 8,192
-    # rows (the PLY 6.3 MiB), against 47.3 MiB (OBJ 83.8 MiB) when the
-    # whole text was decoded and read line by line.
+    # 4-decimal PLY of 5.3 MiB, whose rows are converted from their
+    # digits. Measured peaks beyond its bytes, the mesh's 6.2 MiB of
+    # arrays included: 8.0 MiB in chunks of 8,192 rows (the PLY 7.7 MiB),
+    # against 47.3 MiB (OBJ 83.8 MiB) when the whole text was decoded and
+    # read line by line.
     mesh = grid_mesh(300)
     if decimals is None:
         data = write_mesh(mesh, fmt).encode()
