@@ -55,10 +55,8 @@ CSV_FIELDS = [f.name for f in fields(BenchRow)]
 def default_payload(kw: KeyMaterial, n_bits: int) -> np.ndarray:
     """Deterministic pseudo-random payload bits derived from the hiding
     key Kw under a nonce label distinct from the hiding stream."""
-    if n_bits == 0:
-        return np.empty(0, dtype=np.uint8)
     raw = chacha_stream(kw.key_bytes, "payload", (n_bits + 7) // 8)
-    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:n_bits]
+    return np.unpackbits(np.frombuffer(raw, np.uint8), count=n_bits)
 
 
 def run_pipeline(mesh: Mesh, mesh_id: str, m: int, n: int | None,

@@ -64,10 +64,8 @@ class KeyMaterial:
         """First n_bits stream bits, MSB-first within each byte."""
         if n_bits < 0:
             raise ValueError("bit count must be nonnegative")
-        if n_bits == 0:
-            return np.empty(0, dtype=np.uint8)
         raw = self.keystream_bytes((n_bits + 7) // 8)
-        return np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:n_bits]
+        return np.unpackbits(np.frombuffer(raw, np.uint8), count=n_bits)
 
 
 def _require_role(key: KeyMaterial, role: KeyRole, op: str):

@@ -29,13 +29,7 @@ from .errors import (
     DomainError,
     MeshParseError,
 )
-from .mesh_io import (
-    FORMATS,
-    decimal_digits,
-    format_from_path,
-    read_mesh_file,
-    write_mesh_file,
-)
+from .mesh_io import FORMATS, _rows, format_from_path, read_mesh_file, write_mesh_file
 from .metrics import embedding_rate, hausdorff, snr
 from .predictor import PredictionReport, analyze, choose_n
 from .quantize import WORD_DTYPES, bit_length, embedding_length, quantize
@@ -96,37 +90,22 @@ _JSON_ITEMS = 1 << 14
 def _json_chunks(doc: dict):
     """json.dumps(doc, indent=2) + "\n" as chunks of text, for a doc with
     at least one key. An int64 array of nonnegative integers is printed
-    as the JSON list of its items, _JSON_ITEMS of them at a time from a
-    digit matrix (see _json_items); any other value with json.dumps."""
+    as the JSON list of its items, _JSON_ITEMS of them at a time as rows
+    of one word by mesh_io._rows, each after a newline and its indent and
+    before a comma, less the last comma; any other value with json.dumps."""
     sep = "{"
     for key, value in doc.items():
         yield f"{sep}\n  {json.dumps(key)}: "
         if isinstance(value, np.ndarray):
             yield "["
             for i in range(0, value.size, _JSON_ITEMS):
-                yield _json_items(value[i:i + _JSON_ITEMS], first=i == 0)
+                text = _rows("\n    ", value[i:i + _JSON_ITEMS, None], end=",").decode()
+                yield text if i + _JSON_ITEMS < value.size else text[:-1]
             yield "\n  ]" if value.size else "]"
         else:
             yield json.dumps(value)
         sep = ","
     yield "\n}\n"
-
-
-def _json_items(values: np.ndarray, first: bool) -> str:
-    """The items of a JSON list at indent 2, each after a comma, a newline
-    and its indent, and with first=True no comma before the first: one
-    row of a uint8 matrix per item, whose digit columns come from
-    mesh_io.decimal_digits, and a mask that keeps the columns its text
-    uses."""
-    digits, opened = decimal_digits(values)
-    lead = b",\n    "
-    text = np.empty((len(values), len(lead) + digits.shape[1]), np.uint8)
-    text[:, :len(lead)] = np.frombuffer(lead, np.uint8)
-    text[:, len(lead):] = digits
-    keep = np.ones(text.shape, bool)
-    keep[:, len(lead):-1] = opened
-    keep[0, 0] = not first
-    return text[keep].tobytes().decode("ascii")
 
 
 def cmd_analyze(args) -> int:
@@ -208,14 +187,14 @@ def _parse_int_range(text: str) -> list[int]:
         for part in text.split(","):
             part = part.strip()
             if "-" in part.lstrip("-"):
-                lo, hi = part.split("-", 1)
-                values.extend(range(int(lo), int(hi) + 1))
+                lo, hi = map(int, part.split("-", 1))
+                if lo > hi:
+                    raise ConfigError(f"reversed range {part!r} in {text!r}")
+                values.extend(range(lo, hi + 1))
             else:
                 values.append(int(part))
     except ValueError:
         raise ConfigError(f"bad integer range {text!r}") from None
-    if not values:
-        raise ConfigError(f"empty range {text!r}")
     return values
 
 

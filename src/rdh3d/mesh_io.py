@@ -265,56 +265,46 @@ def _mesh_text(mesh, fmt: str):
         yield _rows(f, mesh.faces[i:i + _CHUNK] - base)
 
 
-def decimal_digits(words: np.ndarray, point: int = 0):
-    """(digits, opened): the decimal digits of the nonnegative integers
-    words, `point` of them after a decimal point and at least one before
-    it, as a uint8 array of ASCII digits of shape words.shape + (width,),
-    most significant first, every word with the same width; and a bool
-    array over each word's integer-part columns but its units, true from
-    the column of the word's first nonzero digit on, where its text
-    opens."""
-    top = int(words.max(initial=0))
-    width = max(len(str(top)), point + 1)
-    digits = np.empty((*words.shape, width), np.uint8)
-    rest = words.astype(np.min_scalar_type(top))
-    digit = np.empty_like(rest)
-    for j in range(width - 1, -1, -1):
-        np.divmod(rest, 10, out=(rest, digit))
-        digits[..., j] = digit
-    digits += ord("0")
-    return digits, words[..., None] >= 10 ** np.arange(width - 1, point, -1)
-
-
-def _rows(lead: str, words: np.ndarray, signs=None, decimals=None) -> bytes:
-    """A text row per row of the (n, 3) nonnegative integers `words`: lead,
-    then each word and a space (a newline after the last). A word k of
-    sign s prints as an integer, or with decimals as repr((-1)^s * k /
-    10^decimals) does. Each word gets the same columns of a uint8 matrix,
-    and a mask keeps the ones its text uses."""
+def _rows(lead: str, words: np.ndarray, signs=None, decimals=None,
+          end: str = "\n") -> bytes:
+    """A text row per row of the (n, k) nonnegative integers `words`: lead,
+    then each word and a space, with the one-byte `end` in place of the
+    last space. A word w of sign s prints as an integer, or with decimals
+    as repr((-1)^s * w / 10^decimals) does. Each word gets the same
+    columns of a uint8 matrix: its decimal digits, most significant first
+    and at least one before the point, and a mask keeps the ones its text
+    uses."""
     d, point, s = decimals or 0, decimals is not None, signs is not None
-    digits, opened = decimal_digits(words, d)
-    a = digits.shape[-1] - d  # integer-part columns
+    top = int(words.max(initial=0))
+    a = max(len(str(top)) - d, 1)  # integer-part columns
     cols = s + a + point * (1 + max(d, 1)) + 1  # and the separator
-    n, lead = len(words), lead.encode()
-    text = np.empty((n, len(lead) + 3 * cols), np.uint8)
+    (n, k), lead = words.shape, lead.encode()
+    text = np.empty((n, len(lead) + k * cols), np.uint8)
     keep = np.ones(text.shape, bool)
     text[:, :len(lead)] = np.frombuffer(lead, np.uint8)
-    # views of the three words' columns
-    cell, kept = (x[:, len(lead):].reshape(n, 3, cols) for x in (text, keep))
+    # views of the k words' columns
+    cell, kept = (x[:, len(lead):].reshape(n, k, cols) for x in (text, keep))
+    rest = words.astype(np.min_scalar_type(top))
+    digit = np.empty_like(rest)
+    # the digits, least significant first, around the point's column
+    for j in [*range(s + a + d, s + a, -1), *range(s + a - 1, s - 1, -1)]:
+        np.divmod(rest, 10, out=(rest, digit))
+        cell[..., j] = digit + ord("0")
     if s:
         cell[..., 0], kept[..., 0] = ord("-"), signs
-    cell[..., s:s + a] = digits[..., :a]
-    kept[..., s:s + a - 1] = opened  # the integer part opens at its first nonzero digit
+    # the integer part opens at its first nonzero digit
+    kept[..., s:s + a - 1] = words[..., None] >= 10 ** np.arange(a + d - 1, d, -1)
     if point:
         cell[..., s + a] = ord(".")
-        cell[..., s + a + 1:-1] = digits[..., a:] if d else ord("0")
+        if not d:
+            cell[..., s + a + 1] = ord("0")
         # the fraction closes at its last nonzero digit, or at its first
         kept[..., s + a + 2:-1] = np.logical_or.accumulate(
-            digits[..., :a:-1] != ord("0"), axis=-1)[..., ::-1]
+            cell[..., s + a + d:s + a + 1:-1] != ord("0"), axis=-1)[..., ::-1]
     cell[..., -1] = ord(" ")
-    cell[:, 2, -1] = ord("\n")
+    cell[:, -1, -1] = ord(end)
     if d > 4:
-        # repr's exponent form of k < 10^(d-4) fits the cell's d + 3 columns
+        # repr's exponent form of w < 10^(d-4) fits the cell's d + 3 columns
         for i, c in np.argwhere((words > 0) & (words < 10 ** (d - 4))).tolist():
             x = int(words[i, c]) / 10**d
             token = repr(-x if signs[i, c] else x).encode()

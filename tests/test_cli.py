@@ -716,6 +716,7 @@ class TestBadInputsExitTwo:
     @pytest.mark.parametrize("settings", [
         ["--m", "12"], ["--m", "1-4"], ["--n", "0"], ["--n", "16,33"],
         ["--m", "2", "--n", "20"],  # no (m, n) pair with n <= bit_length(m)
+        ["--m", "9-2,4"],  # a reversed part, not an empty one beside m=4
     ], ids="-".join)
     def test_bench_value_outside_its_range(self, tmp_path, capsys, bench_not_run,
                                            settings):

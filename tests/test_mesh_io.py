@@ -367,11 +367,13 @@ class TestIntegerWriter:
         assert write_mesh(value, fmt) == write_mesh(value.coordinates(), fmt)
 
     @settings(max_examples=200, deadline=None)
-    @given(ids=st.lists(st.tuples(*[st.integers(0, 2**32 - 1)] * 3), max_size=6),
-           lead=st.sampled_from(["3 ", "f "]))
-    def test_face_rows_match_format_strings(self, ids, lead):
-        expected = "".join(f"{lead}{i} {j} {k}\n" for i, j, k in ids)
-        got = mesh_io._rows(lead, np.array(ids, np.int64).reshape(-1, 3))
+    @given(data=st.data(), width=st.integers(1, 3),
+           lead=st.sampled_from(["3 ", "f ", "\n    "]), end=st.sampled_from(["\n", ","]))
+    def test_face_rows_match_format_strings(self, data, width, lead, end):
+        ids = data.draw(st.lists(st.lists(st.integers(0, 2**32 - 1), min_size=width,
+                                          max_size=width), max_size=6))
+        expected = "".join(lead + " ".join(map(str, row)) + end for row in ids)
+        got = mesh_io._rows(lead, np.array(ids, np.int64).reshape(-1, width), end=end)
         assert got.decode("ascii") == expected
 
     def test_file_matches_text(self, tmp_path, monkeypatch):
