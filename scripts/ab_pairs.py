@@ -9,7 +9,10 @@ with `git archive` into a temporary directory; each pair then runs
 `perfbench/run.py --trace 0` once there and once in the working tree,
 with the same workload, seed and run length, the parent first in even
 pairs and the working tree first in odd ones. Nothing under perfbench/
-is edited: each side runs its own copy.
+is edited: each side runs its own copy. --workload takes one workload,
+a comma-separated list, or `all` for every workload that the working
+tree's BENCHMARK.json declares; the workloads run one after the other,
+each with its own pairs.
 
 Each side runs with its own fresh bytecode cache (PYTHONPYCACHEPREFIX
 pointing into the temporary directory, with bytecode writing on), filled
@@ -88,8 +91,11 @@ def run_once(tree: Path, env: dict, workload: str, seed: int, seconds: float,
 
 
 def spread(values: list[float]) -> dict:
+    median = statistics.median(values)
+    if len(values) < 2:  # one pair: no spread to speak of
+        return {"median": median, "q1": median, "q3": median}
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": statistics.median(values), "q1": q1, "q3": q3}
+    return {"median": median, "q1": q1, "q3": q3}
 
 
 def summarize(runs: dict) -> dict:
@@ -139,47 +145,31 @@ def report(key: str, entry: dict) -> None:
                   f"ratio {ratio}")
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--parent", required=True, help="commit to compare against")
-    p.add_argument("--workload", required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=24.0,
-                   help="run length of each benchmark run (the same on both sides)")
-    p.add_argument("--out", required=True, help="JSON file to add this comparison to")
-    p.add_argument("--layers", action="store_true",
-                   help="after the pairs, one --trace 1 run per side for the per-layer values")
-    args = p.parse_args(argv)
-    if args.pairs < 2:
-        p.error("--pairs must be at least 2")
+def workloads(spec: str, root: Path) -> list[str]:
+    """The workloads that --workload names: a comma-separated list, or
+    `all` for those of root/BENCHMARK.json."""
+    if spec == "all":
+        return [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
+    return [name for name in spec.split(",") if name]
 
-    root = Path(git("rev-parse", "--show-toplevel", cwd=Path.cwd()))
-    out = Path(args.out)
-    key = f"{args.workload}/seed{args.seed}"
+
+def compare(args, workload: str, sides: dict, envs: dict, root: Path) -> dict:
+    """The pairs of one workload, and its traced runs with --layers: the
+    entry stored under "<workload>/seed<seed>"."""
     runs = {"parent": [], "change": []}
-    with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
-        parent_tree = Path(tmp, "parent")
-        parent_tree.mkdir()
-        export(args.parent, root, parent_tree)
-        sides = {"parent": parent_tree, "change": root}
-        envs = {side: pycache_env(Path(tmp, f"pycache-{side}")) for side in sides}
-        for side in sides:  # fills the side's bytecode cache
-            run_once(sides[side], envs[side], args.workload, args.seed, 0.1, "--tiny")
-        for i in range(args.pairs):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
-                t0 = time.perf_counter()
-                runs[side].append(run_once(sides[side], envs[side], args.workload,
-                                           args.seed, args.seconds))
-                print(f"pair {i + 1}/{args.pairs} {side}: session_s "
-                      f"{runs[side][-1]['metrics'].get('session_s', float('nan')):.4f} "
-                      f"({time.perf_counter() - t0:.0f} s)", flush=True)
-        layers = {side: run_once(sides[side], envs[side], args.workload, args.seed,
-                                 args.seconds, trace=1)["metrics"]
-                  for side in sides} if args.layers else None
+    for side in sides:  # fills the side's bytecode cache
+        run_once(sides[side], envs[side], workload, args.seed, 0.1, "--tiny")
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            t0 = time.perf_counter()
+            runs[side].append(run_once(sides[side], envs[side], workload, args.seed,
+                                       args.seconds))
+            print(f"{workload} pair {i + 1}/{args.pairs} {side}: session_s "
+                  f"{runs[side][-1]['metrics'].get('session_s', float('nan')):.4f} "
+                  f"({time.perf_counter() - t0:.0f} s)", flush=True)
     entry = {
-        "workload": args.workload,
+        "workload": workload,
         "seed": args.seed,
         "pairs": args.pairs,
         "seconds": args.seconds,
@@ -193,12 +183,47 @@ def main(argv=None) -> int:
         "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in runs},
         "metrics": summarize(runs),
     }
-    if layers:
-        entry["layers"] = layers
-    report(key, entry)
-    doc = json.loads(out.read_text()) if out.exists() else {}
-    doc[key] = entry
-    out.write_text(json.dumps(doc, indent=1) + "\n")
+    if args.layers:
+        entry["layers"] = {side: run_once(sides[side], envs[side], workload, args.seed,
+                                          args.seconds, trace=1)["metrics"]
+                           for side in sides}
+    return entry
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", required=True, help="commit to compare against")
+    p.add_argument("--workload", required=True,
+                   help="a workload, a comma-separated list of them, or all")
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seconds", type=float, default=24.0,
+                   help="run length of each benchmark run (the same on both sides)")
+    p.add_argument("--out", required=True, help="JSON file to add this comparison to")
+    p.add_argument("--layers", action="store_true",
+                   help="after the pairs, one --trace 1 run per side for the per-layer values")
+    args = p.parse_args(argv)
+    if args.pairs < 1:
+        p.error("--pairs must be at least 1")
+
+    root = Path(git("rev-parse", "--show-toplevel", cwd=Path.cwd()))
+    names = workloads(args.workload, root)
+    if not names:
+        p.error("--workload names no workload")
+    out = Path(args.out)
+    with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
+        parent_tree = Path(tmp, "parent")
+        parent_tree.mkdir()
+        export(args.parent, root, parent_tree)
+        sides = {"parent": parent_tree, "change": root}
+        envs = {side: pycache_env(Path(tmp, f"pycache-{side}")) for side in sides}
+        for workload in names:
+            key = f"{workload}/seed{args.seed}"
+            entry = compare(args, workload, sides, envs, root)
+            report(key, entry)
+            doc = json.loads(out.read_text()) if out.exists() else {}
+            doc[key] = entry
+            out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
 

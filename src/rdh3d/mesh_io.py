@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 import weakref
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -31,25 +32,30 @@ FORMATS = ("off", "obj", "ply")
 _PLY_FLOAT_TYPES = {"float", "double", "float32", "float64"}
 
 
+_sealed: dict = {}  # id -> weak reference, for each array read_only sealed, while it lives
+
+
 def _fixed(arr: np.ndarray) -> bool:
-    """Whether arr is read-only down to memory that nothing can write:
-    the bytes behind np.frombuffer, or a read-only array that owns its
-    data."""
+    """Whether no holder of arr can write its memory: arr is read-only
+    down to the bytes behind np.frombuffer, or it is a view of an array
+    that read_only sealed. numpy lets the holder of a read-only array
+    that owns its data turn its write flag back on, so a caller's such
+    array is not fixed."""
     while not arr.flags.writeable:
         base = arr.base
-        if base is None:
-            return True
         if type(base) is not np.ndarray:
             return type(base) is bytes
+        if base.base is None:
+            return id(base) in _sealed and not base.flags.writeable
         arr = base
     return False
 
 
 def _frozen(values, dtype, row) -> np.ndarray:
     """values as a read-only array of dtype and shape (-1, *row) that no
-    writable array shares. An array that is read-only down to its memory
-    (see _fixed) is kept, as the same object when its dtype and shape
-    match; an array that shares other memory is copied."""
+    holder can write. An array that is fixed already (see _fixed) is
+    kept, as the same object when its dtype and shape match; an array
+    that shares other memory is copied."""
     if (type(values) is np.ndarray and values.dtype == dtype
             and values.shape[1:] == row and _fixed(values)):
         return values
@@ -57,18 +63,26 @@ def _frozen(values, dtype, row) -> np.ndarray:
     if not _fixed(arr):
         if np.may_share_memory(arr, values):
             arr = arr.copy()
-        read_only(arr)
+        arr = read_only(arr)
     return arr
 
 
 def read_only(arr: np.ndarray) -> np.ndarray:
-    """arr with its write flag cleared, and its owner's if it is a view,
-    for a fresh array that nothing else holds: a Frozen value keeps it
-    as the same object, without a copy."""
+    """arr, read-only for good, for a fresh array that nothing else
+    holds, so that a Frozen value keeps it without a copy. The write
+    flags of arr and of the arrays it is a view of are cleared, and the
+    array that owns the memory is sealed: it is returned only as a
+    view, and numpy will not turn a view's write flag back on while its
+    owner, which only the view's `.base` reaches, stays read-only."""
     owner = arr
     while type(owner) is np.ndarray:
-        owner.flags.writeable = False
-        owner = owner.base
+        owner.setflags(write=False)
+        base = owner.base
+        if base is None:
+            key = id(owner)  # its entry goes when owner is freed
+            _sealed[key] = weakref.ref(owner, partial(_sealed.pop, key))
+            return owner.view() if owner is arr else arr
+        owner = base
     return arr
 
 
@@ -81,11 +95,10 @@ class Frozen:
     """The rule of every pipeline value, for a frozen dataclass with
     eq=False: each `array()` field is kept read-only, so the value can be
     neither reassigned nor edited in place, and an array a caller holds
-    is copied unless it is read-only down to its memory (see _frozen).
-    numpy lets the holder of a read-only array that owns its data make it
-    writable again, and an edit through it reaches the value; only memory
-    that `bytes` backs is beyond that. Two values of one type are equal
-    when every field is; a value is not hashable.
+    is copied unless no holder can write its memory (see _fixed): the
+    package's own fresh arrays (read_only) and the bytes behind
+    np.frombuffer are kept. Two values of one type are equal when every
+    field is; a value is not hashable.
     """
 
     def __post_init__(self):

@@ -3,9 +3,16 @@
 Vertices are visited in the order they first appear while scanning the
 face list top to bottom, left to right within a face. A vertex that is
 in neither set joins the embedded set C, and every vertex sharing a
-face with it joins the reference set R. The result is a maximal
-independent set (in traversal order) for C, so no two payload-carrying
+face with it joins the reference set R. The result is the
+lexicographically-first maximal independent set in visit order for C
+(Blelloch, Fineman and Shun, SPAA 2012), so no two payload-carrying
 vertices are adjacent and every C ring lies entirely in R.
+
+The work is done in visit-rank space: each face id is replaced by its
+vertex's visit rank, and each edge is kept once, oriented from its
+earlier end to its later one. When the sweep reaches a vertex, its
+earlier neighbours are decided already, so it marks only its later
+ones, and the rings are built for the C vertices alone.
 """
 
 from __future__ import annotations
@@ -37,71 +44,32 @@ class Partition(Frozen):
         return self.embedded.shape[0]
 
 
-# Low half of a packed pair code (u << 32) | v: the neighbour v.
+# Low half of a packed pair code (u << 32) | v: the vertex v.
 _LOW = 0xFFFFFFFF
 
 
-def _adjacency(n_vertices: int, faces: np.ndarray):
-    """CSR one-ring adjacency of ids 0..n_vertices-1: sharing any face,
-    self excluded.
-
-    Each undirected edge of a face is packed into one uint64 code,
-    (min << 32) | max, which sorts by its first vertex, then its second.
-    Sorting the 3 codes per face and keeping the first of each run of
-    equal values is the dedup. The reversed codes (max << 32) | min go
-    into the second half of the same buffer, and one more sort gives
-    every vertex's neighbours, ascending, in one run. Ids must be below
-    2^32; each temporary is deleted as soon as it has been used.
-    """
-    ids = faces.view(np.uint64)  # nonnegative, so the same values
-    n_faces = ids.shape[0]
+def _edges(ranks: np.ndarray) -> np.ndarray:
+    """Each edge of the (M, 3) faces of visit ranks once, as the uint64
+    code (earlier << 32) | later, ascending, so that each vertex's later
+    neighbours form one run. A degenerate face gives only the edges
+    between its distinct vertices. Ranks must be below 2^32."""
+    n_faces = ranks.shape[0]
     codes = np.empty(3 * n_faces, dtype=np.uint64)
     for i, (a, b) in enumerate(((0, 1), (0, 2), (1, 2))):
-        low = codes[i * n_faces:(i + 1) * n_faces]
-        np.minimum(ids[:, a], ids[:, b], out=low)
-        low <<= 32
-        high = np.maximum(ids[:, a], ids[:, b])
-        low |= high
-        del low, high
-    # degenerate faces must not make a vertex its own neighbor
-    degenerate = ((ids[:, 0] == ids[:, 1]) | (ids[:, 0] == ids[:, 2])
-                  | (ids[:, 1] == ids[:, 2]))
-    if degenerate.any():
+        code = codes[i * n_faces:(i + 1) * n_faces]
+        np.minimum(ranks[:, a], ranks[:, b], out=code)
+        code <<= 32
+        code |= np.maximum(ranks[:, a], ranks[:, b])
+        del code
+    # degenerate faces must not make a vertex its own neighbour
+    if ((ranks[:, 0] == ranks[:, 1]) | (ranks[:, 0] == ranks[:, 2])
+            | (ranks[:, 1] == ranks[:, 2])).any():
         codes = codes[(codes >> 32) != (codes & _LOW)]
-    del degenerate
     codes.sort()
     fresh = np.empty(codes.size, dtype=bool)
     fresh[:1] = True
     np.not_equal(codes[1:], codes[:-1], out=fresh[1:])
-    n_edges = int(np.count_nonzero(fresh))
-    pairs = np.empty(2 * n_edges, dtype=np.uint64)
-    forward, reverse = pairs[:n_edges], pairs[n_edges:]
-    forward[:] = codes[fresh]
-    del codes, fresh
-    np.bitwise_and(forward, _LOW, out=reverse)
-    reverse <<= 32
-    high = forward >> 32
-    reverse |= high
-    del high, forward, reverse
-    pairs.sort()
-    first = (pairs >> 32).view(np.int64)
-    offsets = np.zeros(n_vertices + 1, dtype=np.int64)
-    np.cumsum(np.bincount(first, minlength=n_vertices), out=offsets[1:])
-    del first
-    pairs &= _LOW
-    return pairs.view(np.int64), offsets
-
-
-def _gather_ranges(flat, starts, lengths):
-    """Concatenate flat[starts[i]:starts[i]+lengths[i]] without a Python loop."""
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=flat.dtype)
-    out_off = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=out_off[1:])
-    pos = np.arange(total, dtype=np.int64)
-    pos += np.repeat(starts - out_off[:-1], lengths)
-    return flat[pos]
+    return codes[fresh]
 
 
 def partition(n_vertices: int, faces) -> Partition:
@@ -116,43 +84,72 @@ def partition(n_vertices: int, faces) -> Partition:
         raise ValueError(f"{n} vertices: ids must fit in 32 bits")
     faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
     check_face_ids(faces, n)
-    adj_flat, adj_off = _adjacency(n + 1, faces)
 
     # first-appearance order over the face stream: the earliest stream
     # position of each vertex, then those positions in stream order
     order = faces.ravel()
     first = np.full(n + 1, order.size, dtype=np.int64)
     np.minimum.at(first, order, np.arange(order.size, dtype=np.int64))
-    in_any_face = first < order.size
+    in_face = first < order.size
     is_first = np.zeros(order.size, dtype=bool)
-    is_first[first[in_any_face]] = True
-    visit = order[is_first]
+    is_first[first[in_face]] = True
+    del first
+    visit = order[is_first]  # the vertex of each visit rank
+    del is_first
+    k = visit.size
+    rank = np.empty(n + 1, dtype=np.uint32)  # read only at ids in a face
+    rank[visit] = np.arange(k, dtype=np.uint32)
+    edges = _edges(rank[faces])
+    del rank
+    later = (edges & _LOW).view(np.int64)
+    starts = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(np.bincount((edges >> 32).view(np.int64), minlength=k), out=starts[1:])
 
     # The sweep is inherently sequential; plain bytearray/memoryview
-    # indexing keeps numpy's per-call overhead out of the loop.
-    UNSEEN, IN_C, IN_R = 0, 1, 2
-    status = bytearray(n + 1)
-    flat, off = memoryview(adj_flat), memoryview(adj_off)
-    embedded = []
-    for vtx in visit.tolist():
-        if status[vtx] == UNSEEN:
-            status[vtx] = IN_C
-            embedded.append(vtx)
-            for nb in flat[off[vtx]:off[vtx + 1]]:
-                status[nb] = IN_R
+    # indexing keeps numpy's per-call overhead out of the loop. A rank
+    # that is unmarked when reached joins C and marks its later
+    # neighbours, which join R; its earlier ones are decided already.
+    # So a rank is in C exactly when it is never marked.
+    marked = bytearray(k)
+    nbrs, off = memoryview(later), memoryview(starts)
+    for v in range(k):
+        if not marked[v]:
+            for w in nbrs[off[v]:off[v + 1]]:
+                marked[w] = 1
+    del nbrs, off
+    in_c = np.frombuffer(marked, dtype=np.uint8) == 0
+    c_ranks = np.flatnonzero(in_c)
+    emb = visit[c_ranks]
 
-    emb = np.asarray(embedded, dtype=np.int64)
-    status = np.frombuffer(status, dtype=np.uint8)
+    # The rings: the edges with a C end (no edge has two), each as
+    # (C rank << 32) | the other end's id. One sort gives them in C
+    # order, each ring ascending.
+    ids = visit.view(np.uint64)
+    c_early = np.repeat(in_c, np.diff(starts))  # the runs of the C ranks
+    del starts
+    c_late = in_c[later]  # the edges whose later end is in C
+    n_early = int(np.count_nonzero(c_early))
+    keys = np.empty(n_early + int(np.count_nonzero(c_late)), dtype=np.uint64)
+    early, late = keys[:n_early], keys[n_early:]
+    np.right_shift(edges[c_early], 32, out=early)
+    early <<= 32
+    early |= ids[later[c_early]]
+    del c_early
+    np.left_shift(later[c_late].view(np.uint64), 32, out=late)
+    late |= ids[(edges[c_late] >> 32).view(np.int64)]
+    del c_late, edges, later, early, late
+    keys.sort()
+    ring_offsets = np.zeros(c_ranks.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount((keys >> 32).view(np.int64), minlength=k)[c_ranks],
+              out=ring_offsets[1:])
+    keys &= _LOW
 
-    starts = adj_off[emb]
-    lengths = adj_off[emb + 1] - starts
-    ring_offsets = np.zeros(emb.size + 1, dtype=np.int64)
-    np.cumsum(lengths, out=ring_offsets[1:])
-
+    unassigned = np.flatnonzero(~in_face)[1:]  # past slot 0
+    in_face[emb] = False  # every vertex in a face and not in C is in R
     return Partition(
         embedded=read_only(emb),
-        reference=read_only(np.flatnonzero(status == IN_R)),
-        unassigned=read_only(np.flatnonzero(~in_any_face)[1:]),  # past slot 0
-        ring_flat=read_only(_gather_ranges(adj_flat, starts, lengths)),
+        reference=read_only(np.flatnonzero(in_face)),
+        unassigned=read_only(unassigned),
+        ring_flat=read_only(keys.view(np.int64)),
         ring_offsets=read_only(ring_offsets),
     )

@@ -459,13 +459,32 @@ class TestMeshPartition:
         assert mesh.vertices[0, 0] == 0.25
         assert mesh.faces.tolist() == [[1, 2, 3]]
 
-    def test_read_only_arrays_are_kept(self):
-        verts = np.full((3, 3), 0.25)
-        faces = np.array([[1, 2, 3]])
+    def test_read_only_caller_arrays_are_copied(self):
+        # numpy lets the holder of a read-only array that owns its data
+        # turn its write flag back on, so such an array is not kept
+        grid = grid_mesh(10)
+        verts, faces = grid.vertices.copy(), grid.faces.copy()
         verts.flags.writeable = faces.flags.writeable = False
         mesh = Mesh(verts, faces)
-        assert np.shares_memory(mesh.vertices, verts)
-        assert np.shares_memory(mesh.faces, faces)
+        assert not np.shares_memory(mesh.vertices, verts)
+        assert not np.shares_memory(mesh.faces, faces)
+        assert mesh.partition.n_embedded == 30
+        faces.flags.writeable = True
+        faces[:] = faces[:, [1, 2, 0]]
+        assert partition(mesh.n_vertices, faces).n_embedded == 29
+        assert mesh.partition.n_embedded == 30
+        assert partition(mesh.n_vertices, mesh.faces).n_embedded == 30
+
+    @pytest.mark.parametrize("make", ["parse", "constructor"])
+    def test_write_flag_of_a_value_array_stays_off(self, make):
+        if make == "parse":
+            mesh = parse_mesh(write_mesh(grid_mesh(4), "off"), "off")
+        else:
+            mesh = Mesh(np.full((3, 3), 0.25), np.array([[1, 2, 3]]))
+        for arr in (mesh.vertices, mesh.faces, mesh.partition.embedded,
+                    mesh.partition.ring_flat):
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                arr.flags.writeable = True
 
     @pytest.mark.parametrize("make", ["bulk", "lines", "dequantize", "coordinates"])
     def test_package_meshes_are_read_only(self, make, tetra_mesh, ke):

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rdh3d import Mesh
@@ -174,9 +174,10 @@ def test_face_ids_outside_the_vertices_rejected(faces):
 
 
 def test_partition_memory_is_bounded():
-    # 90,000 vertices, 178,802 faces. Measured peaks: 15.2 MiB with
-    # packed undirected pair codes, 37.9 MiB with six directed u*N+v
-    # codes per face split by divmod.
+    # 90,000 vertices, 178,802 faces. Measured peaks: 9.8 MiB with one
+    # sort of edges between visit ranks, 11.3 MiB with the symmetric
+    # adjacency of two sorts, 37.9 MiB with six directed u*N+v codes per
+    # face split by divmod.
     mesh = grid_mesh(300)
     tracemalloc.start()
     try:
@@ -210,6 +211,9 @@ def face_lists(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(face_lists())
+@example((3, []))                                    # no faces, isolated ids
+@example((4, [[2, 2, 2], [4, 4, 4], [2, 2, 2]]))     # every face (a, a, a)
+@example((3, [[2, 2, 1]]))                           # one (a, a, b) face
 def test_matches_oracle_on_adversarial_face_lists(case):
     n_vertices, faces = case
     part = partition(n_vertices, np.array(faces, dtype=np.int64).reshape(-1, 3))
@@ -266,6 +270,23 @@ def test_shuffled_grid_arrays_equal_unique_formulation(seed):
     n = mesh.n_vertices + 7                           # isolated vertices
     part = partition(n, faces)
     want = _unique_based_partition(n, faces)
+    for name, expected in want.items():
+        got = getattr(part, name)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected), name
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_relabelled_grid_arrays_equal_unique_formulation(seed):
+    # a shuffled grid under a random permutation of its vertex ids, so
+    # that the visit order and the id order disagree
+    rng = np.random.default_rng(100 + seed)
+    mesh = grid_mesh(30 + 10 * seed)
+    relabel = np.concatenate([[0], rng.permutation(mesh.n_vertices) + 1])
+    faces = relabel[mesh.faces[rng.permutation(mesh.n_faces)]]
+    part = partition(mesh.n_vertices, faces)
+    assert not np.array_equal(part.embedded, np.sort(part.embedded))
+    want = _unique_based_partition(mesh.n_vertices, faces)
     for name, expected in want.items():
         got = getattr(part, name)
         assert got.dtype == np.int64
