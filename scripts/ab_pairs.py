@@ -5,7 +5,8 @@ working tree.
         --seed 1 --pairs 10 --out BENCH.json
 
 Run from anywhere inside a git checkout. The parent commit is exported
-with `git archive` into a temporary directory; each pair then runs
+with `git archive` into a temporary directory, which is removed on exit,
+on an error and on SIGTERM; each pair then runs
 `perfbench/run.py --trace 0` once there and once in the working tree,
 with the same workload, seed and run length, the parent first in even
 pairs and the working tree first in odd ones. Nothing under perfbench/
@@ -42,6 +43,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -51,6 +53,12 @@ from pathlib import Path
 
 # Metrics for which a higher value is better; every other one is a cost.
 HIGHER_IS_BETTER = {"bpv"}
+
+
+def stop(signum, frame):
+    """A SIGTERM handler: exit through SystemExit, so that the temporary
+    directory is removed on the way out."""
+    raise SystemExit(128 + signum)
 
 
 def git(*args: str, cwd: Path) -> str:
@@ -211,19 +219,23 @@ def main(argv=None) -> int:
     if not names:
         p.error("--workload names no workload")
     out = Path(args.out)
-    with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
-        parent_tree = Path(tmp, "parent")
-        parent_tree.mkdir()
-        export(args.parent, root, parent_tree)
-        sides = {"parent": parent_tree, "change": root}
-        envs = {side: pycache_env(Path(tmp, f"pycache-{side}")) for side in sides}
-        for workload in names:
-            key = f"{workload}/seed{args.seed}"
-            entry = compare(args, workload, sides, envs, root)
-            report(key, entry)
-            doc = json.loads(out.read_text()) if out.exists() else {}
-            doc[key] = entry
-            out.write_text(json.dumps(doc, indent=1) + "\n")
+    previous = signal.signal(signal.SIGTERM, stop)
+    try:
+        with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
+            parent_tree = Path(tmp, "parent")
+            parent_tree.mkdir()
+            export(args.parent, root, parent_tree)
+            sides = {"parent": parent_tree, "change": root}
+            envs = {side: pycache_env(Path(tmp, f"pycache-{side}")) for side in sides}
+            for workload in names:
+                key = f"{workload}/seed{args.seed}"
+                entry = compare(args, workload, sides, envs, root)
+                report(key, entry)
+                doc = json.loads(out.read_text()) if out.exists() else {}
+                doc[key] = entry
+                out.write_text(json.dumps(doc, indent=1) + "\n")
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     return 0
 
 

@@ -25,8 +25,8 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 
 from .container import MarkedContainer
 from .errors import ConfigError
-from .mesh_io import read_only
 from .quantize import WORD_DTYPES, QuantizedMesh
+from .values import read_only
 
 
 class KeyRole(enum.Enum):

@@ -133,7 +133,7 @@ def cmd_embed(args) -> int:
     try:
         with open(args.report) as fh:
             rep = PredictionReport.from_json_dict(json.load(fh))
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise ConfigError(f"unreadable prediction report {args.report}: {exc!r}") from None
     n = choose_n(rep, args.n)
     kw = _kw(args)

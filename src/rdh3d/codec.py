@@ -20,9 +20,9 @@ import numpy as np
 from .cipher import KeyMaterial, KeyRole, _require_role, stream_words
 from .container import MarkedContainer
 from .errors import CapacityError, ConfigError
-from .mesh_io import read_only
 from .predictor import PredictionReport, predict_words
 from .quantize import QuantizedMesh, embedding_length
+from .values import read_only
 
 
 def _msb_weights(n: int) -> np.ndarray:

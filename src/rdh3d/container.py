@@ -23,7 +23,7 @@ Layout (all header integers little-endian):
 the reader derives the partition of the faces it read and treats any
 size disagreement with the excluded bitmap as corruption. The split is
 never serialized: `MarkedContainer.partition` is derived from the face
-array once (see `mesh_io.Faced`), and extraction, recovery and
+array once (see `partition.Faced`), and extraction, recovery and
 embedding read that one. Bitmap padding bits must be zero.
 """
 
@@ -35,8 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContainerError
-from .mesh_io import array, check_face_ids, read_only, split_of
+from .partition import split_of
 from .quantize import WORD_DTYPES, SignMagnitude, bit_length, embedding_length
+from .values import array, check_face_ids, read_only
 
 MAGIC = b"RDH3"
 VERSION = 1

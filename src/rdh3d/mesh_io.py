@@ -12,9 +12,7 @@ names the offending line.
 from __future__ import annotations
 
 import re
-import weakref
-from dataclasses import dataclass, field, fields
-from functools import partial
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,159 +24,12 @@ from .errors import (
     MeshParseError,
     NonTriangleFaceError,
 )
+from .partition import Faced
+from .values import array, check_face_ids, read_only
 
 FORMATS = ("off", "obj", "ply")
 
 _PLY_FLOAT_TYPES = {"float", "double", "float32", "float64"}
-
-
-_sealed: dict = {}  # id -> weak reference, for each array read_only sealed, while it lives
-
-
-def _fixed(arr: np.ndarray) -> bool:
-    """Whether no holder of arr can write its memory: arr is read-only
-    down to the bytes behind np.frombuffer, or it is a view of an array
-    that read_only sealed. numpy lets the holder of a read-only array
-    that owns its data turn its write flag back on, so a caller's such
-    array is not fixed."""
-    while not arr.flags.writeable:
-        base = arr.base
-        if type(base) is not np.ndarray:
-            return type(base) is bytes
-        if base.base is None:
-            return id(base) in _sealed and not base.flags.writeable
-        arr = base
-    return False
-
-
-def _frozen(values, dtype, row) -> np.ndarray:
-    """values as a read-only array of dtype and shape (-1, *row) that no
-    holder can write. An array that is fixed already (see _fixed) is
-    kept, as the same object when its dtype and shape match; an array
-    that shares other memory is copied."""
-    if (type(values) is np.ndarray and values.dtype == dtype
-            and values.shape[1:] == row and _fixed(values)):
-        return values
-    arr = np.asarray(values, dtype=dtype).reshape(-1, *row)
-    if not _fixed(arr):
-        if np.may_share_memory(arr, values):
-            arr = arr.copy()
-        arr = read_only(arr)
-    return arr
-
-
-def read_only(arr: np.ndarray) -> np.ndarray:
-    """arr, read-only for good, for a fresh array that nothing else
-    holds, so that a Frozen value keeps it without a copy. The write
-    flags of arr and of the arrays it is a view of are cleared, and the
-    array that owns the memory is sealed: it is returned only as a
-    view, and numpy will not turn a view's write flag back on while its
-    owner, which only the view's `.base` reaches, stays read-only."""
-    owner = arr
-    while type(owner) is np.ndarray:
-        owner.setflags(write=False)
-        base = owner.base
-        if base is None:
-            key = id(owner)  # its entry goes when owner is freed
-            _sealed[key] = weakref.ref(owner, partial(_sealed.pop, key))
-            return owner.view() if owner is arr else arr
-        owner = base
-    return arr
-
-
-def array(dtype, shape=(-1, 3)):
-    """A Frozen field: a read-only array of dtype and shape -1 or (-1, 3)."""
-    return field(metadata={"array": (np.dtype(dtype), () if shape == -1 else shape[1:])})
-
-
-class Frozen:
-    """The rule of every pipeline value, for a frozen dataclass with
-    eq=False: each `array()` field is kept read-only, so the value can be
-    neither reassigned nor edited in place, and an array a caller holds
-    is copied unless no holder can write its memory (see _fixed): the
-    package's own fresh arrays (read_only) and the bytes behind
-    np.frombuffer are kept. Two values of one type are equal when every
-    field is; a value is not hashable.
-    """
-
-    def __post_init__(self):
-        for f in fields(self):
-            if spec := f.metadata.get("array"):
-                object.__setattr__(self, f.name, _frozen(getattr(self, f.name), *spec))
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
-                   for f in fields(self))
-
-    __hash__ = None
-
-
-_splits: dict = {}  # (id(faces), n_vertices) -> Partition, while the faces live
-
-
-def split_of(faces: np.ndarray, n_vertices: int):
-    """The split (`partition.partition`) of a Frozen value's face array,
-    derived once per array object: that array is read-only down to its
-    memory (see _frozen), so one object always holds the same faces."""
-    key = (id(faces), n_vertices)
-    part = _splits.get(key)
-    if part is None:
-        from .partition import partition  # imported here: partition imports Frozen
-        part = _splits[key] = partition(n_vertices, faces)
-        weakref.finalize(faces, _splits.pop, key, None)
-    return part
-
-
-def bad_face_id(faces: np.ndarray, n_vertices: int):
-    """The rule for face ids: each lies in 1..n_vertices. (row, id) of
-    the first id in row order that breaks it, else None. A min/max pass
-    decides; only an array that breaks the rule is searched."""
-    if faces.size:
-        lo, hi = int(faces.min()), int(faces.max())
-        if lo < 1 or hi > n_vertices:
-            at = int(np.argmax((faces < 1) | (faces > n_vertices)))
-            return at // 3, int(faces.flat[at])
-    return None
-
-
-def check_face_ids(faces: np.ndarray, n_vertices: int, error=ValueError,
-                   base: int = 1, lines=None):
-    """Raise error unless the (M, 3) 1-based faces keep the rule of
-    bad_face_id. Its message names the first bad id and the valid range
-    as a file whose ids count from base writes them; with `lines`, the
-    line of each face row, error is a MeshParseError and names the bad
-    row's line too."""
-    if (bad := bad_face_id(faces, n_vertices)) is not None:
-        row, idx = bad
-        message = (f"face index out of range: {idx - 1 + base} "
-                   f"(valid range {base}..{n_vertices - 1 + base})")
-        raise error(message) if lines is None else error(message, int(lines[row]))
-
-
-class Faced(Frozen):
-    """A Frozen value over 1-based triangle `faces` on `n_vertices`
-    vertices; every value that holds the same face array shares its split.
-    Construction raises `_error` unless every face id lies in
-    1..n_vertices (see check_face_ids)."""
-
-    _error = ValueError
-
-    def __post_init__(self):
-        super().__post_init__()
-        # an array whose split exists passed the rule when it was derived
-        if (id(self.faces), self.n_vertices) not in _splits:
-            check_face_ids(self.faces, self.n_vertices, self._error)
-
-    @property
-    def partition(self):
-        """The embedded/reference split of the faces (see split_of)."""
-        return split_of(self.faces, self.n_vertices)
-
-    @property
-    def n_faces(self) -> int:
-        return self.faces.shape[0]
 
 
 @dataclass(frozen=True, eq=False)

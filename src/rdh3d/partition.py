@@ -12,16 +12,18 @@ The work is done in visit-rank space: each face id is replaced by its
 vertex's visit rank, and each edge is kept once, oriented from its
 earlier end to its later one. When the sweep reaches a vertex, its
 earlier neighbours are decided already, so it marks only its later
-ones, and the rings are built for the C vertices alone.
+ones, and the rings are built for the C vertices alone. Every value over
+a face list (Faced) reads its split through one memo (split_of).
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh_io import Frozen, array, check_face_ids, read_only
+from .values import Frozen, array, check_face_ids, read_only
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,3 +155,42 @@ def partition(n_vertices: int, faces) -> Partition:
         ring_flat=read_only(keys.view(np.int64)),
         ring_offsets=read_only(ring_offsets),
     )
+
+
+_splits: dict = {}  # (id(faces), n_vertices) -> Partition, while the faces live
+
+
+def split_of(faces: np.ndarray, n_vertices: int) -> Partition:
+    """The split (`partition`) of a Frozen value's face array, derived
+    once per array object: that array is fixed (see values._fixed), so
+    one object holds the same faces unless its owner is made writable."""
+    key = (id(faces), n_vertices)
+    part = _splits.get(key)
+    if part is None:
+        part = _splits[key] = partition(n_vertices, faces)
+        weakref.finalize(faces, _splits.pop, key, None)
+    return part
+
+
+class Faced(Frozen):
+    """A Frozen value over 1-based triangle `faces` on `n_vertices`
+    vertices; every value that holds the same face array shares its split.
+    Construction raises `_error` unless every face id lies in
+    1..n_vertices (see check_face_ids)."""
+
+    _error = ValueError
+
+    def __post_init__(self):
+        super().__post_init__()
+        # an array whose split exists passed the rule when it was derived
+        if (id(self.faces), self.n_vertices) not in _splits:
+            check_face_ids(self.faces, self.n_vertices, self._error)
+
+    @property
+    def partition(self) -> Partition:
+        """The embedded/reference split of the faces (see split_of)."""
+        return split_of(self.faces, self.n_vertices)
+
+    @property
+    def n_faces(self) -> int:
+        return self.faces.shape[0]

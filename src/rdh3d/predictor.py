@@ -24,8 +24,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError
-from .mesh_io import Frozen, array, read_only
 from .quantize import WORD_DTYPES, bit_length, embedding_length
+from .values import Frozen, array, read_only
 
 # Ring entries counted at once. It bounds the working memory of
 # predict_words, about 200 bytes per entry at l = 32; blocks of 65,536

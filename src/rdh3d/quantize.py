@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .mesh_io import Faced, Mesh, array, read_only
+from .mesh_io import Mesh
+from .partition import Faced
+from .values import array, read_only
 
 M_MIN, M_MAX = 2, 9
 

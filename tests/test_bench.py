@@ -6,7 +6,6 @@ import time
 import numpy as np
 import pytest
 
-from rdh3d import mesh_io
 from rdh3d.bench import (
     BenchRow,
     bench_corpus,
@@ -16,7 +15,7 @@ from rdh3d.bench import (
 )
 from rdh3d.cipher import KeyMaterial, KeyRole
 from rdh3d.mesh_io import read_mesh_file, write_mesh_file
-from rdh3d.partition import partition
+from rdh3d.partition import _splits, partition
 
 from conftest import grid_mesh, random_mesh
 
@@ -86,7 +85,7 @@ class TestBenchCorpus:
         for seed in range(3):
             write_mesh_file(tmp_path / f"{seed}.off", random_mesh(seed, n_max=30))
         gc.collect()
-        splits_before = set(mesh_io._splits)
+        splits_before = set(_splits)
         rows, failures = bench_corpus(tmp_path, list(range(2, 10)), [None], "a", "b")
         assert len(rows) == 24 and not failures
         assert len(partition_calls) == 3
@@ -94,7 +93,7 @@ class TestBenchCorpus:
         # partition() arguments let go of them
         partition_calls.clear()
         gc.collect()
-        assert set(mesh_io._splits) <= splits_before
+        assert set(_splits) <= splits_before
 
     def test_first_row_pays_for_the_partition(self, tmp_path, monkeypatch):
         def slow_partition(*args):

@@ -613,6 +613,12 @@ class TestBadInputsExitTwo:
         report.write_text("{not json")
         self.embed_with(capsys, enc, report)
 
+    @pytest.mark.parametrize("prefix", ["", '{"embedded": '])
+    def test_report_nested_too_deep(self, owner_files, capsys, prefix):
+        enc, report = owner_files
+        report.write_text(prefix + "[" * 100_000)
+        self.embed_with(capsys, enc, report)
+
     def test_report_missing_keys(self, owner_files, capsys):
         enc, report = owner_files
         doc = json.loads(report.read_text())

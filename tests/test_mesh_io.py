@@ -33,7 +33,7 @@ from rdh3d.errors import (
     NonTriangleFaceError,
 )
 from rdh3d.mesh_io import write_mesh
-from rdh3d.partition import partition
+from rdh3d.partition import _splits, partition
 
 from conftest import grid_mesh, random_mesh
 
@@ -515,10 +515,10 @@ class TestMeshPartition:
                  enc.coordinates()]
         assert all(form.partition is mesh.partition for form in forms)
         faces, key = weakref.ref(mesh.faces), (id(mesh.faces), mesh.n_vertices)
-        assert key in mesh_io._splits
+        assert key in _splits
         del mesh, q, enc, forms
         gc.collect()
-        assert faces() is None and key not in mesh_io._splits
+        assert faces() is None and key not in _splits
 
 
 @pytest.mark.parametrize("bad_id", [0, -2, 5])

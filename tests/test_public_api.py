@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import subprocess
+import sys
 import typing
 from pathlib import Path
 
 import numpy as np
 
 import rdh3d
-from rdh3d.mesh_io import Frozen
+from rdh3d.values import Frozen
 
 PACKAGE_DIR = Path(rdh3d.__file__).parent
 
@@ -145,8 +147,43 @@ def test_each_input_rule_has_one_definition():
         "quantize.py::__post_init__"]
     assert stating("sign rows for") == ["quantize.py::__post_init__"]
     assert stating("copysign") == ["quantize.py::coordinates"]
-    assert stating("face index out of range") == ["mesh_io.py::check_face_ids"]
+    assert stating("face index out of range") == ["values.py::check_face_ids"]
     assert not [f"{name}::{node.name}" for name, src in sources.items()
                 for node in ast.walk(ast.parse(src))
                 if isinstance(node, ast.FunctionDef) and node.name == "_face_error"]
     assert not any("signs == 1" in src for src in sources.values())
+
+
+def test_imports_sit_at_module_top():
+    """No function imports, so the import graph is the one the module
+    heads show. The one exception is metrics' lazy scipy import, which
+    costs more than every other import of the package."""
+    inside = sorted(f"{path.name}::{node.name}" for path in PACKAGE_DIR.glob("*.py")
+                    for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.FunctionDef)
+                    and any(isinstance(inner, (ast.Import, ast.ImportFrom))
+                            for inner in ast.walk(node)))
+    assert inside == ["metrics.py::cKDTree"]
+
+
+# Imports each module of the package first, in a package whose __init__
+# has not run, so that a cycle between two modules cannot hide behind the
+# order in which __init__ imports them.
+FIRST_IMPORT = """
+import importlib, sys, types
+for module in sys.argv[2:]:
+    for name in [name for name in sys.modules if name.split(".")[0] == "rdh3d"]:
+        del sys.modules[name]
+    package = sys.modules["rdh3d"] = types.ModuleType("rdh3d")
+    package.__path__ = [sys.argv[1]]
+    importlib.import_module("rdh3d." + module)
+"""
+
+
+def test_each_module_imports_first():
+    modules = sorted(path.stem for path in PACKAGE_DIR.glob("*.py")
+                     if path.name != "__init__.py")
+    assert "values" in modules
+    proc = subprocess.run([sys.executable, "-c", FIRST_IMPORT, str(PACKAGE_DIR), *modules],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,4 @@
-"""The rule every pipeline value follows (`mesh_io.Frozen`): equality by
+"""The rule every pipeline value follows (`values.Frozen`): equality by
 value over every field, no hash, and arrays that no caller can write."""
 
 from __future__ import annotations
@@ -10,8 +10,8 @@ import pytest
 
 import rdh3d
 from rdh3d import Mesh, analyze, encrypt_mesh, quantize
-from rdh3d.mesh_io import Frozen, read_only
 from rdh3d.partition import partition
+from rdh3d.values import Frozen, read_only
 
 from conftest import grid_mesh
 
