@@ -4,29 +4,24 @@ Each row runs the whole pipeline (quantize, analyze, encrypt, embed,
 extract, recover) at one (mesh, m, n) point, checks bit-exact recovery,
 and reports capacity, bpv, float-level Hausdorff distance (in 10^-3
 units), conventional SNR, the measured extraction error percentage, and
-per-stage wall times. Per-mesh failures are logged and the sweep
-continues.
+per-stage wall times. A failed row or mesh file is returned beside the
+rows, and the sweep continues.
 """
 
 from __future__ import annotations
 
 import csv
-import logging
 import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-import numpy as np
-
-from .cipher import KeyMaterial, KeyRole, chacha_stream, encrypt_mesh
-from .codec import embed, extract, recover
+from .cipher import KeyMaterial, KeyRole, encrypt_mesh
+from .codec import default_payload, embed, extract, recover
 from .errors import Rdh3dError
 from .mesh_io import FORMATS, Mesh, read_mesh_file
 from .metrics import embedding_rate, hausdorff, snr
 from .predictor import analyze, choose_n
 from .quantize import dequantize, quantize
-
-log = logging.getLogger("rdh3d.bench")
 
 
 @dataclass
@@ -50,13 +45,6 @@ class BenchRow:
 
 
 CSV_FIELDS = [f.name for f in fields(BenchRow)]
-
-
-def default_payload(kw: KeyMaterial, n_bits: int) -> np.ndarray:
-    """Deterministic pseudo-random payload bits derived from the hiding
-    key Kw under a nonce label distinct from the hiding stream."""
-    raw = chacha_stream(kw.key_bytes, "payload", (n_bits + 7) // 8)
-    return np.unpackbits(np.frombuffer(raw, np.uint8), count=n_bits)
 
 
 def run_pipeline(mesh: Mesh, mesh_id: str, m: int, n: int | None,
@@ -138,8 +126,6 @@ def bench_corpus(corpus_dir, m_values, n_values, ke_pass: str, kw_pass: str):
                     rows.append(run_pipeline(mesh, path.name, m, n, ke_pass, kw_pass))
                 except Exception as exc:
                     failures.append((path.name, f"m={m} n={n}: {exc}"))
-    for name, why in failures:
-        log.warning("%s: %s", name, why)
     return rows, failures
 
 

@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
 import os
 import sys
 
 import numpy as np
 
-from .bench import bench_corpus, default_payload, mean_bpv_by_m, write_csv
+from .bench import bench_corpus, mean_bpv_by_m, write_csv
 from .cipher import KeyMaterial, KeyRole, encrypt_mesh
-from .codec import bits_to_payload, embed, extract, payload_to_bits, recover
+from .codec import bits_to_payload, default_payload, embed, extract, payload_to_bits, recover
 from .container import read_container_file, write_container_file
 from .errors import (
     CapacityError,
@@ -112,7 +111,7 @@ def cmd_analyze(args) -> int:
     mesh = read_mesh_file(args.mesh, args.format)
     rep = analyze(quantize(mesh, args.m))
     doc = rep.to_json_dict()
-    doc["chosen_n"] = choose_n(rep, args.n)
+    doc["chosen_n"] = choose_n(rep)
     doc["n_vertices"] = mesh.n_vertices
     doc["n_faces"] = mesh.n_faces
     _emit(doc, args.out)
@@ -215,6 +214,8 @@ def cmd_bench(args) -> int:
     rows, failures = bench_corpus(args.corpus, m_values, n_values, ke_pass, kw_pass)
     with open(args.out, "w", newline="") as fh:
         write_csv(rows, fh)
+    for name, why in failures:
+        print(f"rdh3d.bench: {name}: {why}", file=sys.stderr)
     for m, bpv in mean_bpv_by_m(rows).items():
         print(f"mean bpv at m={m}: {bpv:.4f}")
     print(f"{len(rows)} rows written to {args.out}; {len(failures)} failures")
@@ -235,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="prediction analysis and capacity curve")
     p.add_argument("mesh")
     p.add_argument("--m", type=int, required=True, help="precision exponent, 2..9")
-    p.add_argument("--n", type=int, default=None, help="requested embedding length")
     add_format(p)
     p.add_argument("--out", default=None, help="report JSON path (default: stdout)")
     p.set_defaults(func=cmd_analyze)
@@ -300,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.WARNING, format="%(name)s: %(message)s")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cipher import KeyMaterial, KeyRole, _require_role, stream_words
+from .cipher import KeyMaterial, KeyRole, _require_role, chacha_stream, stream_words
 from .container import MarkedContainer
 from .errors import CapacityError, ConfigError
 from .predictor import PredictionReport, predict_words
@@ -25,19 +25,36 @@ from .quantize import QuantizedMesh, embedding_length
 from .values import read_only
 
 
-def _msb_weights(n: int) -> np.ndarray:
-    return (np.int64(1) << np.arange(n - 1, -1, -1, dtype=np.int64)).astype(np.int64)
-
-
 def _groups_to_words(bits: np.ndarray, n: int) -> np.ndarray:
     """(k, 3, n) bit groups -> (k, 3) integers, MSB-first."""
-    return bits.reshape(-1, 3, n).astype(np.int64) @ _msb_weights(n)
+    weights = np.int64(1) << np.arange(n - 1, -1, -1, dtype=np.int64)
+    return bits.reshape(-1, 3, n).astype(np.int64) @ weights
 
 
 def _words_to_groups(vals: np.ndarray, n: int) -> np.ndarray:
     """(k, 3) integers -> flat bit vector, MSB-first per n-bit group."""
     shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
     return ((vals[..., None] >> shifts) & 1).astype(np.uint8).ravel()
+
+
+def _payload_rows(part, excluded: np.ndarray) -> np.ndarray:
+    """The word rows that carry payload: the embedded vertices whose
+    excluded flag is 0 (or False), 0-based, in C order."""
+    return (part.embedded - 1)[excluded == 0]
+
+
+def _splice(mags: np.ndarray, rows: np.ndarray, top: np.ndarray, l: int, n: int):
+    """Write the n-bit words `top` over the top n bits of mags[rows], in
+    place: new = top * 2^(l-n) + old mod 2^(l-n)."""
+    low_mask = (1 << (l - n)) - 1
+    mags[rows] = (mags[rows] & low_mask) | (top << (l - n))
+
+
+def default_payload(kw: KeyMaterial, n_bits: int) -> np.ndarray:
+    """Deterministic pseudo-random payload bits derived from the hiding
+    key Kw under a nonce label distinct from the hiding stream."""
+    raw = chacha_stream(kw.key_bytes, "payload", (n_bits + 7) // 8)
+    return np.unpackbits(np.frombuffer(raw, np.uint8), count=n_bits)
 
 
 def embed(c: MarkedContainer, rep: PredictionReport, n: int,
@@ -67,8 +84,8 @@ def embed(c: MarkedContainer, rep: PredictionReport, n: int,
             "unmarked container"
         )
 
-    excluded = rep.excluded_mask(n)
-    included0 = (part.embedded - 1)[~excluded]
+    excluded = rep.ts < n
+    rows = _payload_rows(part, excluded)
     capacity = rep.capacity(n)
 
     payload = np.asarray(payload).ravel()
@@ -78,7 +95,7 @@ def embed(c: MarkedContainer, rep: PredictionReport, n: int,
     if payload.size > capacity:
         raise CapacityError(
             f"payload of {payload.size} bits exceeds capacity of {capacity} bits "
-            f"(n={n}, {included0.size} embeddable vertices)",
+            f"(n={n}, {rows.size} embeddable vertices)",
             capacity_bits=capacity,
         )
 
@@ -86,10 +103,7 @@ def embed(c: MarkedContainer, rep: PredictionReport, n: int,
     slots[:payload.size] ^= payload
 
     mags = c.magnitudes.copy()
-    if included0.size:
-        vals = _groups_to_words(slots, n)
-        low_mask = (1 << (c.l - n)) - 1
-        mags[included0] = (mags[included0] & low_mask) | (vals << (c.l - n))
+    _splice(mags, rows, _groups_to_words(slots, n), c.l, n)
 
     return MarkedContainer(
         m=c.m, n=n, payload_bits=int(payload.size),
@@ -107,8 +121,7 @@ def extract(c: MarkedContainer, kw: KeyMaterial) -> np.ndarray:
     is what makes the scheme separable).
     """
     _require_role(kw, KeyRole.HIDE, "payload extraction")
-    included0 = (c.partition.embedded - 1)[c.excluded == 0]
-    vals = c.magnitudes[included0] >> (c.l - c.n)
+    vals = c.magnitudes[_payload_rows(c.partition, c.excluded)] >> (c.l - c.n)
     bits = _words_to_groups(vals, c.n)[:c.payload_bits]
     return bits ^ kw.keystream_bits(c.payload_bits)
 
@@ -131,9 +144,7 @@ def recover(c: MarkedContainer, ke: KeyMaterial) -> QuantizedMesh:
     included = c.excluded == 0
     if included.any():
         pred = predict_words(mags, c.partition, l, n)[included]
-        targets0 = (c.partition.embedded - 1)[included]
-        low_mask = (1 << (l - n)) - 1
-        mags[targets0] = (mags[targets0] & low_mask) | (pred << (l - n))
+        _splice(mags, _payload_rows(c.partition, c.excluded), pred, l, n)
     return QuantizedMesh(read_only(mags), c.signs, c.m, c.faces)
 
 

@@ -71,10 +71,6 @@ class PredictionReport(Frozen):
         ge = self.ts.size - np.cumsum(hist)[:-1]  # |{t >= n}| for n = 1..l
         return read_only(3 * np.arange(1, self.l + 1, dtype=np.int64) * ge)
 
-    def excluded_mask(self, n: int) -> np.ndarray:
-        """Boolean mask over C order: True = prediction fails before n."""
-        return self.ts < n
-
     def capacity(self, n: int) -> int:
         return int(self.capacity_curve[embedding_length(n, self.l) - 1])
 

@@ -10,6 +10,7 @@ members and more.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 
 import numpy as np
@@ -178,6 +179,93 @@ def brute_choose_n(curve) -> int:
         if best is None or value > best:
             best_n, best = n, value
     return best_n
+
+
+# ---------------------------------------------------------------------------
+# The v1 hiding format, rebuilt from its description. Words are lists of
+# [x, y, z] Python ints, vertex ids 1-based. A stream is ChaCha20 under
+# the key sha256(passphrase) and the nonce sha256(label)[:12], counter 0,
+# read MSB-first; the label is "encrypt" for Ke, "hide" for the Kw slot
+# stream and "payload" for the default payload.
+
+def model_stream_bits(passphrase: str, label: str, n_bits: int) -> list[int]:
+    key = hashlib.sha256(passphrase.encode("utf-8")).digest()
+    nonce = hashlib.sha256(label.encode("utf-8")).digest()[:12]
+    return keystream_bits(key, nonce, n_bits)
+
+
+def _bits_to_int(bits) -> int:
+    value = 0
+    for bit in bits:
+        value = 2 * value + bit
+    return value
+
+
+def model_crypt(words, ke_pass: str, l: int):
+    """XOR of every word with its l stream bits, in vertex-major, x-y-z
+    order: encryption, and decryption too."""
+    stream = model_stream_bits(ke_pass, "encrypt", 3 * len(words) * l)
+    out, pos = [], 0
+    for row in words:
+        out.append([])
+        for word in row:
+            out[-1].append(int(word) ^ _bits_to_int(stream[pos:pos + l]))
+            pos += l
+    return out
+
+
+def model_slot_vertices(faces, n_vertices: int, ts, n: int) -> list[int]:
+    """The vertices that carry payload at length n, in slot order: the
+    embedded set in traversal order, less those whose prefix t < n."""
+    embedded = brute_partition(n_vertices, faces)[0]
+    return [v for v, t in zip(embedded, ts) if t >= n]
+
+
+def model_embed(enc_words, faces, ts, n: int, l: int, payload, kw_pass: str):
+    """The marked words. Slots go vertex by vertex in slot order, then x,
+    y, z, n bits each, MSB first; slot k holds payload bit k XOR Kw
+    stream bit k, and the slots past the payload hold the stream bits
+    themselves. The low l - n bits of every word stay."""
+    rows = model_slot_vertices(faces, len(enc_words), ts, n)
+    capacity = 3 * n * len(rows)
+    assert len(payload) <= capacity
+    slots = model_stream_bits(kw_pass, "hide", capacity)
+    for k, bit in enumerate(payload):
+        slots[k] ^= int(bit)
+    marked = [list(map(int, row)) for row in enc_words]
+    k = 0
+    for v in rows:
+        for axis in range(3):
+            low = marked[v - 1][axis] % 2 ** (l - n)
+            marked[v - 1][axis] = _bits_to_int(slots[k:k + n]) * 2 ** (l - n) + low
+            k += n
+    return marked
+
+
+def model_extract(marked_words, faces, ts, n: int, l: int, payload_bits: int,
+                  kw_pass: str) -> list[int]:
+    """The payload read back: the top n bits of each slot word in slot
+    order, MSB first, cut to the payload's length and XORed with Kw."""
+    bits = []
+    for v in model_slot_vertices(faces, len(marked_words), ts, n):
+        for axis in range(3):
+            top = int(marked_words[v - 1][axis]) // 2 ** (l - n)
+            bits += [(top >> (n - 1 - i)) & 1 for i in range(n)]
+    stream = model_stream_bits(kw_pass, "hide", payload_bits)
+    return [b ^ s for b, s in zip(bits[:payload_bits], stream)]
+
+
+def model_recover(marked_words, faces, ts, n: int, l: int, ke_pass: str):
+    """The original words: decryption, then the top n bits of every slot
+    word replaced by the ring majority of each plane l-1 .. l-n."""
+    words = model_crypt(marked_words, ke_pass, l)
+    rings = brute_partition(len(words), faces)[2]
+    for v in model_slot_vertices(faces, len(words), ts, n):
+        for axis in range(3):
+            ring = [words[u - 1][axis] for u in rings[v]]
+            top = _bits_to_int(brute_predict_bit(p, ring) for p in range(l - 1, l - n - 1, -1))
+            words[v - 1][axis] = top * 2 ** (l - n) + words[v - 1][axis] % 2 ** (l - n)
+    return words
 
 
 # ---------------------------------------------------------------------------

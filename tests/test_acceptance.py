@@ -281,7 +281,7 @@ def test_criterion_8_oracle_equivalence():
             ok, detail = False, f" (choose_n mismatch at seed={seed})"
             break
         for n in range(1, q.l + 1):
-            excluded = set(rep.embedded[rep.excluded_mask(n)].tolist())
+            excluded = set(rep.embedded[rep.ts < n].tolist())
             if excluded != {v for v, t in zip(emb, ts) if t < n}:
                 ok, detail = False, f" (excluded set mismatch at seed={seed} n={n})"
                 break

@@ -9,11 +9,11 @@ import pytest
 from rdh3d.bench import (
     BenchRow,
     bench_corpus,
-    default_payload,
     mean_bpv_by_m,
     run_pipeline,
 )
 from rdh3d.cipher import KeyMaterial, KeyRole
+from rdh3d.codec import default_payload
 from rdh3d.mesh_io import read_mesh_file, write_mesh_file
 from rdh3d.partition import _splits, partition
 

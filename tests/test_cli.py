@@ -410,23 +410,21 @@ class TestReportPrinter:
         assert _printed(doc) == _dumped(doc)
 
     @pytest.mark.parametrize("mesh", ["cow", "faceless"])
-    @pytest.mark.parametrize("n", [None, 1])
-    def test_analyze_report_bytes(self, workdir, capsys, mesh, n):
+    def test_analyze_report_bytes(self, workdir, capsys, mesh):
         """analyze --out and analyze to stdout give the bytes of json.dumps
         of the report the library computes."""
         path = workdir / "cow.off"
         if mesh == "faceless":
             path = workdir / "points.off"
             path.write_text("OFF\n2 0 0\n0.1 0.2 0.3\n0.2 0.3 0.4\n")
-        n_args = () if n is None else ("--n", n)
         out = workdir / "report.json"
-        assert run("analyze", path, "--m", 4, *n_args, "--out", out) == 0
-        assert run("analyze", path, "--m", 4, *n_args) == 0
+        assert run("analyze", path, "--m", 4, "--out", out) == 0
+        assert run("analyze", path, "--m", 4) == 0
         assert capsys.readouterr().out.encode() == out.read_bytes()
         parsed = parse_mesh(path.read_bytes(), "off")
         rep = analyze(quantize(parsed, 4))
         doc = rep.to_json_dict()
-        doc.update(chosen_n=choose_n(rep, n), n_vertices=parsed.n_vertices,
+        doc.update(chosen_n=choose_n(rep), n_vertices=parsed.n_vertices,
                    n_faces=parsed.n_faces)
         assert out.read_bytes() == _dumped(doc).encode()
         assert (mesh == "faceless") == (doc["embedded"].size == 0)
@@ -476,6 +474,18 @@ class TestBenchCommand:
             )
         assert "mean bpv" in capsys.readouterr().out
 
+    def test_failures_on_stderr(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        write_mesh_file(corpus / "good.off", random_mesh(0, n_max=30))
+        (corpus / "broken.off").write_text("OFF\nnot numbers\n")
+        assert run("bench", corpus, "--ke-pass", "a", "--kw-pass", "b",
+                   "--out", tmp_path / "rows.csv") == 0
+        out, err = capsys.readouterr()
+        assert err.startswith("rdh3d.bench: broken.off: parse failed: ")
+        assert err.count("\n") == 1
+        assert "1 rows written" in out and "; 1 failures" in out
+
     def test_empty_corpus(self, tmp_path):
         corpus = tmp_path / "empty"
         corpus.mkdir()
@@ -512,7 +522,8 @@ class TestBenchCommand:
     ["metrics", "cow.off", "cow.off", "--method", "brute"],
     ["bench", ".", "--method", "kdtree", "--ke-pass", "a", "--kw-pass", "b"],
     ["bench", ".", "--jobs", 2, "--ke-pass", "a", "--kw-pass", "b"],
-], ids=["metrics-method-brute", "bench-method", "bench-jobs"])
+    ["analyze", "cow.off", "--m", 4, "--n", 3],
+], ids=["metrics-method-brute", "bench-method", "bench-jobs", "analyze-n"])
 def test_removed_options_exit_two(workdir, capsys, monkeypatch, argv):
     monkeypatch.chdir(workdir)
     assert run(*argv, "--out", "out") == 2
@@ -532,6 +543,21 @@ def test_cli_import_loads_neither_scipy_nor_multiprocessing():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_main_leaves_the_root_logger_alone(tmp_path):
+    # in a fresh process, where no test harness has configured logging
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import logging, sys; from rdh3d.cli import main; "
+            "before = list(logging.root.handlers); "
+            "code = main(['extract', sys.argv[1], '--kw-pass', 'b', '--out', sys.argv[2]]); "
+            "print(code, logging.root.handlers == before)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "missing.rdh3d"),
+                          str(tmp_path / "payload.bin")], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.split() == ["2", "True"]
 
 
 # sha256 of every file of the 120x120 grid round trip at m=4; any change
@@ -687,8 +713,7 @@ class TestBadInputsExitTwo:
 
     def test_report_for_another_m(self, owner_files, capsys):
         enc, report = owner_files
-        assert run("analyze", enc.with_name("cow.off"), "--m", 5, "--n", 1,
-                   "--out", report) == 0
+        assert run("analyze", enc.with_name("cow.off"), "--m", 5, "--out", report) == 0
         self.embed_with(capsys, enc, report, "--n", 1)
 
     def test_embed_into_marked_container(self, tmp_path, capsys):

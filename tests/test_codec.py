@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdh3d import (
     CapacityError,
@@ -25,10 +27,19 @@ from rdh3d import (
     write_container,
 )
 from rdh3d.cipher import decrypt_mesh
-from rdh3d.codec import bits_to_payload, payload_to_bits
+from rdh3d.codec import bits_to_payload, default_payload, payload_to_bits
 from rdh3d.mesh_io import write_mesh
 
 from conftest import ZeroKey, empty_ring_mesh, fan_mesh, grid_mesh, random_mesh
+from oracles import (
+    brute_analyze,
+    brute_partition,
+    model_crypt,
+    model_embed,
+    model_extract,
+    model_recover,
+    model_stream_bits,
+)
 
 
 def pipeline_parts(mesh, m, ke, kw):
@@ -90,7 +101,7 @@ class TestEmbed:
         cap = rep.capacity(n)
         marked = embed(enc, rep, n, rand_bits(cap), kw)
         low = (1 << (q.l - n)) - 1
-        included = (part.embedded - 1)[~rep.excluded_mask(n)]
+        included = (part.embedded - 1)[~(rep.ts < n)]
         assert np.array_equal(
             marked.magnitudes[included] & low,
             enc.magnitudes[included] & low,
@@ -387,3 +398,43 @@ def test_pipeline_shares_the_parsed_faces_read_only(ke, kw):
               enc.excluded, marked.excluded,
               *(getattr(mesh.partition, a) for a in ("embedded", "ring_flat", "ring_offsets"))]
     assert not any(arr.flags.writeable for arr in arrays)
+
+
+class TestHidingFormatModel:
+    """The library against the model of the v1 hiding format in
+    oracles.py, on soups of at most 50 vertices, at every m and every n."""
+
+    KE_PASS, KW_PASS = "model-owner", "model-hider"
+
+    @pytest.mark.parametrize("m", range(2, 10))
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), quarters=st.integers(0, 4))
+    def test_library_matches_model(self, m, seed, quarters):
+        ke = KeyMaterial.from_passphrase(self.KE_PASS, KeyRole.ENCRYPT)
+        kw = KeyMaterial.from_passphrase(self.KW_PASS, KeyRole.HIDE)
+        q = quantize(random_mesh(seed, n_max=50), m)
+        l, words, faces = q.l, q.magnitudes.tolist(), q.faces.tolist()
+        embedded, _, rings, _ = brute_partition(q.n_vertices, faces)
+        ts = brute_analyze(words, embedded, rings, l)[0]
+        enc = encrypt_mesh(q, ke)
+        enc_words = model_crypt(words, self.KE_PASS, l)
+        assert enc.magnitudes.tolist() == enc_words
+        rep = analyze(q)
+        for n in range(1, l + 1):
+            # an empty, a short (padded) or a full payload
+            capacity = 3 * n * sum(t >= n for t in ts)
+            payload = rand_bits(capacity * quarters // 4, seed)
+            marked = embed(enc, rep, n, payload, kw)
+            assert marked.magnitudes.tolist() == model_embed(
+                enc_words, faces, ts, n, l, payload.tolist(), self.KW_PASS)
+            assert marked.excluded.tolist() == [int(t < n) for t in ts]
+            assert extract(marked, kw).tolist() == model_extract(
+                marked.magnitudes.tolist(), faces, ts, n, l, payload.size, self.KW_PASS
+            ) == payload.tolist()
+            assert recover(marked, ke).magnitudes.tolist() == model_recover(
+                marked.magnitudes.tolist(), faces, ts, n, l, self.KE_PASS) == words
+
+    def test_default_payload_is_the_payload_stream(self):
+        kw = KeyMaterial.from_passphrase(self.KW_PASS, KeyRole.HIDE)
+        assert default_payload(kw, 77).tolist() == model_stream_bits(
+            self.KW_PASS, "payload", 77)

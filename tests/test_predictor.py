@@ -373,7 +373,7 @@ class TestAnalyze:
         k = part.n_embedded
         prev = -1
         for n in range(1, q.l + 1):
-            exc = int(rep.excluded_mask(n).sum())
+            exc = int((rep.ts < n).sum())
             assert exc >= prev
             prev = exc
             assert rep.capacity_curve[n - 1] == 3 * n * (k - exc)

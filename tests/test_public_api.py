@@ -154,6 +154,27 @@ def test_each_input_rule_has_one_definition():
     assert not any("signs == 1" in src for src in sources.values())
 
 
+def test_each_slot_rule_has_one_definition():
+    """Only codec knows where payload goes: one function selects the
+    payload rows, one splices the top n bits, and the default payload is
+    defined beside them. bench returns its failures and cli prints them,
+    so no module imports logging."""
+    sources = {path.name: path.read_text() for path in PACKAGE_DIR.glob("*.py")}
+
+    def holders(text):
+        return [f"{name}::{node.name}" for name, src in sources.items()
+                for node in ast.walk(ast.parse(src)) if isinstance(node, ast.FunctionDef)
+                and text in ast.get_source_segment(src, node)]
+
+    assert holders("[excluded == 0]") == ["codec.py::_payload_rows"]
+    assert holders("& low_mask") == ["codec.py::_splice"]
+    assert holders("\"payload\"") == ["codec.py::default_payload"]
+    imported = {alias.name for node in package_nodes() if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module for node in package_nodes() if isinstance(node, ast.ImportFrom)}
+    assert "logging" not in imported
+
+
 def test_imports_sit_at_module_top():
     """No function imports, so the import graph is the one the module
     heads show. The one exception is metrics' lazy scipy import, which
