@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContainerError
+from .errors import ContainerError
 from .partition import split_of
 from .quantize import WORD_DTYPES, SignMagnitude, bit_length, embedding_length
 from .values import array, check_face_ids, read_only
@@ -64,7 +64,7 @@ class MarkedContainer(SignMagnitude):
 
     def __post_init__(self):
         super().__post_init__()
-        _word_length(self.m, self.n)
+        embedding_length(self.n, self.l, self._error)
         if (k_count := self.partition.n_embedded) != self.excluded.size:
             raise ContainerError(
                 f"excluded bitmap covers {self.excluded.size} vertices but the "
@@ -91,17 +91,6 @@ def _unpack_bitmap(raw: bytes, n_bits: int, what: str) -> np.ndarray:
     return read_only(bits[:n_bits])
 
 
-def _word_length(m: int, n: int) -> int:
-    """The word length l of a container with precision m and embedding
-    length n; the rules for m and n (see quantize), as ContainerError."""
-    try:
-        l = bit_length(m)
-        embedding_length(n, l)
-    except ConfigError as exc:
-        raise ContainerError(str(exc)) from None
-    return l
-
-
 def write_container(c: MarkedContainer) -> bytes:
     """Serialize; the result re-reads to an equal MarkedContainer byte-exactly.
     A MarkedContainer is valid once built, so this only packs bytes."""
@@ -115,7 +104,8 @@ def write_container(c: MarkedContainer) -> bytes:
 
 
 def read_container(data: bytes) -> MarkedContainer:
-    """Parse and validate a container; raises ContainerError on any damage."""
+    """Parse and validate a container; raises ContainerError on any damage.
+    The header's m is checked first, then n against bit_length(m), then l."""
     if len(data) < _HEADER.size:
         raise ContainerError(
             f"truncated container: {len(data)} bytes, header needs {_HEADER.size}"
@@ -125,7 +115,8 @@ def read_container(data: bytes) -> MarkedContainer:
         raise ContainerError(f"bad magic {magic!r}, expected {MAGIC!r}")
     if version != VERSION:
         raise ContainerError(f"unsupported container version {version}")
-    if l != _word_length(m, n):
+    embedding_length(n, bit_length(m, ContainerError), ContainerError)
+    if l != bit_length(m):
         raise ContainerError(f"word length l={l} inconsistent with m={m}")
 
     sign_bytes = (3 * n_verts + 7) // 8

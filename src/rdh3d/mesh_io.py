@@ -193,35 +193,42 @@ def _meaningful_lines(raw_lines, skip_prefixes=("#",)):
         yield lineno, line
 
 
+def _numbers(tokens, kind, error, message, shown, lineno):
+    """The rule for a number in mesh text, the one np.loadtxt keeps: an
+    ASCII token with no "_" that kind (int or float) accepts. The tokens
+    as kind, or error(message % shown, lineno) when one breaks the rule;
+    the message is built only then, as a line reader calls this per row."""
+    try:
+        if (joined := "".join(tokens)).isascii() and "_" not in joined:
+            return list(map(kind, tokens))
+    except ValueError:
+        pass
+    raise error(message % (shown,), lineno)
+
+
 def _parse_vertex_row(tokens, lineno):
     """Parse an 'x y z' row (OFF/PLY body, OBJ after the 'v')."""
     if len(tokens) != 3:
         raise CoordinateSyntaxError(
             f"expected 3 coordinates, got {len(tokens)}", lineno
         )
-    try:
-        return [float(t) for t in tokens]
-    except ValueError:
-        raise CoordinateSyntaxError(f"non-numeric coordinate: {tokens!r}", lineno) from None
+    return _numbers(tokens, float, CoordinateSyntaxError,
+                    "non-numeric coordinate: %r", tokens, lineno)
 
 
 def _parse_counted_face(tokens, lineno):
     """Parse a 'c i j k' row (OFF/PLY body) into [i, j, k, lineno], ids
     0-based as written."""
-    try:
-        count = int(tokens[0])
-    except ValueError:
-        raise MeshParseError(f"face row does not start with a count: {tokens[0]!r}", lineno) from None
+    count, = _numbers(tokens[:1], int, MeshParseError,
+                      "face row does not start with a count: %r", tokens[0], lineno)
     if count != 3 or len(tokens) != 4:
         raise NonTriangleFaceError(
             f"only triangle faces are supported, got {len(tokens) - 1} values "
             f"with declared count {count}",
             lineno,
         )
-    try:
-        return [int(tokens[1]), int(tokens[2]), int(tokens[3]), lineno]
-    except ValueError:
-        raise MeshParseError(f"non-integer face index in {tokens[1:]!r}", lineno) from None
+    return [*_numbers(tokens[1:], int, MeshParseError, "non-integer face index in %r",
+                      tokens[1:], lineno), lineno]
 
 
 _ROW_PARSERS = {"vertex": _parse_vertex_row, "face": _parse_counted_face}
@@ -527,10 +534,8 @@ def _read_off_header(raw_lines):
     parts = counts.split()
     if len(parts) != 3:
         raise MalformedHeaderError(f"expected 'N M E' counts, got {counts!r}", lineno)
-    try:
-        n_verts, n_faces, n_edges = (int(p) for p in parts)
-    except ValueError:
-        raise MalformedHeaderError(f"non-integer counts: {counts!r}", lineno) from None
+    n_verts, n_faces, n_edges = _numbers(parts, int, MalformedHeaderError,
+                                         "non-integer counts: %r", counts, lineno)
     if min(n_verts, n_faces, n_edges) < 0:
         raise MalformedHeaderError(f"negative counts: {counts!r}", lineno)
     return lines, [("vertex", n_verts), ("face", n_faces)]
@@ -559,15 +564,9 @@ def _parse_obj(text: str) -> Mesh:
                     f"only triangle faces are supported, got {len(refs)} vertices",
                     lineno,
                 )
-            idx = []
-            for ref in refs:
-                try:
-                    idx.append(int(ref.split("/", 1)[0]))
-                except ValueError:
-                    raise MeshParseError(
-                        f"non-integer face index in {ref!r}", lineno
-                    ) from None
-            face_rows.append([*idx, lineno])
+            heads = [ref.split("/", 1)[0] for ref in refs]
+            face_rows.append([*_numbers(heads, int, MeshParseError,
+                                        "non-integer face index in %r", refs, lineno), lineno])
         elif keyword in _OBJ_IGNORED:
             continue
         else:
@@ -611,10 +610,8 @@ def _read_ply_header(raw_lines):
             if len(tokens) != 3:
                 raise MalformedHeaderError(f"bad element line {line!r}", lineno)
             name = tokens[1]
-            try:
-                count = int(tokens[2])
-            except ValueError:
-                raise MalformedHeaderError(f"bad element count {tokens[2]!r}", lineno) from None
+            count, = _numbers(tokens[2:], int, MalformedHeaderError,
+                              "bad element count %r", tokens[2], lineno)
             if name not in _ROW_PARSERS:
                 raise MalformedHeaderError(
                     f"unsupported element {name!r}: only vertex and face", lineno

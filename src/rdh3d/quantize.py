@@ -24,21 +24,22 @@ M_MIN, M_MAX = 2, 9
 WORD_DTYPES = {8: ">u1", 16: ">u2", 32: ">u4"}
 
 
-def bit_length(m: int) -> int:
+def bit_length(m: int, error=ConfigError) -> int:
     """Word length l at precision m: the narrowest width in WORD_DTYPES
-    that holds 10^m - 1. The rule for m: it must lie in M_MIN..M_MAX."""
+    that holds 10^m - 1. The rule for m: it must lie in M_MIN..M_MAX, or
+    this raises error, the caller's class (ConfigError for a parameter)."""
     if not M_MIN <= m <= M_MAX:
-        raise ConfigError(f"precision m={m} outside supported range [{M_MIN}, {M_MAX}]")
+        raise error(f"precision m={m} outside supported range [{M_MIN}, {M_MAX}]")
     for l in WORD_DTYPES:
         if 10**m <= 1 << l:
             return l
 
 
-def embedding_length(n: int, l: int) -> int:
+def embedding_length(n: int, l: int, error=ConfigError) -> int:
     """n, checked as an embedding length for l-bit words. The rule for
-    n: it must lie in 1..l."""
+    n: it must lie in 1..l, or this raises error (see bit_length)."""
     if not 1 <= n <= l:
-        raise ConfigError(f"embedding length n={n} outside [1, {l}]")
+        raise error(f"embedding length n={n} outside [1, {l}]")
     return n
 
 
@@ -54,10 +55,7 @@ class SignMagnitude(Faced):
 
     def __post_init__(self):
         super().__post_init__()
-        try:
-            l = self.l
-        except ConfigError as exc:
-            raise self._error(str(exc)) from None
+        l = bit_length(self.m, self._error)
         if self.signs.shape != self.magnitudes.shape:
             raise self._error(f"{self.signs.shape[0]} sign rows for {self.n_vertices} vertices")
         if self.signs.max(initial=0) > 1:

@@ -268,6 +268,35 @@ def model_recover(marked_words, faces, ts, n: int, l: int, ke_pass: str):
     return words
 
 
+def model_bitmap(bits) -> bytes:
+    """bits packed eight to a byte, MSB first, the last byte padded with
+    zero bits."""
+    bits = list(bits)
+    bits += [0] * (-len(bits) % 8)
+    return bytes(_bits_to_int(bits[i:i + 8]) for i in range(0, len(bits), 8))
+
+
+def model_container(m: int, l: int, n: int, payload_bits: int, signs, excluded,
+                    words, faces) -> bytes:
+    """A v1 .rdh3d container, as the README lays it out: the header in
+    little-endian order (magic "RDH3", version 1, m, l and n one byte
+    each, N and M as u32, the payload bit count as u64), then the sign
+    bitmap over the 3N coordinates, vertex-major x, y, z; the excluded
+    bitmap over the embedded set in traversal order; the 3N words, l
+    bits each, big-endian, vertex-major; and the M faces as triples of
+    little-endian u32 ids, 1-based. The owner's container has n = 1, no
+    payload and every embedded vertex excluded."""
+    header = (b"RDH3" + bytes([1, m, l, n]) + len(words).to_bytes(4, "little")
+              + len(faces).to_bytes(4, "little") + payload_bits.to_bytes(8, "little"))
+    return b"".join([
+        header,
+        model_bitmap(int(s) for row in signs for s in row),
+        model_bitmap(int(e) for e in excluded),
+        b"".join(int(w).to_bytes(l // 8, "big") for row in words for w in row),
+        b"".join(int(i).to_bytes(4, "little") for face in faces for i in face),
+    ])
+
+
 # ---------------------------------------------------------------------------
 # Hausdorff distance, double loop.
 

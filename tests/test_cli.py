@@ -234,6 +234,13 @@ class TestExitCodes:
         assert run("analyze", bad, "--m", 4) == 3
         assert capsys.readouterr().err.startswith(f"error: {error}")
 
+    @pytest.mark.parametrize("coordinate", ["0.1_2", "0.1\u0662"])
+    def test_number_outside_the_rule(self, workdir, capsys, coordinate):
+        bad = workdir / "bad.off"
+        bad.write_text(f"OFF\n3 1 0\n{coordinate} 0 0\n0 0.1 0\n-0.1 0 0\n3 0 1 2\n")
+        assert run("analyze", bad, "--m", 4) == 3
+        assert capsys.readouterr().err.startswith("error: line 3: non-numeric coordinate")
+
     def test_domain_error(self, workdir):
         big = workdir / "big.off"
         big.write_text("OFF\n1 0 0\n1.5 0 0\n")

@@ -34,6 +34,7 @@ from conftest import ZeroKey, empty_ring_mesh, fan_mesh, grid_mesh, random_mesh
 from oracles import (
     brute_analyze,
     brute_partition,
+    model_container,
     model_crypt,
     model_embed,
     model_extract,
@@ -433,6 +434,29 @@ class TestHidingFormatModel:
             ) == payload.tolist()
             assert recover(marked, ke).magnitudes.tolist() == model_recover(
                 marked.magnitudes.tolist(), faces, ts, n, l, self.KE_PASS) == words
+
+    @pytest.mark.parametrize("m", range(2, 10))
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), quarters=st.integers(0, 4))
+    def test_container_bytes_match_model(self, m, seed, quarters):
+        """The owner's and every marked container, byte for byte."""
+        ke = KeyMaterial.from_passphrase(self.KE_PASS, KeyRole.ENCRYPT)
+        kw = KeyMaterial.from_passphrase(self.KW_PASS, KeyRole.HIDE)
+        q = quantize(random_mesh(seed, n_max=50), m)
+        l, words, faces, signs = q.l, q.magnitudes.tolist(), q.faces.tolist(), q.signs.tolist()
+        embedded, _, rings, _ = brute_partition(q.n_vertices, faces)
+        ts = brute_analyze(words, embedded, rings, l)[0]
+        enc = encrypt_mesh(q, ke)
+        enc_words = model_crypt(words, self.KE_PASS, l)
+        assert write_container(enc) == model_container(
+            m, l, 1, 0, signs, [1] * len(embedded), enc_words, faces)
+        rep = analyze(q)
+        for n in range(1, l + 1):
+            payload = rand_bits(3 * n * sum(t >= n for t in ts) * quarters // 4, seed)
+            marked_words = model_embed(enc_words, faces, ts, n, l, payload.tolist(),
+                                       self.KW_PASS)
+            assert write_container(embed(enc, rep, n, payload, kw)) == model_container(
+                m, l, n, payload.size, signs, [int(t < n) for t in ts], marked_words, faces)
 
     def test_default_payload_is_the_payload_stream(self):
         kw = KeyMaterial.from_passphrase(self.KW_PASS, KeyRole.HIDE)

@@ -874,6 +874,58 @@ def test_obj_lone_carriage_return_is_the_line_readers_error(text, error, line):
     assert info.value.line == line
 
 
+# Each site that reads a number token from mesh text: a text with the
+# token as {}, the token that makes the text well formed, and the error
+# class and line that a token breaking the number rule raises.
+_PLY_TOKEN = "ply\nformat ascii 1.0\nelement vertex {v}\nproperty double x\n" \
+    "property double y\nproperty double z\nelement face 1\n" \
+    "property list uchar int vertex_indices\nend_header\n0.5 0 0\n0 0.1 0\n" \
+    "-0.1 0 0\n{c} 0 1 {i}\n"
+_NUMBER_SITES = {
+    "coordinate": ("OFF\n3 1 0\n{} 0 0\n0 0.1 0\n-0.1 0 0\n3 0 1 2\n", "0.12",
+                   CoordinateSyntaxError, 3),
+    "OBJ coordinate": ("v 0.5 {} 0\nv 0 0.1 0\nv -0.1 0 0\nf 1 2 3\n", "0.12",
+                       CoordinateSyntaxError, 1),
+    "OFF face count": ("OFF\n3 1 0\n0.5 0 0\n0 0.1 0\n-0.1 0 0\n{} 0 1 2\n", "3",
+                       MeshParseError, 6),
+    "OFF face id": ("OFF\n3 1 0\n0.5 0 0\n0 0.1 0\n-0.1 0 0\n3 0 1 {}\n", "2",
+                    MeshParseError, 6),
+    "PLY face count": (_PLY_TOKEN.format(v=3, c="{}", i=2), "3", MeshParseError, 13),
+    "PLY face id": (_PLY_TOKEN.format(v=3, c=3, i="{}"), "2", MeshParseError, 13),
+    "OFF counts": ("OFF\n3 {} 0\n0.5 0 0\n0 0.1 0\n-0.1 0 0\n3 0 1 2\n", "1",
+                   MalformedHeaderError, 2),
+    "PLY element count": (_PLY_TOKEN.format(v="{}", c=3, i=2), "3", MalformedHeaderError, 3),
+    "OBJ reference": ("v 0.5 0 0\nv 0 0.1 0\nv -0.1 0 0\nf 1 2 {}\n", "3",
+                      MeshParseError, 4),
+    "OBJ reference with a texture": ("v 0.5 0 0\nv 0 0.1 0\nv -0.1 0 0\nf 1 {}/1 3\n", "2",
+                                     MeshParseError, 4),
+}
+
+
+def _odd_numbers(token):
+    """Tokens that int() or float() reads as token but np.loadtxt does
+    not: with an underscore before its last digit, and with that digit
+    written in Arabic-Indic and in fullwidth form."""
+    head, digit = token[:-1], int(token[-1])
+    return [f"{head or '0'}_{digit}", head + chr(0x0660 + digit), head + chr(0xFF10 + digit)]
+
+
+@pytest.mark.parametrize("site, token", [
+    pytest.param(site, odd, id=f"{site}: {odd!a}")
+    for site, (_, token, _, _) in _NUMBER_SITES.items() for odd in _odd_numbers(token)])
+def test_number_token_is_what_loadtxt_reads(site, token):
+    """A number in mesh text is ASCII with no "_"; any other token fails
+    with its site's error, naming its line, in both readers."""
+    template, good, error, line = _NUMBER_SITES[site]
+    fmt = _format_of(template)
+    assert float(token) == float(good)
+    parse_mesh(template.format(good), fmt)
+    for data in (template.format(token), template.format(token).encode()):
+        with pytest.raises(error) as info:
+            parse_mesh(data, fmt)
+        assert type(info.value) is error and info.value.line == line
+
+
 def fixed_decimal_text(mesh, fmt, decimals=4):
     """(text, vertices): mesh in format fmt with every coordinate printed
     to `decimals` places, as many scanned meshes are, and the values that

@@ -154,6 +154,30 @@ def test_each_input_rule_has_one_definition():
     assert not any("signs == 1" in src for src in sources.values())
 
 
+def catching(error: str) -> list[str]:
+    """module::function of every function of the package with an except
+    clause that catches error by name, or catches everything."""
+    def caught(handler):
+        return handler.type is None or error in {
+            node.id for node in ast.walk(handler.type) if isinstance(node, ast.Name)}
+    return sorted(f"{path.name}::{node.name}" for path in PACKAGE_DIR.glob("*.py")
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.FunctionDef)
+                  and any(isinstance(inner, ast.ExceptHandler) and caught(inner)
+                          for inner in ast.walk(node)))
+
+
+def test_input_rules_raise_the_callers_error():
+    """The number rule for mesh text is stated once, by mesh_io._numbers,
+    which raises the error its caller names; np.loadtxt keeps the same
+    rule for the bulk reader. The m and n rules take their caller's error
+    class too, so no function turns a ConfigError into another error."""
+    assert catching("ConfigError") == []
+    assert [f for f in catching("ValueError") if f.startswith("mesh_io.py::")] == [
+        "mesh_io.py::_loadtxt_rows", "mesh_io.py::_numbers"]
+    assert not any("_word_length" in path.read_text() for path in PACKAGE_DIR.glob("*.py"))
+
+
 def test_each_slot_rule_has_one_definition():
     """Only codec knows where payload goes: one function selects the
     payload rows, one splices the top n bits, and the default payload is
