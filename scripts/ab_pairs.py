@@ -5,8 +5,11 @@ working tree.
         --seed 1 --pairs 10 --out BENCH.json
 
 Run from anywhere inside a git checkout. The parent commit is exported
-with `git archive` into a temporary directory, which is removed on exit,
-on an error and on SIGTERM; each pair then runs
+with `git archive` into a temporary directory beside the checkout, in
+its parent directory (under TMPDIR instead when that is set), which is
+removed on exit, on an error and on SIGTERM: a parent exported under the
+system temporary folder read decimal-owner's peak RSS 4 MiB lower than
+the same code elsewhere. Each pair then runs
 `perfbench/run.py --trace 0` once there and once in the working tree,
 with the same workload, seed and run length, the parent first in even
 pairs and the working tree first in odd ones. Nothing under perfbench/
@@ -221,7 +224,8 @@ def main(argv=None) -> int:
     out = Path(args.out)
     previous = signal.signal(signal.SIGTERM, stop)
     try:
-        with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
+        with tempfile.TemporaryDirectory(prefix="ab-",
+                                         dir=os.environ.get("TMPDIR") or root.parent) as tmp:
             parent_tree = Path(tmp, "parent")
             parent_tree.mkdir()
             export(args.parent, root, parent_tree)

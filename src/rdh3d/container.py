@@ -119,39 +119,32 @@ def read_container(data: bytes) -> MarkedContainer:
     if l != bit_length(m):
         raise ContainerError(f"word length l={l} inconsistent with m={m}")
 
-    sign_bytes = (3 * n_verts + 7) // 8
-    mag_bytes = 3 * n_verts * (l // 8)
-    face_bytes = 12 * n_faces
-    excl_bytes = len(data) - _HEADER.size - sign_bytes - mag_bytes - face_bytes
-    if excl_bytes < 0:
+    # section offsets: signs, excluded bitmap, words, faces
+    excl_at = _HEADER.size + (3 * n_verts + 7) // 8
+    face_at = len(data) - 12 * n_faces
+    mag_at = face_at - 3 * n_verts * (l // 8)
+    if mag_at < excl_at:
         raise ContainerError(
             f"length mismatch: {len(data)} bytes cannot hold the declared mesh"
         )
 
-    pos = _HEADER.size
-    sign_raw = data[pos:pos + sign_bytes]
-    pos += sign_bytes
-    excl_raw = data[pos:pos + excl_bytes]
-    pos += excl_bytes
-    mag_raw = data[pos:pos + mag_bytes]
-    pos += mag_bytes
-    face_raw = data[pos:pos + face_bytes]
-
-    faces = read_only(np.frombuffer(face_raw, dtype="<u4").astype(np.int64).reshape(-1, 3))
+    # the word and face sections are read in place; only the int64 forms are new
+    faces = read_only(np.frombuffer(data, "<u4", 3 * n_faces, face_at)
+                      .astype(np.int64).reshape(-1, 3))
     check_face_ids(faces, n_verts, ContainerError)  # before the split is derived
 
-    signs = _unpack_bitmap(sign_raw, 3 * n_verts, "sign")
+    signs = _unpack_bitmap(data[_HEADER.size:excl_at], 3 * n_verts, "sign")
 
     k_count = split_of(faces, n_verts).n_embedded
-    if excl_bytes != (k_count + 7) // 8:
+    if mag_at - excl_at != (k_count + 7) // 8:
         raise ContainerError(
-            f"excluded bitmap holds {excl_bytes} bytes but the face list "
+            f"excluded bitmap holds {mag_at - excl_at} bytes but the face list "
             f"implies {k_count} embedded vertices"
         )
     return MarkedContainer(
         m=m, n=n, payload_bits=payload_bits, signs=signs,
-        excluded=_unpack_bitmap(excl_raw, k_count, "excluded"),
-        magnitudes=np.frombuffer(mag_raw, dtype=WORD_DTYPES[l]),
+        excluded=_unpack_bitmap(data[excl_at:mag_at], k_count, "excluded"),
+        magnitudes=np.frombuffer(data, WORD_DTYPES[l], 3 * n_verts, mag_at),
         faces=faces,
     )
 

@@ -130,16 +130,11 @@ def partition(n_vertices: int, faces) -> Partition:
     c_early = np.repeat(in_c, np.diff(starts))  # the runs of the C ranks
     del starts
     c_late = in_c[later]  # the edges whose later end is in C
-    n_early = int(np.count_nonzero(c_early))
-    keys = np.empty(n_early + int(np.count_nonzero(c_late)), dtype=np.uint64)
-    early, late = keys[:n_early], keys[n_early:]
-    np.right_shift(edges[c_early], 32, out=early)
-    early <<= 32
-    early |= ids[later[c_early]]
-    del c_early
-    np.left_shift(later[c_late].view(np.uint64), 32, out=late)
-    late |= ids[(edges[c_late] >> 32).view(np.int64)]
-    del c_late, edges, later, early, late
+    keys = np.concatenate([
+        (edges[c_early] >> 32 << 32) | ids[later[c_early]],
+        (later[c_late].view(np.uint64) << 32) | ids[(edges[c_late] >> 32).view(np.int64)],
+    ])
+    del c_early, c_late, edges, later
     keys.sort()
     ring_offsets = np.zeros(c_ranks.size + 1, dtype=np.int64)
     np.cumsum(np.bincount((keys >> 32).view(np.int64), minlength=k)[c_ranks],

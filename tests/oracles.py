@@ -115,6 +115,45 @@ def brute_partition(n_vertices: int, faces):
     return embedded, in_r, rings, unassigned
 
 
+def greedy_split_faults(n_vertices: int, faces, in_c) -> set[int]:
+    """Which of the three local conditions of the greedy split the vertex
+    ids in_c break, as a set of condition numbers (empty: in_c is the
+    split's embedded set C, by induction over first-appearance order):
+    1. no edge between distinct ids joins two C vertices;
+    2. every face vertex outside C has a C neighbour earlier in
+       first-appearance order;
+    3. no vertex outside every face is in C.
+    No sweep is run: each condition is checked on its own."""
+    in_c = {int(v) for v in in_c}
+    faces = [tuple(int(i) for i in f) for f in faces]
+    rank: dict[int, int] = {}
+    for face in faces:
+        for v in face:
+            rank.setdefault(v, len(rank))
+    neighbours: dict[int, set[int]] = {v: set() for v in rank}
+    for face in faces:
+        for a in face:
+            for b in face:
+                if a != b:
+                    neighbours[a].add(b)
+    faults = set()
+    if any(a in in_c and b in in_c for a in rank for b in neighbours[a]):
+        faults.add(1)
+    for v in rank:
+        if v not in in_c and not any(b in in_c and rank[b] < rank[v] for b in neighbours[v]):
+            faults.add(2)
+    outside = set(range(1, n_vertices + 1)) - set(rank)
+    if in_c & outside:
+        faults.add(3)
+    return faults
+
+
+def is_greedy_split(n_vertices: int, faces, in_c) -> bool:
+    """Whether the vertex ids in_c are the greedy split's embedded set of
+    the 1-based faces on n_vertices vertices (see greedy_split_faults)."""
+    return not greedy_split_faults(n_vertices, faces, in_c)
+
+
 # ---------------------------------------------------------------------------
 # Plane-by-plane majority prediction, rebuilt from its definition.
 

@@ -11,7 +11,7 @@ from rdh3d import Mesh
 from rdh3d.partition import partition
 
 from conftest import grid_mesh, random_mesh, rings_of
-from oracles import brute_partition
+from oracles import brute_partition, greedy_split_faults, is_greedy_split
 
 
 class TestCowFragment:
@@ -175,7 +175,9 @@ def test_face_ids_outside_the_vertices_rejected(faces):
 
 def test_partition_memory_is_bounded():
     # 90,000 vertices, 178,802 faces. Measured peaks: 9.8 MiB with one
-    # sort of edges between visit ranks, 11.3 MiB with the symmetric
+    # sort of edges between visit ranks, both with the ring keys written
+    # into one buffer in place and with their two halves joined by one
+    # concatenate (9.82 MiB each), 11.3 MiB with the symmetric
     # adjacency of two sorts, 37.9 MiB with six directed u*N+v codes per
     # face split by divmod.
     mesh = grid_mesh(300)
@@ -291,3 +293,22 @@ def test_relabelled_grid_arrays_equal_unique_formulation(seed):
         got = getattr(part, name)
         assert got.dtype == np.int64
         assert np.array_equal(got, expected), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(face_lists())
+@example((3, []))                                    # no faces, isolated ids
+@example((4, [[2, 2, 2], [4, 4, 4], [2, 2, 2]]))     # every face (a, a, a)
+def test_greedy_split_oracle_accepts_the_split_and_no_flip(case):
+    # the local rule of the greedy split holds for partition's embedded
+    # set and for no set one vertex away from it
+    n_vertices, faces = case
+    part = partition(n_vertices, np.array(faces, dtype=np.int64).reshape(-1, 3))
+    c = set(part.embedded.tolist())
+    r = set(part.reference.tolist())
+    assert is_greedy_split(n_vertices, faces, c)
+    for v in range(1, n_vertices + 1):
+        flipped = c ^ {v}
+        assert not is_greedy_split(n_vertices, faces, flipped)
+        broken = 2 if v in c else 1 if v in r else 3  # dropped, from R, unassigned
+        assert greedy_split_faults(n_vertices, faces, flipped) == {broken}
