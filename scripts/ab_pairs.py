@@ -7,9 +7,11 @@ working tree.
 Run from anywhere inside a git checkout. The parent commit is exported
 with `git archive` into a temporary directory beside the checkout, in
 its parent directory (under TMPDIR instead when that is set), which is
-removed on exit, on an error and on SIGTERM: a parent exported under the
+removed on exit, on an error and on SIGTERM. A parent exported under the
 system temporary folder read decimal-owner's peak RSS 4 MiB lower than
-the same code elsewhere. Each pair then runs
+the same code in the checkout; beside the checkout the two sides of one
+commit still differ by about 1 MiB, so an RSS gap that small is not a
+finding. Each pair then runs
 `perfbench/run.py --trace 0` once there and once in the working tree,
 with the same workload, seed and run length, the parent first in even
 pairs and the working tree first in odd ones. Nothing under perfbench/

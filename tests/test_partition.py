@@ -174,10 +174,10 @@ def test_face_ids_outside_the_vertices_rejected(faces):
 
 
 def test_partition_memory_is_bounded():
-    # 90,000 vertices, 178,802 faces. Measured peaks: 9.8 MiB with one
-    # sort of edges between visit ranks, both with the ring keys written
-    # into one buffer in place and with their two halves joined by one
-    # concatenate (9.82 MiB each), 11.3 MiB with the symmetric
+    # 90,000 vertices, 178,802 faces. Measured peaks: 9.82 MiB with one
+    # sort of edges between visit ranks (the same whether the two halves
+    # of the ring keys are joined by one concatenate or written into one
+    # buffer in place), 11.3 MiB with the symmetric
     # adjacency of two sorts, 37.9 MiB with six directed u*N+v codes per
     # face split by divmod.
     mesh = grid_mesh(300)
@@ -305,10 +305,10 @@ def test_greedy_split_oracle_accepts_the_split_and_no_flip(case):
     n_vertices, faces = case
     part = partition(n_vertices, np.array(faces, dtype=np.int64).reshape(-1, 3))
     c = set(part.embedded.tolist())
-    r = set(part.reference.tolist())
+    in_face = {v for face in faces for v in face}
     assert is_greedy_split(n_vertices, faces, c)
     for v in range(1, n_vertices + 1):
         flipped = c ^ {v}
         assert not is_greedy_split(n_vertices, faces, flipped)
-        broken = 2 if v in c else 1 if v in r else 3  # dropped, from R, unassigned
+        broken = 2 if v in c else 1 if v in in_face else 3  # dropped, from R, unassigned
         assert greedy_split_faults(n_vertices, faces, flipped) == {broken}
