@@ -85,7 +85,7 @@ def run_pipeline(mesh: Mesh, mesh_id: str, m: int, n: int | None,
 
     rec_mesh = dequantize(recovered)
     h = hausdorff(mesh.vertices, rec_mesh.vertices, method=hausdorff_method)
-    s = snr(mesh, rec_mesh, noise_ref="original")
+    s = snr(mesh, rec_mesh)
     return BenchRow(
         mesh_id=mesh_id,
         n_vertices=mesh.n_vertices,

@@ -167,7 +167,7 @@ def cmd_metrics(args) -> int:
     mesh_a = read_mesh_file(args.mesh_a, args.format)
     mesh_b = read_mesh_file(args.mesh_b, args.format)
     # snr rejects a vertex-count mismatch before any distance is computed
-    snr_db = snr(mesh_a, mesh_b, noise_ref=args.snr_noise_ref)
+    snr_db = snr(mesh_a, mesh_b)
     dist = hausdorff(mesh_a, mesh_b, method=args.method)
     bits = read_container_file(args.container).payload_bits if args.container else 0
     report = {
@@ -279,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metrics", help="fidelity metrics between two meshes")
     p.add_argument("mesh_a")
     p.add_argument("mesh_b")
-    p.add_argument("--snr-noise-ref", choices=("mean", "original"), default="mean")
     p.add_argument("--method", choices=("kdtree",), default="kdtree",
                    help="hausdorff evaluation (kdtree is the only one)")
     p.add_argument("--container", default=None,

@@ -13,12 +13,8 @@ nearest-neighbour search usually settles the exact value and no kd-tree
 is built. Point sets of unequal size take one full kd-tree query per
 direction.
 
-The SNR ratio ships in two flavors. The default ("mean") measures the
-modified coordinates against the original per-axis means in the
-denominator; the "original" flavor is the conventional one with the
-squared modification error as the noise term. The conventional flavor
-is what scales ~linearly with the quantization precision and is used by
-the bench harness.
+The SNR is 10 log10(sum |v - mean(v)|^2 / sum |v' - v|^2): the original's
+spread about its centroid over the squared modification error.
 """
 
 from __future__ import annotations
@@ -105,12 +101,10 @@ def hausdorff(a, b, method: str = "kdtree") -> float:
     return float(max(d_ab, d_ba))
 
 
-def snr(original, modified, noise_ref: str = "mean") -> float:
-    """Signal-to-noise ratio in dB between coordinate sets of equal size.
-
-    noise_ref="mean": noise term is (modified - mean(original)) per axis.
-    noise_ref="original": conventional noise term (modified - original).
-    Returns +inf when the meshes are exactly identical.
+def snr(original, modified) -> float:
+    """Signal-to-noise ratio in dB between coordinate sets of equal size,
+    10 log10(sum |v - mean(v)|^2 / sum |v' - v|^2) for original vertices v
+    and modified vertices v'. Returns +inf when the noise term is zero.
     """
     v = _as_points(original)
     g = _as_points(modified)
@@ -120,20 +114,12 @@ def snr(original, modified, noise_ref: str = "mean") -> float:
         )
     if v.size == 0:
         raise DomainError("SNR is undefined for empty meshes")
-    if np.array_equal(v, g):
-        return math.inf
-    center = v.mean(axis=0)
-    signal = float(((v - center) ** 2).sum())
-    if signal == 0.0:
-        raise DomainError("SNR is undefined for a zero-variance original mesh")
-    if noise_ref == "mean":
-        noise = float(((g - center) ** 2).sum())
-    elif noise_ref == "original":
-        noise = float(((g - v) ** 2).sum())
-    else:
-        raise ValueError(f"unknown noise_ref {noise_ref!r}")
+    noise = float(((g - v) ** 2).sum())
     if noise == 0.0:
         return math.inf
+    signal = float(((v - v.mean(axis=0)) ** 2).sum())
+    if signal == 0.0:
+        raise DomainError("SNR is undefined for a zero-variance original mesh")
     return 10.0 * math.log10(signal / noise)
 
 

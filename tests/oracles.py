@@ -11,6 +11,7 @@ members and more.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 
 import numpy as np
@@ -360,3 +361,17 @@ def kdtree_hausdorff(a, b) -> float:
     d_ab = cKDTree(b).query(a, k=1)[0].max()
     d_ba = cKDTree(a).query(b, k=1)[0].max()
     return float(max(d_ab, d_ba))
+
+
+# ---------------------------------------------------------------------------
+# SNR, exact sums.
+
+def snr_db(a, b) -> float:
+    """10 log10(sum |v - mean(v)|^2 / sum |v' - v|^2) over the original
+    vertices a and the modified vertices b, every sum a math.fsum."""
+    a = [[float(x) for x in row] for row in a]
+    b = [[float(x) for x in row] for row in b]
+    center = [math.fsum(row[k] for row in a) / len(a) for k in range(3)]
+    signal = math.fsum((row[k] - center[k]) ** 2 for row in a for k in range(3))
+    noise = math.fsum((y - x) ** 2 for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+    return 10.0 * math.log10(signal / noise)

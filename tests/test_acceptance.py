@@ -225,7 +225,7 @@ def test_criterion_6_fidelity_trends_with_m():
         c = embed(encrypt_mesh(q, KE), rep, n, payload, KW)
         rec = dequantize(recover(c, KE))
         hausdorffs.append(hausdorff(mesh.vertices, rec.vertices))
-        snrs.append(snr(mesh, rec, noise_ref="original"))
+        snrs.append(snr(mesh, rec))
     h_decreasing = all(b < a for a, b in zip(hausdorffs, hausdorffs[1:]))
     s_increasing = all(b > a for a, b in zip(snrs, snrs[1:]))
     report(

@@ -24,6 +24,7 @@ from rdh3d import (
     parse_mesh,
     quantize,
     read_container_file,
+    read_mesh_file,
     write_container,
 )
 from rdh3d import cli
@@ -31,6 +32,7 @@ from rdh3d.cli import main
 from rdh3d.mesh_io import write_mesh, write_mesh_file
 
 from conftest import COW_FACES, COW_VERTICES, cow_off_text, grid_mesh, random_mesh
+from oracles import snr_db
 
 
 @pytest.fixture(autouse=True)
@@ -339,10 +341,27 @@ class TestMetricsCommand:
         write_mesh_file(a, mesh)
         moved = dequantize(quantize(mesh, 3))
         write_mesh_file(b, moved)
-        assert run("metrics", a, b, "--snr-noise-ref", "original") == 0
+        assert run("metrics", a, b) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["hausdorff"] >= 0
         assert isinstance(doc["snr_db"], float)
+
+    def test_recovered_grid_snr_matches_oracle(self, tmp_path, capsys):
+        mesh, rep, enc, marked, rec = (
+            tmp_path / name for name in
+            ("mesh.off", "rep.json", "enc.rdh3d", "marked.rdh3d", "rec.off"))
+        write_mesh_file(mesh, grid_mesh(120))
+        assert run("analyze", mesh, "--m", 4, "--out", rep) == 0
+        assert run("encrypt", mesh, "--m", 4, "--ke-pass", "a", "--out", enc) == 0
+        assert run("embed", enc, "--report", rep, "--kw-pass", "b",
+                   "--out", marked) == 0
+        assert run("recover", marked, "--ke-pass", "a", "--out", rec) == 0
+        capsys.readouterr()
+        assert run("metrics", mesh, rec) == 0
+        printed = json.loads(capsys.readouterr().out)["snr_db"]
+        expected = snr_db(read_mesh_file(mesh).vertices, read_mesh_file(rec).vertices)
+        assert printed == pytest.approx(expected, rel=1e-9)
+        assert printed > 40
 
     def test_identical_meshes_inf_snr(self, workdir, capsys):
         a = workdir / "cow.off"
