@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mesh_a")
     p.add_argument("mesh_b")
     p.add_argument("--method", choices=("kdtree",), default="kdtree",
-                   help="hausdorff evaluation (kdtree is the only one)")
+                   help="hausdorff evaluation; kdtree names the one exact method")
     p.add_argument("--container", default=None,
                    help="fill embedding fields from this container")
     add_format(p)

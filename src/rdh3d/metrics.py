@@ -9,9 +9,13 @@ found so far, no further point can raise the maximum: the early break of
 Taha and Hanbury, "An Efficient Algorithm for Calculating the Exact
 Hausdorff Distance", IEEE TPAMI 37(11), 2015. A quantized mesh moves
 each vertex by less than sqrt(3) * 10^-m, so one brute-force
-nearest-neighbour search usually settles the exact value and no kd-tree
-is built. Point sets of unequal size take one full kd-tree query per
-direction.
+nearest-neighbour search usually settles the exact value. The points it
+leaves, the survivors, lie within h, their largest partner distance, of
+their nearest neighbours, found in one 2x2x2 block of a grid of cells of
+side over 2h (Bentley, Weide and Yao, ACM TOMS 6(4), 1980). A kd-tree
+answers when the int64 cell keys would overflow, over _GRID_CAP candidates
+per survivor (a loose bound) and for unequal sizes (one query per
+direction). A quantized pair never imports scipy.
 
 The SNR is 10 log10(sum |v - mean(v)|^2 / sum |v' - v|^2): the original's
 spread about its centroid over the squared modification error.
@@ -25,15 +29,21 @@ import numpy as np
 
 from .errors import DomainError
 
+_GRID_CAP = 64  # grid candidates per survivor above which the tree answers
+_GRID_CHUNK = 1 << 16  # candidates expanded at once
+
 
 def _as_points(obj) -> np.ndarray:
     pts = obj.vertices if hasattr(obj, "vertices") else np.asarray(obj, dtype=np.float64)
-    return np.asarray(pts, dtype=np.float64).reshape(-1, 3)
+    pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
+    if not np.isfinite(pts).all():
+        raise DomainError("metrics need finite coordinates")
+    return pts
 
 
 def cKDTree(points: np.ndarray):
     """scipy's kd-tree over points. scipy is imported on the first call
-    only: most hausdorff calls settle from the pairing and build no tree,
+    only: hausdorff builds a tree only for loose bounds and unequal sizes,
     and importing scipy costs more than every other import of rdh3d."""
     from scipy.spatial import cKDTree as tree
 
@@ -58,7 +68,7 @@ def _directed_paired(a: np.ndarray, b: np.ndarray, pair_sq: np.ndarray) -> float
     The point with the largest pair_sq is searched against all of b (one
     N-vector of squared distances: 8 MiB at 1M points). Only points
     whose pair_sq exceeds the best value found can raise it; if any
-    remain, they go to one kd-tree query.
+    remain, _grid_min_sq (or, if it declines, one kd-tree query) settles them.
 
     Soundness in floating point: the search for a_i includes b_i and
     computes its distance with the same _sq_dist operations as pair_sq
@@ -69,29 +79,68 @@ def _directed_paired(a: np.ndarray, b: np.ndarray, pair_sq: np.ndarray) -> float
     squares decides the same. cKDTree sums the squares in the same order
     and takes one sqrt, so the result equals that of two full kd-tree
     queries bit for bit (tests/test_metrics.py checks both routines).
+    On the grid, a b_j at computed squared distance <= h^2 from a
+    survivor q is within h (1 + 4u) of it per axis, u = 2^-53: a rounded
+    sum of nonnegative terms is at least each term, a difference, a square
+    and sqrt(h^2) round once each, and an underflowing square hides a gap
+    below 2^-537. The radius r = h (1 + 8u) + 2^-537 covers that, so the
+    rounded box q -/+ r and the cell index floor((x - x0) / s), both
+    monotone, keep every such b_j inside. The side s = 2r + 16u (r +
+    max|x|) covers the rounding of q -/+ r and of the index, so a box
+    spans two cells per axis, or the tree answers. Near 4.3e4 each
+    rounding moves up to 4e-12: no relative margin on an h of 1e-5 holds.
     """
     best_sq = _sq_dist(a[np.argmax(pair_sq)], b).min()
     left = np.flatnonzero(pair_sq > best_sq)
-    if left.size:
+    if not left.size:
+        return np.sqrt(best_sq)
+    near_sq = _grid_min_sq(a[left], b, np.sqrt(pair_sq[left].max()))
+    if near_sq is None:
         return max(np.sqrt(best_sq), cKDTree(b).query(a[left], k=1)[0].max())
-    return np.sqrt(best_sq)
+    return np.sqrt(max(best_sq, near_sq.max()))
+
+
+def _grid_min_sq(q: np.ndarray, b: np.ndarray, h: float) -> np.ndarray | None:
+    """Each row of q's least _sq_dist to b, for rows with a point of b
+    within h, searched in 2x2x2 cells; None when the tree must answer."""
+    r, x0 = h * (1 + 2.0**-50) + 2.0**-537, b.min(axis=0)
+    s = 2 * r + 2.0**-49 * (r + max(np.abs(q).max(), np.abs(b).max()))
+    cell, k0, k1 = (np.floor((x - x0) / s) for x in (b, q - r, q + r))
+    nx, ny, nz = cell.max(axis=0) + 2  # the partner bounds k0 to -1..max
+    if not (nx * ny * nz < 2.0**62 and (k1 - k0 <= 1).all()):
+        return None
+    stride = np.array([ny * nz, nz, 1], dtype=np.int64)
+    key = cell.astype(np.int64) @ stride
+    order = np.argsort(key)
+    key, b = key[order], b[order]
+    # a cell and its z-neighbour hold adjacent keys: four runs of two cells
+    runs = (np.maximum(k0, 0).astype(np.int64) @ stride)[:, None] \
+        + np.array([[0, 0, 0], [0, 1, 0], [1, 0, 0], [1, 1, 0]]) @ stride
+    lo = np.searchsorted(key, runs)
+    count = np.searchsorted(key, runs + 1, side="right") - lo
+    per = count.sum(axis=1)
+    if per.sum() > _GRID_CAP * len(q):
+        return None
+    out, cum, start = np.empty(len(q)), np.cumsum(per), 0
+    while start < len(q):  # whole survivors, about _GRID_CHUNK candidates at a time
+        stop = max(start + 1, int(np.searchsorted(cum, cum[start] - per[start] + _GRID_CHUNK)))
+        n, k = count[start:stop].ravel(), per[start:stop]
+        at = np.repeat(lo[start:stop].ravel() - np.cumsum(n) + n, n) + np.arange(n.sum())
+        d = _sq_dist(np.repeat(q[start:stop], k, axis=0), b[at])
+        out[start:stop] = np.minimum.reduceat(d, np.cumsum(k) - k)
+        start = stop
+    return out
 
 
 def hausdorff(a, b, method: str = "kdtree") -> float:
-    """Symmetric Hausdorff distance between two point sets, answered by
-    nearest-neighbor queries. When the sets have equal size each query is
-    first bounded by the partner distance |a_i - b_i| (see the module
-    docstring), and a tree is built only for the points that bound cannot
-    settle. "kdtree" is the only method.
-    """
+    """Symmetric Hausdorff distance between two point sets, exact, from
+    the pairing, a grid and a kd-tree as the module docstring describes.
+    "kdtree" is the only method."""
     if method != "kdtree":
         raise ValueError(f"unknown hausdorff method {method!r}")
-    a = _as_points(a)
-    b = _as_points(b)
+    a, b = _as_points(a), _as_points(b)
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise DomainError("hausdorff distance needs two nonempty point sets")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise DomainError("hausdorff distance needs finite coordinates")
     if a.shape == b.shape:
         pair_sq = _sq_dist(a, b)
         return float(max(_directed_paired(a, b, pair_sq),
@@ -106,8 +155,7 @@ def snr(original, modified) -> float:
     10 log10(sum |v - mean(v)|^2 / sum |v' - v|^2) for original vertices v
     and modified vertices v'. Returns +inf when the noise term is zero.
     """
-    v = _as_points(original)
-    g = _as_points(modified)
+    v, g = _as_points(original), _as_points(modified)
     if v.shape != g.shape:
         raise DomainError(
             f"vertex count mismatch: {v.shape[0]} vs {g.shape[0]}"

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import rdh3d.metrics
 import rdh3d.partition
 from rdh3d import KeyMaterial, KeyRole, Mesh
 
@@ -147,6 +148,22 @@ def rings_of(part) -> dict[int, np.ndarray]:
     """{embedded vertex: its ring} of a Partition, 1-based ids."""
     off = part.ring_offsets
     return {int(v): part.ring_flat[off[i]:off[i + 1]] for i, v in enumerate(part.embedded)}
+
+
+@pytest.fixture
+def grid_answers(monkeypatch) -> list:
+    """Records, for every call of the Hausdorff grid search in the test,
+    whether the grid answered (False: the kd-tree had to)."""
+    original = rdh3d.metrics._grid_min_sq
+    answers = []
+
+    def recording(*args):
+        near_sq = original(*args)
+        answers.append(near_sq is not None)
+        return near_sq
+
+    monkeypatch.setattr(rdh3d.metrics, "_grid_min_sq", recording)
+    return answers
 
 
 @pytest.fixture

@@ -21,6 +21,7 @@ from rdh3d import (
     choose_n,
     dequantize,
     encrypt_mesh,
+    hausdorff,
     parse_mesh,
     quantize,
     read_container_file,
@@ -32,7 +33,7 @@ from rdh3d.cli import main
 from rdh3d.mesh_io import write_mesh, write_mesh_file
 
 from conftest import COW_FACES, COW_VERTICES, cow_off_text, grid_mesh, random_mesh
-from oracles import snr_db
+from oracles import kdtree_hausdorff, snr_db
 
 
 @pytest.fixture(autouse=True)
@@ -380,6 +381,20 @@ class TestMetricsCommand:
         assert run("metrics", workdir / "cow.off", smaller) == 3
         assert "vertex count mismatch: 8 vs 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
+    def test_non_finite_coordinate_exits_three(self, tmp_path, bad, first):
+        # in a fresh process, so that stderr shows any numpy warning
+        good, broken = tmp_path / "good.off", tmp_path / "broken.off"
+        good.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
+        broken.write_text(f"OFF\n3 1 0\n0 0 0\n1 0 {bad}\n0 1 0\n3 0 1 2\n")
+        pair = (broken, good) if first else (good, broken)
+        out = fresh_python("import sys; from rdh3d.cli import main; "
+                           "sys.exit(main(['metrics', *sys.argv[1:]]))", *pair)
+        assert out.returncode == 3
+        assert out.stderr.splitlines() == ["error: metrics need finite coordinates"]
+        assert "Traceback" not in out.stderr and "Warning" not in out.stderr
+
 
 def _dumped(doc: dict) -> str:
     """json.dumps(doc, indent=2) and a newline, with doc's arrays as lists."""
@@ -558,32 +573,56 @@ def test_removed_options_exit_two(workdir, capsys, monkeypatch, argv):
     assert "invalid choice" in err or "unrecognized arguments" in err
 
 
+def fresh_python(code: str, *args) -> subprocess.CompletedProcess:
+    """Run code in a new interpreter that imports this checkout's rdh3d."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 def test_cli_import_loads_neither_scipy_nor_multiprocessing():
     # scipy is imported only when a kd-tree is built, and nothing starts
     # worker processes, so every command starts without either
-    src = str(Path(cli.__file__).resolve().parents[1])
-    code = ("import sys, rdh3d.cli; "
-            "print(sorted({'scipy', 'multiprocessing'} & set(sys.modules)))")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    out = fresh_python("import sys, rdh3d.cli; "
+                       "print(sorted({'scipy', 'multiprocessing'} & set(sys.modules)))")
+    assert out.stdout.strip() == "[]", out.stderr
+
+
+def test_metrics_of_a_recovered_mesh_loads_no_scipy(tmp_path, grid_answers):
+    # A surface sampled finer than the m=2 quantization cell leaves
+    # survivors of the pairing bound; the grid search settles them all, so
+    # no kd-tree is built.
+    mesh, rep, enc, marked, rec, doc = (
+        tmp_path / name for name in
+        ("mesh.off", "rep.json", "enc.rdh3d", "marked.rdh3d", "rec.off", "metrics.json"))
+    write_mesh_file(mesh, grid_mesh(30, scale=0.1))
+    assert run("analyze", mesh, "--m", 2, "--out", rep) == 0
+    assert run("encrypt", mesh, "--m", 2, "--ke-pass", "a", "--out", enc) == 0
+    assert run("embed", enc, "--report", rep, "--kw-pass", "b", "--out", marked) == 0
+    assert run("recover", marked, "--ke-pass", "a", "--out", rec) == 0
+    a, b = read_mesh_file(mesh).vertices, read_mesh_file(rec).vertices
+
+    hausdorff(a, b)
+    assert grid_answers and all(grid_answers)
+
+    out = fresh_python("import sys; from rdh3d.cli import main; "
+                       "code = main(['metrics', *sys.argv[1:]]); "
+                       "print(code, 'scipy' in sys.modules)", mesh, rec, "--out", doc)
+    assert out.stdout.split() == ["0", "False"], out.stderr
+    assert json.loads(doc.read_text())["hausdorff"] == kdtree_hausdorff(a, b)
 
 
 def test_main_leaves_the_root_logger_alone(tmp_path):
     # in a fresh process, where no test harness has configured logging
-    src = str(Path(cli.__file__).resolve().parents[1])
-    code = ("import logging, sys; from rdh3d.cli import main; "
-            "before = list(logging.root.handlers); "
-            "code = main(['extract', sys.argv[1], '--kw-pass', 'b', '--out', sys.argv[2]]); "
-            "print(code, logging.root.handlers == before)")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "missing.rdh3d"),
-                          str(tmp_path / "payload.bin")], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.split() == ["2", "True"]
+    out = fresh_python("import logging, sys; from rdh3d.cli import main; "
+                       "before = list(logging.root.handlers); "
+                       "code = main(['extract', sys.argv[1], '--kw-pass', 'b', "
+                       "'--out', sys.argv[2]]); "
+                       "print(code, logging.root.handlers == before)",
+                       tmp_path / "missing.rdh3d", tmp_path / "payload.bin")
+    assert out.stdout.split() == ["2", "True"], out.stderr
 
 
 # sha256 of every file of the 120x120 grid round trip at m=4; any change

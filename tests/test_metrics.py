@@ -223,6 +223,100 @@ class TestPairedHausdorff:
         assert np.array_equal(tree_d, paired)
 
 
+def no_tree(*args, **kwargs):
+    raise AssertionError("the grid settles these survivors")
+
+
+@st.composite
+def tight_pairs(draw):
+    """b = a + small noise, for at most 64 points (so no block can hold
+    more than _GRID_CAP candidates per survivor), with duplicated points,
+    tight clusters and isolated far points in a."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 64))
+    kind = draw(st.sampled_from(["duplicated", "clusters", "isolated"]))
+    a = rng.uniform(-1, 1, (n, 3))
+    if kind == "duplicated":
+        a = a[rng.integers(0, max(1, n // 4), n)]
+    elif kind == "clusters":
+        centres = rng.uniform(-1, 1, (draw(st.integers(1, 4)), 3))
+        a = centres[rng.integers(0, len(centres), n)] + rng.normal(0, 1e-3, (n, 3))
+    else:
+        far = rng.random(n) < 0.2
+        a[far] = rng.choice([-1, 1], (far.sum(), 3)) * rng.uniform(4, 8, (far.sum(), 3))
+    sigma = draw(st.sampled_from([1e-4, 1e-3, 1e-2]))
+    return a, a + rng.normal(0, sigma, a.shape)
+
+
+class TestGridSearch:
+    """Survivors of the pairing bound are settled on a uniform grid; each
+    test checks the result against two full kd-tree queries."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tight_pairs())
+    def test_tight_pairs_need_no_tree(self, pair):
+        a, b = pair
+        expected = kdtree_hausdorff(a, b)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "cKDTree", no_tree)
+            assert hausdorff(a, b) == expected
+            assert hausdorff(b, a) == expected
+
+    @pytest.mark.parametrize("chunk", [metrics._GRID_CHUNK, 20])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_grid_mesh_with_isolated_vertices(self, monkeypatch, grid_answers, seed, chunk):
+        # a chunk of 20 candidates holds one to three survivors, or one
+        # survivor with more candidates than that
+        monkeypatch.setattr(metrics, "_GRID_CHUNK", chunk)
+        g = grid_mesh(100)
+        rng = np.random.default_rng(seed)
+        mesh = Mesh(np.vstack([g.vertices, rng.uniform(-0.9, 0.9, (100, 3))]), g.faces)
+        a, b = quantized_pair(mesh, 2)
+        expected = kdtree_hausdorff(a, b)
+        monkeypatch.setattr(metrics, "cKDTree", no_tree)
+        assert hausdorff(a, b) == expected
+        assert grid_answers and all(grid_answers)
+
+    @pytest.mark.parametrize("decimals", [6, 10])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_large_coordinates(self, monkeypatch, grid_answers, sign, decimals):
+        # Near 4.3e4 each rounding moves a coordinate by up to 4e-12. At
+        # 10 decimals a cell is about 20 units in the last place wide, and
+        # a side of 2r (1 + 1e-9) would let some boxes span three cells,
+        # sending the set to the tree; the grid must answer, and exactly.
+        # The surface is finer than the rounding, so many nearest
+        # neighbours are not partners.
+        a = sign * 4.3e4 + grid_mesh(30, scale=7.75 * 10.0**-decimals).vertices
+        b = np.round(a, decimals)
+        expected = kdtree_hausdorff(a, b)
+        monkeypatch.setattr(metrics, "cKDTree", no_tree)
+        assert hausdorff(a, b) == expected
+        assert grid_answers and all(grid_answers)
+
+    def test_int64_keys_would_overflow(self, monkeypatch, grid_answers):
+        # survivors settle on the grid until two far corners spread the
+        # cells of side ~7e-9 over 2e12, past 2^62 keys: the tree answers
+        rng = np.random.default_rng(6)
+        a = rng.uniform(-3e-8, 3e-8, (300, 3))
+        b = a + rng.normal(0, 1e-9, a.shape)
+        assert hausdorff(a, b) == kdtree_hausdorff(a, b)
+        assert grid_answers and all(grid_answers)
+
+        far = np.array([[-1e12, -1e12, -1e12], [1e12, 1e12, 1e12]])
+        a, b = np.vstack([a, far]), np.vstack([b, far])
+        built = []
+
+        def counting_tree(points):
+            built.append(len(points))
+            return cKDTree(points)
+
+        grid_answers.clear()
+        monkeypatch.setattr(metrics, "cKDTree", counting_tree)
+        assert hausdorff(a, b) == kdtree_hausdorff(a, b)
+        assert grid_answers and not any(grid_answers)
+        assert built == [302] * len(grid_answers)
+
+
 class TestSnr:
     def test_identical_returns_inf(self, tetra_mesh):
         assert snr(tetra_mesh, tetra_mesh) == math.inf
