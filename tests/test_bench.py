@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import gc
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from rdh3d import bench
 from rdh3d.bench import (
     BenchRow,
     bench_corpus,
@@ -14,6 +16,7 @@ from rdh3d.bench import (
 )
 from rdh3d.cipher import KeyMaterial, KeyRole
 from rdh3d.codec import default_payload
+from rdh3d.errors import Rdh3dError
 from rdh3d.mesh_io import read_mesh_file, write_mesh_file
 from rdh3d.partition import _splits, partition
 
@@ -70,6 +73,12 @@ def test_default_payload_deterministic_and_not_hiding_stream():
     assert default_payload(kw, 0).size == 0
 
 
+def _one_word_changed(q):
+    magnitudes = q.magnitudes.copy()
+    magnitudes[0, 0] ^= 1
+    return replace(q, magnitudes=magnitudes)
+
+
 class TestBenchCorpus:
     def test_failures_do_not_stop_run(self, tmp_path):
         corpus = tmp_path / "c"
@@ -80,6 +89,24 @@ class TestBenchCorpus:
         assert len(rows) == 1
         assert len(failures) == 1
         assert "bad.ply" in failures[0][0]
+
+    @pytest.mark.parametrize("stage, broken, why", [
+        ("extract", lambda bits: bits[:-1], "extracted 3179 of 3180 bits"),
+        ("recover", _one_word_changed, "recovery is not bit-exact at m=4, n=5"),
+    ], ids=["one bit short", "one word changed"])
+    def test_reversibility_error_is_a_failure(self, tmp_path, monkeypatch, stage, broken,
+                                              why):
+        """run_pipeline raises when extraction or recovery is not exact,
+        and bench_corpus returns that row as a failure."""
+        write_mesh_file(tmp_path / "g.off", grid_mesh(30))
+        mesh = read_mesh_file(tmp_path / "g.off")
+        real = getattr(bench, stage)
+        monkeypatch.setattr(bench, stage, lambda *args: broken(real(*args)))
+        with pytest.raises(Rdh3dError) as info:
+            run_pipeline(mesh, "g.off", 4, None, "a", "b")
+        assert type(info.value) is Rdh3dError and str(info.value) == f"g.off: {why}"
+        assert bench_corpus(tmp_path, [4], [None], "a", "b") == (
+            [], [("g.off", f"m=4 n=None: g.off: {why}")])
 
     def test_one_partition_per_mesh_file(self, tmp_path, partition_calls):
         for seed in range(3):

@@ -51,6 +51,12 @@ class TestKeystream:
     def test_zero_count(self, ke):
         assert ke.keystream_bits(0).size == 0
 
+    def test_negative_count(self, ke):
+        with pytest.raises(ValueError) as info:
+            ke.keystream_bits(-1)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "bit count must be nonnegative"
+
     def test_deterministic(self):
         a = KeyMaterial.from_passphrase("same", KeyRole.ENCRYPT)
         b = KeyMaterial.from_passphrase("same", KeyRole.ENCRYPT)

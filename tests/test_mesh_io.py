@@ -25,6 +25,7 @@ from rdh3d import (
     recover,
 )
 from rdh3d.cipher import decrypt_mesh
+from rdh3d.cli import main
 from rdh3d.errors import (
     CoordinateSyntaxError,
     FaceIndexError,
@@ -277,6 +278,40 @@ class TestParsePly:
     def test_trailing_content(self):
         with pytest.raises(MeshParseError, match="line 15: unexpected trailing"):
             parse_mesh(PLY_SMALL + "3 0 1 2\n", "ply")
+
+
+_PLY_FACE_HEADER = "element face 1\nproperty list uchar int vertex_indices\n"
+
+
+# A mesh file for each reader error that no other test reaches: its
+# format, bytes, and the error's class, message and line.
+@pytest.mark.parametrize("fmt, data, error, message, line", [
+    ("off", b"OFF\n# caf\xe9\n3 1 0\n0 0 0\n0.1 0 0\n0 0.1 0\n3 0 1 2\n", MeshParseError,
+     "not an ASCII mesh file: 'utf-8' codec can't decode byte 0xe9 in position 9: "
+     "invalid continuation byte", None),
+    ("ply", b"ply\ncomment no format\n", MalformedHeaderError,
+     "missing PLY format line", None),
+    ("ply", PLY_SMALL.replace("element vertex 3", "element vertex").encode(),
+     MalformedHeaderError, "line 4: bad element line 'element vertex'", 4),
+    ("ply", PLY_SMALL.replace("property double x", "property list uchar int x").encode(),
+     MalformedHeaderError, "line 5: list property on vertex element", 5),
+    ("ply", f"ply\nformat ascii 1.0\nproperty double x\n{_PLY_FACE_HEADER}"
+            "end_header\n".encode(),
+     MalformedHeaderError, "line 3: property before any element", 3),
+    ("ply", f"ply\nformat ascii 1.0\n{_PLY_FACE_HEADER}end_header\n3 0 1 2\n".encode(),
+     MalformedHeaderError, "missing 'element vertex' declaration", None),
+], ids=["non-ASCII comment", "no format line", "element without a count",
+        "vertex list property", "property before any element", "no vertex element"])
+def test_reader_error_names_its_line_and_exits_3(tmp_path, capsys, fmt, data, error,
+                                                  message, line):
+    with pytest.raises(error) as info:
+        parse_mesh(data, fmt)
+    assert type(info.value) is error
+    assert (str(info.value), info.value.line) == (message, line)
+    path = tmp_path / f"bad.{fmt}"
+    path.write_bytes(data)
+    assert main(["analyze", str(path), "--m", "4"]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestRoundTrip:

@@ -50,6 +50,14 @@ class TestValueRule:
             assert all(value != other for other_name, other in forms.items()
                        if other_name != name)
 
+    def test_read_only_keeps_a_view_over_bytes(self):
+        """An array whose memory is a bytes object is already read-only
+        and owns nothing to hide, so it is kept as it is."""
+        data = bytes(range(24))
+        arr = np.frombuffer(data, np.int64)
+        assert read_only(arr) is arr
+        assert arr.base is data and not arr.flags.writeable
+
     @pytest.mark.parametrize("name", ["Mesh", "Partition", "QuantizedMesh",
                                       "PredictionReport", "MarkedContainer"])
     def test_unhashable(self, forms, name):
