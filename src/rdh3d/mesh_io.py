@@ -255,13 +255,10 @@ def _read_body(lines, elements) -> Mesh:
     for name, count in elements:
         out, parse_row = rows[name], _ROW_PARSERS[name]
         for got in range(count):
-            try:
-                lineno, line = next(lines)
-            except StopIteration:
+            if (row := next(lines, None)) is None:
                 raise MeshParseError(
-                    f"unexpected end of file: expected {count} {name} rows, got {got}"
-                ) from None
-            out.append(parse_row(line.split(), lineno))
+                    f"unexpected end of file: expected {count} {name} rows, got {got}")
+            out.append(parse_row(row[1].split(), row[0]))
     for lineno, line in lines:
         raise MeshParseError(f"unexpected trailing content: {line!r}", lineno)
     return _finish_mesh(rows["vertex"], rows["face"], 0)
@@ -517,20 +514,22 @@ def _n_lines(data: bytes, start: int, stop: int) -> int:
     return data.count(b"\n", start, stop) + (start < stop and data[stop - 1] != ord("\n"))
 
 
+def _header_line(lines, missing: str):
+    """The next (line number, line) of a header's meaningful lines, or
+    MalformedHeaderError(missing) when the file ends first."""
+    if (got := next(lines, None)) is None:
+        raise MalformedHeaderError(missing)
+    return got
+
+
 def _read_off_header(raw_lines):
     """(lines, elements): the meaningful lines after an OFF header, and
     the (name, count) elements it declares."""
     lines = _meaningful_lines(raw_lines)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise MalformedHeaderError("empty OFF file") from None
+    lineno, header = _header_line(lines, "empty OFF file")
     if header != "OFF":
         raise MalformedHeaderError(f"expected 'OFF' header, got {header!r}", lineno)
-    try:
-        lineno, counts = next(lines)
-    except StopIteration:
-        raise MalformedHeaderError("missing OFF counts line") from None
+    lineno, counts = _header_line(lines, "missing OFF counts line")
     parts = counts.split()
     if len(parts) != 3:
         raise MalformedHeaderError(f"expected 'N M E' counts, got {counts!r}", lineno)
@@ -578,16 +577,10 @@ def _read_ply_header(raw_lines):
     """(lines, elements): the meaningful lines after a PLY header, and
     the (name, count) elements it declares, in order."""
     lines = _meaningful_lines(raw_lines, skip_prefixes=("comment", "obj_info"))
-    try:
-        lineno, magic = next(lines)
-    except StopIteration:
-        raise MalformedHeaderError("empty PLY file") from None
+    lineno, magic = _header_line(lines, "empty PLY file")
     if magic != "ply":
         raise MalformedHeaderError(f"expected 'ply' magic, got {magic!r}", lineno)
-    try:
-        lineno, fmt_line = next(lines)
-    except StopIteration:
-        raise MalformedHeaderError("missing PLY format line") from None
+    lineno, fmt_line = _header_line(lines, "missing PLY format line")
     fmt_tokens = fmt_line.split()
     if fmt_tokens[:1] != ["format"]:
         raise MalformedHeaderError(f"expected 'format' line, got {fmt_line!r}", lineno)
@@ -598,11 +591,10 @@ def _read_ply_header(raw_lines):
             lineno,
         )
 
-    # Header walk: only vertex and face elements are allowed.
-    elements = []  # (name, count) in declaration order
-    current = None
+    # Header walk: only vertex and face elements are allowed, and a
+    # property belongs to the last element declared.
+    elements = {}  # name: count, in declaration order
     vertex_props = []
-    saw_end = False
     for lineno, line in lines:
         tokens = line.split()
         keyword = tokens[0]
@@ -618,12 +610,13 @@ def _read_ply_header(raw_lines):
                 )
             if count < 0:
                 raise MalformedHeaderError(f"negative element count {count}", lineno)
-            if name in dict(elements):
+            if name in elements:
                 raise MalformedHeaderError(f"repeated element {name!r}", lineno)
-            elements.append((name, count))
-            current = name
+            elements[name] = count
         elif keyword == "property":
-            if current == "vertex":
+            if not elements:
+                raise MalformedHeaderError("property before any element", lineno)
+            if next(reversed(elements)) == "vertex":
                 if tokens[1:2] == ["list"]:
                     raise MalformedHeaderError("list property on vertex element", lineno)
                 if len(tokens) != 3 or tokens[1] not in _PLY_FLOAT_TYPES:
@@ -631,29 +624,23 @@ def _read_ply_header(raw_lines):
                         f"unsupported vertex property {line!r}", lineno
                     )
                 vertex_props.append(tokens[2])
-            elif current == "face":
-                # property list <count type> <index type> vertex_indices
-                if (len(tokens) != 5 or tokens[1] != "list"
-                        or tokens[4] not in ("vertex_index", "vertex_indices")):
-                    raise MalformedHeaderError(
-                        f"unsupported face property {line!r}", lineno
-                    )
-            else:
-                raise MalformedHeaderError("property before any element", lineno)
+            # else the face element's: property list <count type> <index type> vertex_indices
+            elif (len(tokens) != 5 or tokens[1] != "list"
+                    or tokens[4] not in ("vertex_index", "vertex_indices")):
+                raise MalformedHeaderError(f"unsupported face property {line!r}", lineno)
         elif keyword == "end_header":
-            saw_end = True
             break
         else:
             raise MalformedHeaderError(f"unsupported header line {line!r}", lineno)
-    if not saw_end:
+    else:
         raise MalformedHeaderError("missing end_header")
-    if "vertex" not in dict(elements):
+    if "vertex" not in elements:
         raise MalformedHeaderError("missing 'element vertex' declaration")
     if vertex_props != ["x", "y", "z"]:
         raise MalformedHeaderError(
             f"vertex properties must be exactly x, y, z; got {vertex_props}"
         )
-    return lines, elements
+    return lines, elements.items()
 
 
 # The header reader of each format that has a header.
