@@ -201,7 +201,8 @@ def cmd_bench(args) -> int:
     m_values = _parse_int_range(args.m)
     n_values = [None] if args.n.strip() == "auto" else _parse_int_range(args.n)
     # checked before any row runs, which would fail each row on its own:
-    # every m and n in range, and some (m, n) pair with n <= l
+    # every m and n in range, and some (m, n) pair with n <= l; then the
+    # corpus, the passphrases and --out
     l_top = max(map(bit_length, m_values))
     if n_values != [None]:
         for n in n_values:
@@ -211,8 +212,8 @@ def cmd_bench(args) -> int:
         raise ConfigError(f"corpus {args.corpus!r} is not a directory")
     ke_pass = _passphrase(args.ke_pass, KE_ENV, "--ke-pass")
     kw_pass = _passphrase(args.kw_pass, KW_ENV, "--kw-pass")
-    rows, failures = bench_corpus(args.corpus, m_values, n_values, ke_pass, kw_pass)
     with open(args.out, "w", newline="") as fh:
+        rows, failures = bench_corpus(args.corpus, m_values, n_values, ke_pass, kw_pass)
         write_csv(rows, fh)
     for name, why in failures:
         print(f"rdh3d.bench: {name}: {why}", file=sys.stderr)

@@ -28,7 +28,7 @@ from rdh3d import (
     read_mesh_file,
     write_container,
 )
-from rdh3d import cli
+from rdh3d import bench, cli
 from rdh3d.cli import main
 from rdh3d.mesh_io import write_mesh, write_mesh_file
 
@@ -831,6 +831,20 @@ class TestBadInputsExitTwo:
         self.check(capsys, "bench", tmp_path / corpus, "--ke-pass", "a",
                    "--kw-pass", "b", "--out", out)
         assert not out.exists()
+
+    def test_bench_out_not_writable(self, tmp_path, capsys, monkeypatch):
+        """--out is opened before the first row, so a path that cannot
+        be written runs no row."""
+        rows = []
+        monkeypatch.setattr(bench, "run_pipeline", lambda *args: rows.append(args))
+        corpus = tmp_path / "corp"
+        corpus.mkdir()
+        write_mesh_file(corpus / "g.off", grid_mesh(5))
+        assert run("bench", corpus, "--ke-pass", "a", "--kw-pass", "b",
+                   "--out", tmp_path / "missing" / "rows.csv") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert rows == []
 
     def test_directory_as_mesh(self, workdir, capsys):
         folder = workdir / "dir.off"
