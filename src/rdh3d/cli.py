@@ -201,8 +201,7 @@ def cmd_bench(args) -> int:
     m_values = _parse_int_range(args.m)
     n_values = [None] if args.n.strip() == "auto" else _parse_int_range(args.n)
     # checked before any row runs, which would fail each row on its own:
-    # every m and n in range, and some (m, n) pair with n <= l; then the
-    # corpus, the passphrases and --out
+    # every m and n in range, and some (m, n) pair with n <= l
     l_top = max(map(bit_length, m_values))
     if n_values != [None]:
         for n in n_values:
